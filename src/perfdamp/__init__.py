@@ -12,7 +12,6 @@ from perfdamp.compact_models import (
     CellResistanceBreakdown,
     ModelResult,
     ModelDomainError,
-    ConvergenceError,
     damping_m1,
     damping_m2,
     damping_m3,
@@ -35,7 +34,6 @@ __all__ = [
     "CellResistanceBreakdown",
     "ModelResult",
     "ModelDomainError",
-    "ConvergenceError",
     "damping_m1",
     "damping_m2",
     "damping_m3",

@@ -2,7 +2,7 @@
 
 Subcommands: regime, damp, compare, sweep, frf synth, frf extract,
 dump-config. Exit codes: 0 success, 1 usage or configuration error,
-2 comparison tolerance breach, 3 model-domain or convergence error.
+2 comparison tolerance breach, 3 model-domain error.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ def _cell(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))
     return str(v)
 
 
@@ -270,9 +270,6 @@ def run(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except cm.ConvergenceError as exc:
-        print(f"error: {exc} (partial sum {exc.partial:.6e})", file=sys.stderr)
-        return EXIT_MODEL
     except (cm.ModelDomainError, frf.BandwidthError, frf.FitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODEL

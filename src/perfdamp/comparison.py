@@ -123,10 +123,6 @@ def _error_table(models: tuple[str, ...], gas: GasProperties) -> dict[str, tuple
         for model in models:
             try:
                 res = cm.MODELS[model](rec.geom, gas)
-            except cm.ConvergenceError as exc:
-                raise cm.ConvergenceError(
-                    f"device {rec.id}, model {model}: {exc}",
-                    partial=exc.partial, terms=exc.terms) from exc
             except cm.ModelDomainError as exc:
                 raise cm.ModelDomainError(f"device {rec.id}, model {model}: {exc}") from exc
             row.append(relative_error(res.c, rec.c_m))

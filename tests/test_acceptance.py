@@ -19,6 +19,8 @@ from perfdamp.flow_regime import GasProperties, knudsen, reynolds_number, squeez
 from perfdamp.frf import extract, synth_frf
 from perfdamp.geometry import BeamGeometry
 
+import oracles
+
 
 def _report(criterion, detail):
     print(f"PASS  criterion {criterion}: {detail}")
@@ -120,11 +122,11 @@ def test_criterion_7_property_suite(dataset, gas):
     for model in cm.MODELS.values():
         cs = [model(dataset[d].geom, gas).c for d in "ABCD"]
         assert cs == sorted(cs, reverse=True)
-    # double-series partial sums monotone (all terms positive)
+    # closed-form border series against its brute-force sum
     geom = dataset["A"].geom
     R_p = cm.cell_resistance_circular(geom, gas).R_p
-    grid = cm._border_term_grid(geom, gas, R_p, 201)
-    assert (grid > 0).all()
+    assert cm.damping_border_coupled(geom, gas, R_p).c \
+        == pytest.approx(oracles.border_series(geom, gas, R_p), rel=1e-9, abs=0)
     # L <-> W symmetry of the border-coupled models
     swapped = dataclasses.replace(geom, L=geom.W, W=geom.L, M=geom.N, N=geom.M)
     for model in (cm.damping_m3, cm.damping_m4):
@@ -143,7 +145,7 @@ def test_criterion_7_property_suite(dataset, gas):
         assert extract(curve).Q == pytest.approx(Q, rel=0.02)
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
-    _report(7, f"positivity, monotonicity, symmetry, rarefaction and FRF "
+    _report(7, f"positivity, monotonicity, border series, symmetry, rarefaction and FRF "
                f"round-trip properties hold in {elapsed:.2f} s")
 
 

@@ -6,7 +6,9 @@ import pytest
 from perfdamp import compact_models as cm
 from perfdamp.comparison import relative_error
 from perfdamp.flow_regime import GasProperties
-from perfdamp.geometry import BeamGeometry
+from perfdamp.geometry import BeamGeometry, PlateGeometry
+
+import oracles
 
 # Published relative errors define the expected damping through
 # c = c_m * (1 + delta/100); models must land within 3 percentage points.
@@ -50,6 +52,29 @@ class TestM2:
         c1 = cm.damping_m1(dataset["A"].geom, gas).c
         c2 = cm.damping_m2(dataset["A"].geom, gas).c
         assert abs(c2 - c1) / c1 < 0.05
+
+    def test_matches_direct_sum(self, dataset, gas):
+        for rec in dataset.values():
+            c = cm.damping_m2(rec.geom, gas).c
+            assert c == pytest.approx(oracles.m2_damping(rec.geom, gas), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("W, L, M, N, s0, h", [
+        (20e-6, 100e-6, 10, 2, 2e-6, 5e-6),  # narrow plate, wide gap: al ~ 17
+        (20e-6, 100e-6, 10, 2, 1e-6, 5e-6),  # and smaller holes: al ~ 68
+        (200e-6, 20e-6, 2, 20, 5e-6, 1.6e-6),  # W/L = 10: tanh(x_n) < 1 for 60 terms
+    ], ids=["al17", "al68", "wide"])
+    def test_outside_reference_devices(self, gas, W, L, M, N, s0, h):
+        geom = PlateGeometry(L=L, W=W, M=M, N=N, s0=s0, s1=10e-6 - s0, h=h, h_c=15e-6)
+        c = cm.damping_m2(geom, gas).c
+        assert c == pytest.approx(oracles.m2_damping(geom, gas), rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("al", [0.03, 2.0, 9.99, 10.01, 68.0, 1e3, 1e5])
+    def test_shape_bracket_both_branches(self, al):
+        # (pi^2/8) * bracket = sum_{n odd} 1/(n^2 t_n^2); its closed form
+        # cancels to O(al^-4) for large al, where a Taylor branch takes over
+        n = range(199_999, 0, -2)
+        direct = math.fsum(1 / (k**2 * (1 + (k * math.pi * al / 2) ** 2) ** 2) for k in n)
+        assert math.pi**2 / 8 * cm._shape_bracket(al) == pytest.approx(direct, rel=1e-10, abs=0)
 
 
 class TestCellResistanceCircular:
@@ -115,16 +140,37 @@ class TestBorderCoupled:
         for model in (cm.damping_m3, cm.damping_m4):
             assert sealed.c > model(geom, gas).c
 
+    def test_sealed_holes_matches_brute_force(self, dataset, gas):
+        # the exact part of the outer sum cancels as R_p -> inf
+        geom = dataset["A"].geom
+        for R_p in (1e12, 1e15):
+            c = cm.damping_border_coupled(geom, gas, R_p).c
+            assert c == pytest.approx(oracles.border_series(geom, gas, R_p), rel=1e-9, abs=0)
+
+    def test_matches_brute_force(self, dataset, gas):
+        for rec in dataset.values():
+            for cell in (cm.cell_resistance_circular, cm.cell_resistance_square):
+                R_p = cell(rec.geom, gas).R_p
+                res = cm.damping_border_coupled(rec.geom, gas, R_p)
+                assert res.series_terms == cm.BORDER_TERMS
+                assert res.c == pytest.approx(oracles.border_series(rec.geom, gas, R_p),
+                                              rel=1e-9, abs=0)
+
     def test_rejects_nonpositive_resistance(self, dataset, gas):
         with pytest.raises(cm.ModelDomainError):
             cm.damping_border_coupled(dataset["A"].geom, gas, R_p=0.0)
 
+    def test_rejects_nan_resistance(self, dataset, gas):
+        with pytest.raises(cm.ModelDomainError):
+            cm.damping_border_coupled(dataset["A"].geom, gas, R_p=math.nan)
+
     def test_partial_sums_monotone(self, dataset, gas):
+        # all terms are positive, so every partial sum lies below the series
         geom = dataset["A"].geom
         R_p = cm.cell_resistance_circular(geom, gas).R_p
-        grid = cm._border_term_grid(geom, gas, R_p, 41)
-        assert (grid > 0).all()  # positive terms => monotone partial sums
-        assert grid.sum() <= cm._border_term_grid(geom, gas, R_p, 81).sum()
+        sums = [oracles.border_partial_sum(geom, gas, R_p, cap) for cap in (41, 81, 161)]
+        assert sums == sorted(sums)
+        assert sums[-1] < cm.damping_border_coupled(geom, gas, R_p).c
 
 
 class TestM3M4:
@@ -141,10 +187,13 @@ class TestM3M4:
         _assert_delta(cm.damping_m4, dataset["B"], gas, -21.96)
 
     def test_length_width_symmetry(self, dataset, gas):
-        geom = dataset["A"].geom
-        swapped = dataclasses.replace(geom, L=geom.W, W=geom.L, M=geom.N, N=geom.M)
-        for model in (cm.damping_m3, cm.damping_m4):
-            assert model(swapped, gas).c == pytest.approx(model(geom, gas).c, rel=1e-9)
+        for rec in dataset.values():
+            geom = rec.geom
+            swapped = dataclasses.replace(geom, L=geom.W, W=geom.L, M=geom.N, N=geom.M)
+            for model in (cm.damping_m3, cm.damping_m4):
+                assert model(swapped, gas).c == model(geom, gas).c
+            assert cm.damping_border_coupled(swapped, gas, 1e12).c \
+                == cm.damping_border_coupled(geom, gas, 1e12).c
 
     def test_m3_m4_agreement(self, dataset, gas):
         for rec in dataset.values():
@@ -212,3 +261,9 @@ class TestGlobalProperties:
             cs = [model(geom, GasProperties(lam=lam)).c
                   for lam in (1e-300, 65e-9, 130e-9)]
             assert cs[0] > cs[1] > cs[2]
+
+    def test_nan_gap_raises_domain_error(self, dataset, gas):
+        geom = dataclasses.replace(dataset["A"].geom, h=math.nan)
+        for model in (cm.damping_m1, cm.damping_m2, cm.damping_m3, cm.damping_m4):
+            with pytest.raises(cm.ModelDomainError):
+                model(geom, gas)

@@ -131,6 +131,16 @@ class TestCli:
         assert len(cs) == 5
         assert cs == sorted(cs, reverse=True)
 
+    def test_sweep_readme_example_parses(self, capsys):
+        # the README's example: every model's c prints as a plain float
+        assert cli.run(["sweep", "--device", str(DEVICES / "A.json"),
+                        "--parameter", "h", "--start", "0.8um",
+                        "--stop", "3.2um", "--steps", "5", "--models", "m3,m5"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+        assert [model for _, model, _ in rows] == ["m3", "m5"] * 5
+        for value, _, c in rows:
+            assert float(value) > 0 and float(c) > 0
+
     def test_sweep_rejects_reversed_range(self, capsys):
         assert cli.run(["sweep", "--device", str(DEVICES / "A.json"),
                         "--parameter", "h", "--start", "2um",

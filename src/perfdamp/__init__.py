@@ -1,5 +1,11 @@
 """Squeeze-film damping of perforated MEMS plates: compact models M1-M6,
-flow-regime characteristic numbers, and Q extraction from frequency responses."""
+flow-regime characteristic numbers, and Q extraction from frequency responses.
+
+Only ``perfdamp.frf`` imports numpy. Its public names are loaded on first
+access, so ``import perfdamp`` and the model modules stay numpy-free.
+"""
+
+import importlib
 
 from perfdamp.geometry import (
     PlateGeometry,
@@ -20,7 +26,6 @@ from perfdamp.compact_models import (
     damping_m6,
     beam_damping,
 )
-from perfdamp.frf import FrfCurve, ExtractionResult, synth_frf, extract, damping_from_q
 from perfdamp.comparison import MeasuredRecord, builtin_dataset, relative_error
 
 __all__ = [
@@ -50,3 +55,11 @@ __all__ = [
     "builtin_dataset",
     "relative_error",
 ]
+
+_FRF_NAMES = {"FrfCurve", "ExtractionResult", "synth_frf", "extract", "damping_from_q"}
+
+
+def __getattr__(name):
+    if name in _FRF_NAMES:
+        return getattr(importlib.import_module("perfdamp.frf"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

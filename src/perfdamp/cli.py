@@ -3,6 +3,9 @@
 Subcommands: regime, damp, compare, sweep, frf synth, frf extract,
 dump-config. Exit codes: 0 success, 1 usage or configuration error,
 2 comparison tolerance breach, 3 model-domain error.
+
+Only the frf subcommands load numpy (through ``perfdamp.frf``); the others
+run on the standard library, so a cold process starts without it.
 """
 
 from __future__ import annotations
@@ -13,11 +16,8 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from perfdamp import compact_models as cm
 from perfdamp import comparison as cmp
-from perfdamp import frf
 from perfdamp.config import (
     ConfigError,
     dump_device,
@@ -111,7 +111,7 @@ _TABLES = {
 
 def _cmd_compare(args) -> int:
     wanted = list(_TABLES) if args.table == "all" else [args.table]
-    gas = GasProperties()
+    gas = _gas_from(args)
     chunks = []
     ok = True
     for key in wanted:
@@ -123,10 +123,10 @@ def _cmd_compare(args) -> int:
             chunks.append(f"# table {key}\n" + _csv(rows, ["device", *columns]))
         else:
             width = max(len(c) for c in columns) + 4
-            head = "device" + "".join(f"{c:>{width}}" for c in columns)
+            head = "device" + "".join(f" {c:>{width}}" for c in columns)
             body = [f"table {key} (reproduced, percent)", head]
             for dev, vals in repro.items():
-                body.append(f"{dev:6s}" + "".join(f"{v:{width}.2f}" for v in vals))
+                body.append(f"{dev:6s}" + "".join(f" {v:{width}.2f}" for v in vals))
             chunks.append("\n".join(body) + "\n")
     _emit("\n".join(chunks), args.out)
     return EXIT_OK if ok else EXIT_TOLERANCE
@@ -147,7 +147,7 @@ def _cmd_sweep(args) -> int:
     for model in models:
         if model not in cm.MODELS:
             raise ConfigError(f"unknown model {model!r}")
-    values = np.linspace(start, stop, args.steps)
+    values = _linspace(start, stop, args.steps)
     rows = []
     for value in values:
         g, gs = geom, gas
@@ -157,13 +157,22 @@ def _cmd_sweep(args) -> int:
             g = dataclasses.replace(geom, **{args.parameter: value})
         for model in models:
             res = cm.MODELS[model](g, gs)
-            rows.append([float(value), model, res.c])
+            rows.append([value, model, res.c])
     _emit(_csv(rows, ["param_value", "model", "c_Ns_per_m"]), args.out)
     return EXIT_OK
 
 
+def _linspace(start: float, stop: float, n: int) -> list[float]:
+    """``numpy.linspace(start, stop, n).tolist()`` for n >= 2, bit for bit."""
+    step = (stop - start) / (n - 1)
+    return [i * step + start for i in range(n - 1)] + [stop]
+
+
 def _cmd_frf_synth(args) -> int:
-    freqs = np.linspace(parse_frequency(args.start), parse_frequency(args.stop), args.points)
+    if args.points < 2:
+        raise ConfigError("frf synth needs at least 2 points")
+    from perfdamp import frf
+    freqs = _linspace(parse_frequency(args.start), parse_frequency(args.stop), args.points)
     curve = frf.synth_frf(args.meff, args.damping, args.stiffness, args.force, freqs)
     rows = [[float(f), float(a)] for f, a in zip(curve.freqs, curve.amps)]
     _emit(_csv(rows, ["freq_hz", "amp_m"]), args.out)
@@ -171,12 +180,8 @@ def _cmd_frf_synth(args) -> int:
 
 
 def _cmd_frf_extract(args) -> int:
-    data = np.genfromtxt(args.input, delimiter=",", names=True)
-    if data.dtype.names is None or set(data.dtype.names) != {"freq_hz", "amp_m"}:
-        raise ConfigError("input CSV must have header 'freq_hz,amp_m'")
-    curve = frf.FrfCurve(freqs=np.atleast_1d(data["freq_hz"]),
-                         amps=np.atleast_1d(data["amp_m"]))
-    res = frf.extract(curve, m_eff=args.meff)
+    from perfdamp import frf
+    res = frf.extract(frf.read_curve(args.input), m_eff=args.meff)
     payload = {"f0_hz": res.f0, "Q": res.Q, "f1_hz": res.f1, "f2_hz": res.f2}
     if res.c is not None:
         payload["c_Ns_per_m"] = res.c
@@ -262,6 +267,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _model_errors() -> tuple[type[Exception], ...]:
+    """Errors that exit 3. frf's are looked up only if a subcommand loaded it."""
+    frf = sys.modules.get("perfdamp.frf")
+    if frf is None:
+        return (cm.ModelDomainError,)
+    return (cm.ModelDomainError, frf.BandwidthError, frf.FitError)
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     try:
@@ -270,7 +283,7 @@ def run(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (cm.ModelDomainError, frf.BandwidthError, frf.FitError) as exc:
+    except _model_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODEL
     except (ConfigError, ValueError) as exc:

@@ -326,16 +326,23 @@ def damping_m4(geom: PlateGeometry, gas: GasProperties) -> ModelResult:
                        series_terms=res.series_terms, converged=res.converged)
 
 
+def _cell_only_c(geom: PlateGeometry, br: CellResistanceBreakdown) -> float:
+    c = geom.M * geom.N * br.R_p
+    if not math.isfinite(c):
+        raise ModelDomainError("cell-only model produced a non-finite damping coefficient")
+    return c
+
+
 def damping_m5(geom: PlateGeometry, gas: GasProperties) -> ModelResult:
     """Model M5: closed-borders pattern, circular cells: c = M*N*R_p."""
     br = cell_resistance_circular(geom, gas)
-    return ModelResult(model="m5", c=geom.M * geom.N * br.R_p, breakdown=br)
+    return ModelResult(model="m5", c=_cell_only_c(geom, br), breakdown=br)
 
 
 def damping_m6(geom: PlateGeometry, gas: GasProperties) -> ModelResult:
     """Model M6: closed-borders pattern, square cells: c = M*N*R_p."""
     br = cell_resistance_square(geom, gas)
-    return ModelResult(model="m6", c=geom.M * geom.N * br.R_p, breakdown=br)
+    return ModelResult(model="m6", c=_cell_only_c(geom, br), breakdown=br)
 
 
 MODELS = {

@@ -70,6 +70,14 @@ def synth_frf(m_eff: float, c: float, k: float, F0: float, freqs: np.ndarray) ->
     return FrfCurve(freqs=np.asarray(freqs, dtype=float), amps=amps)
 
 
+def read_curve(path) -> FrfCurve:
+    """Read a curve CSV whose header names the columns freq_hz and amp_m."""
+    data = np.genfromtxt(path, delimiter=",", names=True)
+    if data.dtype.names is None or set(data.dtype.names) != {"freq_hz", "amp_m"}:
+        raise ValueError("input CSV must have header 'freq_hz,amp_m'")
+    return FrfCurve(freqs=np.atleast_1d(data["freq_hz"]), amps=np.atleast_1d(data["amp_m"]))
+
+
 def damping_from_q(f0: float, Q: float, m_eff: float) -> float:
     """Damping coefficient from quality factor: c = 2*pi*f0*m_eff/Q."""
     if f0 <= 0 or Q <= 0 or m_eff <= 0:

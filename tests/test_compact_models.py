@@ -37,7 +37,7 @@ class TestM1:
         geom = dataset["A"].geom
         plain = cm.damping_m1(geom, gas).c
         slip = cm.damping_m1(geom, gas, slip_correct=True).c
-        assert slip == pytest.approx(plain / (1 + 6 * gas.lam / geom.h), rel=1e-12)
+        assert slip == pytest.approx(plain / (1 + 6 * gas.lam / geom.h), rel=1e-12, abs=0)
 
 
 class TestM2:
@@ -98,7 +98,7 @@ class TestCellResistanceCircular:
 
     def test_components_sum_to_total(self, dataset, gas):
         br = cm.cell_resistance_circular(dataset["A"].geom, gas)
-        assert sum(br.scaled_components()) == pytest.approx(br.R_p, rel=1e-14)
+        assert sum(br.scaled_components()) == pytest.approx(br.R_p, rel=1e-14, abs=0)
 
 
 class TestCellResistanceSquare:
@@ -228,11 +228,11 @@ class TestBeamDamping:
     def test_reference_beams(self, gas):
         # as-printed evaluation; the source quotes 0.16e-6, which the formula
         # only gives without its slip divisor
-        assert cm.beam_damping(self.BEAMS, 1.6e-6, gas) == pytest.approx(1.328e-7, rel=1e-3)
+        assert cm.beam_damping(self.BEAMS, 1.6e-6, gas) == pytest.approx(1.328e-7, rel=1e-3, abs=0)
 
     def test_continuum(self):
         gas = GasProperties(lam=1e-300)
-        assert cm.beam_damping(self.BEAMS, 1.6e-6, gas) == pytest.approx(1.652e-7, rel=1e-3)
+        assert cm.beam_damping(self.BEAMS, 1.6e-6, gas) == pytest.approx(1.652e-7, rel=1e-3, abs=0)
 
     def test_no_beams(self, gas):
         assert cm.beam_damping(BeamGeometry(L_b=0.0, W_b=4e-6), 1.6e-6, gas) == 0.0
@@ -240,7 +240,7 @@ class TestBeamDamping:
     def test_count_scales_linearly(self, gas):
         two = BeamGeometry(L_b=122e-6, W_b=4e-6, count=2)
         assert cm.beam_damping(self.BEAMS, 1.6e-6, gas) \
-            == pytest.approx(2 * cm.beam_damping(two, 1.6e-6, gas), rel=1e-12)
+            == pytest.approx(2 * cm.beam_damping(two, 1.6e-6, gas), rel=1e-12, abs=0)
 
 
 class TestGlobalProperties:
@@ -264,6 +264,6 @@ class TestGlobalProperties:
 
     def test_nan_gap_raises_domain_error(self, dataset, gas):
         geom = dataclasses.replace(dataset["A"].geom, h=math.nan)
-        for model in (cm.damping_m1, cm.damping_m2, cm.damping_m3, cm.damping_m4):
+        for model in cm.MODELS.values():
             with pytest.raises(cm.ModelDomainError):
                 model(geom, gas)

@@ -1,8 +1,14 @@
 import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import perfdamp
 from perfdamp import cli
 from perfdamp.config import (
     ConfigError,
@@ -163,6 +169,12 @@ class TestCli:
         assert res["f0_hz"] == pytest.approx(200e3, rel=1e-3)
         assert res["c_Ns_per_m"] == pytest.approx(c, rel=0.02)
 
+    def test_frf_extract_wrong_header_exit1(self, tmp_path, capsys):
+        path = tmp_path / "curve.csv"
+        path.write_text("f,a\n" + "".join(f"{f},1.0\n" for f in range(100, 200, 10)))
+        assert cli.run(["frf", "extract", "--input", str(path)]) == 1
+        assert "freq_hz,amp_m" in capsys.readouterr().err
+
     def test_frf_extract_flat_curve_exit3(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
         path.write_text("freq_hz,amp_m\n" +
@@ -182,3 +194,79 @@ class TestCli:
 
     def test_usage_error_exit1(self, capsys):
         assert cli.run(["damp", "--model", "m9"]) == 1
+
+    def test_damp_m5_nan_gap_exit3(self, tmp_path, capsys):
+        device = _write(tmp_path, {**VALID, "h_um": math.nan})
+        assert cli.run(["damp", "--device", device, "--model", "m5"]) == 3
+        assert capsys.readouterr().out == ""
+
+    def test_compare_uses_gas_file(self, tmp_path):
+        gas = tmp_path / "gas.json"
+        gas.write_text(json.dumps({"lambda_nm": 30.0}))
+        air, thin = tmp_path / "air.csv", tmp_path / "thin.csv"
+        assert cli.run(["compare", "--format", "csv", "--out", str(air)]) == 0
+        assert cli.run(["compare", "--format", "csv", "--gas", str(gas),
+                        "--out", str(thin)]) in (0, 2)
+        assert air.read_text() != thin.read_text()
+
+    def test_compare_text_fields_separated(self, capsys):
+        assert cli.run(["compare", "--table", "all", "--format", "text"]) == 0
+        blocks = capsys.readouterr().out.strip().split("\n\n")
+        assert len(blocks) == 3
+        for block in blocks:
+            _, head, *rows = block.splitlines()
+            n_fields = len(head.split())
+            assert n_fields > 1
+            assert len(rows) == 6
+            for row in rows:
+                assert len(row.split()) == n_fields
+
+    def test_frf_extract_fit_error_exit3(self, tmp_path, capsys):
+        # the peak sits on the first sample, so the fit window has 5 samples
+        path = tmp_path / "edge.csv"
+        path.write_text("freq_hz,amp_m\n" +
+                        "".join(f"{100 + 10 * i},{8 - i}\n" for i in range(8)))
+        assert cli.run(["frf", "extract", "--input", str(path)]) == 3
+        assert "fit window" in capsys.readouterr().err
+
+
+class TestNumpyFree:
+    def test_non_frf_subcommands_do_not_import_numpy(self, tmp_path):
+        device = str(DEVICES / "A.json")
+        commands = [
+            ["compare", "--table", "all"],
+            ["damp", "--device", device, "--model", "all", "--breakdown"],
+            ["sweep", "--device", device, "--parameter", "h", "--start", "0.8um",
+             "--stop", "3.2um", "--steps", "5", "--models", "m1,m2,m3,m4,m5,m6"],
+            ["regime", "--device", device, "--freq", "200kHz", "--json"],
+            ["dump-config", "--device", device],
+        ]
+        script = (
+            "import json, sys\n"
+            "from perfdamp.cli import run\n"
+            f"for i, argv in enumerate(json.loads({json.dumps(commands)!r})):\n"
+            f"    assert run([*argv, '--out', {str(tmp_path)!r} + f'/{{i}}.out']) == 0, argv\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        )
+        src = str(Path(cli.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert len(list(tmp_path.glob("*.out"))) == len(commands)
+
+    @pytest.mark.parametrize("start,stop,n", [
+        (0.8e-6, 3.2e-6, 5), (1.2e-6, 2.0e-6, 3), (0.8e-6, 4.0e-6, 17),
+        (1e-9, 2e-7, 7), (100e3, 300e3, 11), (190e3, 210e3, 801), (-3.0, 7.5, 1000),
+        (0.0, 1.0, 2), (1.0, 3.9, 10),  # the last: (n - 1)*step + start != stop
+    ])
+    def test_sweep_values_match_numpy_linspace(self, start, stop, n):
+        assert cli._linspace(start, stop, n) == np.linspace(start, stop, n).tolist()
+
+    def test_frf_names_load_on_access(self):
+        import perfdamp.frf
+        assert perfdamp.extract is perfdamp.frf.extract
+        for name in ("FrfCurve", "ExtractionResult", "synth_frf", "extract", "damping_from_q"):
+            assert name in perfdamp.__all__
+            assert getattr(perfdamp, name) is getattr(perfdamp.frf, name)
+        with pytest.raises(AttributeError):
+            perfdamp.no_such_name

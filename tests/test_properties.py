@@ -47,7 +47,7 @@ class TestGeometryProperties:
     @given(s_X=lengths)
     def test_cell_radius_preserves_area(self, s_X):
         r_X = equivalent_cell_radius(s_X)
-        assert math.pi * r_X**2 == pytest.approx(s_X**2, rel=1e-12)
+        assert math.pi * r_X**2 == pytest.approx(s_X**2, rel=1e-12, abs=0)
 
     @given(geom=plate_geometries())
     def test_derived_quantities_in_range(self, geom):
@@ -105,7 +105,7 @@ class TestModelProperties:
         for cell in (cm.cell_resistance_circular, cm.cell_resistance_square):
             br = cell(geom, gas)
             assert all(x >= 0 for x in br.scaled_components())
-            assert sum(br.scaled_components()) == pytest.approx(br.R_p, rel=1e-12)
+            assert sum(br.scaled_components()) == pytest.approx(br.R_p, rel=1e-12, abs=0)
             assert sum(br.percentages()) == pytest.approx(100.0, abs=1e-9)
 
 

@@ -70,7 +70,13 @@ def _number(data: dict, field: str, scale: float = 1.0, required: bool = True,
     value = data[field]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"field {field!r} must be a number, got {type(value).__name__}")
-    return value * scale
+    try:
+        scaled = float(value) * scale
+    except OverflowError:
+        scaled = math.inf
+    if not math.isfinite(scaled):
+        raise ConfigError(f"field {field!r} must be a finite number, got {value}")
+    return scaled
 
 
 def _integer(data: dict, field: str, required: bool = True, default: int | None = None) -> int | None:

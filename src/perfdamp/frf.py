@@ -9,9 +9,11 @@ response is provided so the extraction can be tested closed-loop.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 POLY_DEGREE = 6
 MIN_WINDOW = 9
@@ -40,6 +42,11 @@ class FrfCurve:
         object.__setattr__(self, "amps", amps)
         if freqs.ndim != 1 or freqs.shape != amps.shape:
             raise ValueError("freqs and amps must be 1-D arrays of equal length")
+        for name, values in (("freqs", freqs), ("amps", amps)):
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                i = int(bad[0])
+                raise ValueError(f"{name}[{i}] is not finite ({values[i]})")
         if len(freqs) < 8:
             raise ValueError("need at least 8 samples")
         if not np.all(np.diff(freqs) > 0):
@@ -85,7 +92,7 @@ def damping_from_q(f0: float, Q: float, m_eff: float) -> float:
     return 2 * math.pi * f0 * m_eff / Q
 
 
-def _default_window(amps: np.ndarray, i_peak: int) -> tuple[int, int]:
+def _default_window(amps: list[float], i_peak: int) -> tuple[int, int]:
     """Widest symmetric index span around the raw peak whose amplitudes stay
     above half the raw maximum, at least MIN_WINDOW samples."""
     thr = amps[i_peak] / 2.0
@@ -101,22 +108,48 @@ def _default_window(amps: np.ndarray, i_peak: int) -> tuple[int, int]:
     return lo, hi
 
 
+def _horner(poly, f: float) -> float:
+    """Value at f of a fitted polynomial (off, scl, coef): coef holds the
+    coefficients in the mapped variable x = off + scl*f, highest degree first.
+    The operations are those of numpy's Polynomial.__call__, so the result is
+    bit-identical to it."""
+    off, scl, coef = poly
+    x = off + scl * f
+    acc = 0.0
+    for c in coef:
+        acc = c + acc * x
+    return acc
+
+
 def _poly_peak(freqs, amps, lo, hi):
-    """Fit the window with a degree-6 polynomial and return (poly, f0, A_peak)."""
+    """Fit the window with a degree-6 polynomial and return (poly, f0, A_peak).
+
+    The least-squares fit and the derivative roots repeat numpy's
+    Polynomial.fit, deriv and roots step for step, without the class."""
     x, y = freqs[lo : hi + 1], amps[lo : hi + 1]
     if len(x) <= POLY_DEGREE + 1:
         raise FitError("fit window too small for a 6th-degree polynomial")
+    x_lo, x_hi = float(x[0]), float(x[-1])
+    span = x_hi - x_lo
+    off, scl = (-x_hi - x_lo) / span, 2.0 / span  # map [x_lo, x_hi] to [-1, 1]
+    van = P.polyvander(off + scl * x, POLY_DEGREE)
+    norms = np.sqrt(np.square(van.T).sum(1))
     try:
-        poly = np.polynomial.Polynomial.fit(x, y, POLY_DEGREE)
+        coef, _, rank, _ = np.linalg.lstsq(van / norms, y, len(x) * np.finfo(float).eps)
     except np.linalg.LinAlgError as exc:
         raise FitError("polynomial fit failed") from exc
-    crit = poly.deriv().roots()
-    crit = crit[np.isreal(crit)].real
-    crit = crit[(crit >= x[0]) & (crit <= x[-1])]
-    cand = np.concatenate([crit, x[:1], x[-1:]])
-    vals = poly(cand)
-    j = int(np.argmax(vals))
-    return poly, float(cand[j]), float(vals[j])
+    if rank != POLY_DEGREE + 1:
+        warnings.warn("The fit may be poorly conditioned", np.exceptions.RankWarning,
+                      stacklevel=2)
+    coef = coef / norms
+    roots = P.polyroots(coef[1:] * scl * np.arange(1, POLY_DEGREE + 1))
+    crit = (x_hi + x_lo) / 2 + span / 2 * roots
+    crit = crit.real[crit.imag == 0]
+    cand = crit[(crit >= x_lo) & (crit <= x_hi)].tolist() + [x_lo, x_hi]
+    poly = (off, scl, coef[::-1].tolist())
+    vals = [_horner(poly, f) for f in cand]
+    j = max(range(len(vals)), key=vals.__getitem__)
+    return poly, cand[j], vals[j]
 
 
 def _crossing(freqs, amps, poly, window, thr, i_start, step):
@@ -128,15 +161,21 @@ def _crossing(freqs, amps, poly, window, thr, i_start, step):
     while 0 <= i + step < len(freqs):
         j = i + step
         if amps[j] < thr <= amps[i]:
-            fa, fb = (freqs[i], freqs[j]) if step > 0 else (freqs[j], freqs[i])
             if lo <= i <= hi and lo <= j <= hi:
                 # bisection on the fitted polynomial
-                g = lambda f: poly(f) - thr
-                a, b = fa, fb
-                if g(a) * g(b) <= 0:
+                a, b = (freqs[i], freqs[j]) if step > 0 else (freqs[j], freqs[i])
+                # g(f) = poly(f) - thr keeps the sign of g(a) at every left
+                # end, so the sign stands in for g(a) in the bracket test;
+                # a product of two g values would underflow on tiny amplitudes
+                ga = _horner(poly, a) - thr
+                sa = (ga > 0) - (ga < 0)
+                if sa * (_horner(poly, b) - thr) <= 0:
                     for _ in range(80):
                         mid = 0.5 * (a + b)
-                        if g(a) * g(mid) <= 0:
+                        if mid == a or mid == b:
+                            # the bracket is at float resolution and stays put
+                            return mid
+                        if sa * (_horner(poly, mid) - thr) <= 0:
                             b = mid
                         else:
                             a = mid
@@ -160,24 +199,21 @@ def extract(curve: FrfCurve, poly_window: int | None = None,
     i_peak = int(np.argmax(amps))
     if amps[i_peak] <= 0 or np.all(amps == amps[0]):
         raise BandwidthError("curve has no peak")
+    # the sample walks below run on Python floats, not on numpy scalars
+    freq_list, amp_list = freqs.tolist(), amps.tolist()
     if poly_window is None:
-        lo, hi = _default_window(amps, i_peak)
+        lo, hi = _default_window(amp_list, i_peak)
     else:
         half = max(poly_window, MIN_WINDOW) // 2
         lo = max(0, i_peak - half)
         hi = min(len(amps) - 1, i_peak + half)
     poly, f0, A_peak = _poly_peak(freqs, amps, lo, hi)
     thr = A_peak * HALF_POWER
-    f1 = _crossing(freqs, amps, poly, (lo, hi), thr, i_peak, -1)
-    f2 = _crossing(freqs, amps, poly, (lo, hi), thr, i_peak, +1)
+    f1 = _crossing(freq_list, amp_list, poly, (lo, hi), thr, i_peak, -1)
+    f2 = _crossing(freq_list, amp_list, poly, (lo, hi), thr, i_peak, +1)
     if not f1 < f0 < f2:
         raise BandwidthError("half-power frequencies do not bracket the peak")
     Q = f0 / (f2 - f1)
     c = damping_from_q(f0, Q, m_eff) if m_eff is not None else None
     return ExtractionResult(f0=f0, A_peak=A_peak, f1=f1, f2=f2, Q=Q, c=c)
 
-
-def extract_many(curves: list[FrfCurve], **kwargs) -> tuple[float, float]:
-    """Mean and sample standard deviation of Q over repeated sweeps."""
-    qs = np.array([extract(c, **kwargs).Q for c in curves])
-    return float(qs.mean()), float(qs.std(ddof=1)) if len(qs) > 1 else 0.0

@@ -1,7 +1,9 @@
-"""Brute-force references for the closed-form series of compact_models.
+"""Brute-force references for the closed-form series of compact_models, and
+the plain numpy form of the FRF extraction.
 
-They sum the series term by term, as the model formulas state them, and share
-no code with the package's closed forms.
+The series references sum term by term, as the model formulas state them, and
+share no code with the package's closed forms. extract_reference runs the Q
+extraction through numpy's Polynomial class with a full 80-step bisection.
 """
 
 import math
@@ -9,6 +11,7 @@ import math
 import numpy as np
 
 from perfdamp.compact_models import _attenuation_length
+from perfdamp.frf import BandwidthError, ExtractionResult, FitError, damping_from_q
 from perfdamp.geometry import derive_geometry
 
 # Odd-index caps of the extrapolated border sum. Its truncated tail falls 8x
@@ -50,3 +53,70 @@ def m2_damping(geom, gas):
     s = math.fsum((np.tanh(np.sqrt(t) / (al * kappa)) / (n**2 * t**2)).tolist())
     gamma = 3 * al**2 - 3 * al**3 * math.tanh(1 / al) - 24 * al**3 * kappa / math.pi**2 * s
     return gamma * gas.mu * (2 * a) ** 3 * (2 * b) / geom.h**3
+
+
+def extract_reference(curve, poly_window=None, m_eff=None):
+    """frf.extract through numpy's Polynomial class: fit a degree-6 polynomial
+    around the raw peak, take its maximum, and bisect each half-power crossing
+    inside the fit window for 80 steps, evaluating both ends on every step."""
+    freqs, amps = curve.freqs, curve.amps
+    i_peak = int(np.argmax(amps))
+    if amps[i_peak] <= 0 or np.all(amps == amps[0]):
+        raise BandwidthError("curve has no peak")
+    if poly_window is None:
+        thr = amps[i_peak] / 2.0
+        half = 0
+        while True:
+            lo, hi = i_peak - half - 1, i_peak + half + 1
+            if lo < 0 or hi >= len(amps) or amps[lo] < thr or amps[hi] < thr:
+                break
+            half += 1
+        half = max(half, 9 // 2)
+    else:
+        half = max(poly_window, 9) // 2
+    lo = max(0, i_peak - half)
+    hi = min(len(amps) - 1, i_peak + half)
+
+    x, y = freqs[lo : hi + 1], amps[lo : hi + 1]
+    if len(x) <= 7:
+        raise FitError("fit window too small for a 6th-degree polynomial")
+    try:
+        poly = np.polynomial.Polynomial.fit(x, y, 6)
+    except np.linalg.LinAlgError as exc:
+        raise FitError("polynomial fit failed") from exc
+    crit = poly.deriv().roots()
+    crit = crit[np.isreal(crit)].real
+    crit = crit[(crit >= x[0]) & (crit <= x[-1])]
+    cand = np.concatenate([crit, x[:1], x[-1:]])
+    vals = poly(cand)
+    j = int(np.argmax(vals))
+    f0, A_peak = float(cand[j]), float(vals[j])
+    thr = A_peak * (1.0 / math.sqrt(2.0))
+
+    def crossing(step):
+        i = i_peak
+        while 0 <= i + step < len(freqs):
+            j = i + step
+            if amps[j] < thr <= amps[i]:
+                a, b = (freqs[i], freqs[j]) if step > 0 else (freqs[j], freqs[i])
+                if lo <= i <= hi and lo <= j <= hi:
+                    g = lambda f: poly(f) - thr
+                    if g(a) * g(b) <= 0:
+                        for _ in range(80):
+                            mid = 0.5 * (a + b)
+                            if g(a) * g(mid) <= 0:
+                                b = mid
+                            else:
+                                a = mid
+                        return 0.5 * (a + b)
+                aa, ab = amps[i], amps[j]
+                return freqs[i] + (thr - aa) * (freqs[j] - freqs[i]) / (ab - aa)
+            i = j
+        raise BandwidthError("amplitude never falls below the half-power level")
+
+    f1, f2 = crossing(-1), crossing(+1)
+    if not f1 < f0 < f2:
+        raise BandwidthError("half-power frequencies do not bracket the peak")
+    Q = f0 / (f2 - f1)
+    c = damping_from_q(f0, Q, m_eff) if m_eff is not None else None
+    return ExtractionResult(f0=f0, A_peak=A_peak, f1=f1, f2=f2, Q=Q, c=c)

@@ -81,6 +81,13 @@ class TestLoadDevice:
         with pytest.raises(ConfigError, match="s1"):
             load_device(_write(tmp_path, data))
 
+    @pytest.mark.parametrize("field,value", [
+        ("L_um", math.nan), ("h_um", math.inf), ("L_um", 10**400),
+    ], ids=["L_um-nan", "h_um-inf", "L_um-int-overflow"])
+    def test_non_finite_value_names_field(self, tmp_path, field, value):
+        with pytest.raises(ConfigError, match=f"{field}.*finite"):
+            load_device(_write(tmp_path, {**VALID, field: value}))
+
     def test_round_trip(self, tmp_path, dataset):
         rec = dataset["B"]
         path = _write(tmp_path, dump_device(rec.geom, rec))
@@ -96,6 +103,12 @@ class TestLoadGas:
         gas = load_gas(path)
         assert gas.P_A == 50e3
         assert gas.mu == 18.5e-6
+
+    def test_nan_value_names_field(self, tmp_path):
+        path = tmp_path / "gas.json"
+        path.write_text(json.dumps({"lambda_nm": math.nan}))
+        with pytest.raises(ConfigError, match="lambda_nm"):
+            load_gas(path)
 
 
 class TestCli:
@@ -175,6 +188,17 @@ class TestCli:
         assert cli.run(["frf", "extract", "--input", str(path)]) == 1
         assert "freq_hz,amp_m" in capsys.readouterr().err
 
+    def test_frf_extract_missing_amplitude_exit1(self, tmp_path, capsys):
+        curve_csv = tmp_path / "curve.csv"
+        assert cli.run(["frf", "synth", "--meff", "1e-9", "--damping", "2e-5",
+                        "--stiffness", "1.6", "--start", "5kHz", "--stop", "8kHz",
+                        "--points", "101", "--out", str(curve_csv)]) == 0
+        lines = curve_csv.read_text().splitlines()
+        lines[31] = lines[31].split(",")[0] + ","
+        curve_csv.write_text("\n".join(lines) + "\n")
+        assert cli.run(["frf", "extract", "--input", str(curve_csv)]) == 1
+        assert "amps[30] is not finite" in capsys.readouterr().err
+
     def test_frf_extract_flat_curve_exit3(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
         path.write_text("freq_hz,amp_m\n" +
@@ -195,10 +219,21 @@ class TestCli:
     def test_usage_error_exit1(self, capsys):
         assert cli.run(["damp", "--model", "m9"]) == 1
 
-    def test_damp_m5_nan_gap_exit3(self, tmp_path, capsys):
-        device = _write(tmp_path, {**VALID, "h_um": math.nan})
-        assert cli.run(["damp", "--device", device, "--model", "m5"]) == 3
-        assert capsys.readouterr().out == ""
+    @pytest.mark.parametrize("field,value", [
+        ("h_um", math.nan), ("L_um", math.nan), ("h_um", math.inf),
+    ])
+    def test_damp_non_finite_device_exit1(self, tmp_path, capsys, field, value):
+        device = _write(tmp_path, {**VALID, field: value})
+        assert cli.run(["damp", "--device", device, "--model", "m5"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert field in err
+
+    def test_compare_nan_gas_exit1(self, tmp_path, capsys):
+        gas = tmp_path / "gas.json"
+        gas.write_text(json.dumps({"lambda_nm": math.nan}))
+        assert cli.run(["compare", "--gas", str(gas)]) == 1
+        assert "lambda_nm" in capsys.readouterr().err
 
     def test_compare_uses_gas_file(self, tmp_path):
         gas = tmp_path / "gas.json"

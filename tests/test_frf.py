@@ -8,9 +8,10 @@ from perfdamp.frf import (
     FrfCurve,
     damping_from_q,
     extract,
-    extract_many,
     synth_frf,
 )
+
+from oracles import extract_reference
 
 
 def _resonator_curve(f0, Q, m_eff=1e-9, F0=1e-6, points=801, span_bw=5.0):
@@ -57,6 +58,15 @@ class TestCurveValidation:
         f = np.ones(10)
         with pytest.raises(ValueError):
             FrfCurve(freqs=f, amps=np.ones(10))
+
+    @pytest.mark.parametrize("name,index,value", [
+        ("amps", 3, math.nan), ("amps", 0, math.inf), ("freqs", 7, math.nan),
+    ])
+    def test_non_finite_sample_named(self, name, index, value):
+        data = {"freqs": np.arange(10.0), "amps": np.ones(10)}
+        data[name][index] = value
+        with pytest.raises(ValueError, match=rf"{name}\[{index}\] is not finite"):
+            FrfCurve(**data)
 
     def test_negative_amplitude(self):
         with pytest.raises(ValueError):
@@ -116,11 +126,30 @@ class TestExtract:
         res = extract(curve, m_eff=m_eff)
         assert res.c == pytest.approx(c_m, rel=0.02)
 
-    def test_extract_many(self):
-        curves = [_resonator_curve(200e3, 500, points=p)[0] for p in (401, 501, 601)]
-        mean, std = extract_many(curves)
-        assert mean == pytest.approx(500, rel=0.02)
-        assert std >= 0
+
+class TestMatchesReference:
+    """extract is bit-identical to the Polynomial-class extraction."""
+
+    @staticmethod
+    def _fields(res):
+        return (res.f0, res.A_peak, res.f1, res.f2, res.Q, res.c)
+
+    @pytest.mark.parametrize("noise", [False, True])
+    @pytest.mark.parametrize("points", [201, 401, 801])
+    @pytest.mark.parametrize("Q", [5, 20, 50, 500, 5000])
+    def test_equal_fields(self, Q, points, noise):
+        curve, _, _ = _resonator_curve(200e3, Q, points=points, span_bw=3.0)
+        if noise:
+            rng = np.random.default_rng(Q * points)
+            curve = FrfCurve(freqs=curve.freqs,
+                             amps=curve.amps * (1 + 1e-3 * rng.standard_normal(points)))
+        assert self._fields(extract(curve, m_eff=1e-9)) == \
+            self._fields(extract_reference(curve, m_eff=1e-9))
+
+    def test_equal_fields_fixed_window(self):
+        curve, _, _ = _resonator_curve(150e3, 80, points=401)
+        assert self._fields(extract(curve, poly_window=31)) == \
+            self._fields(extract_reference(curve, poly_window=31))
 
 
 class TestDampingFromQ:

@@ -33,7 +33,7 @@ EXIT_USAGE = 1
 EXIT_TOLERANCE = 2
 EXIT_MODEL = 3
 
-_SWEEP_PARAMS = {"s0", "s1", "h", "h_c", "lambda", "freq"}
+_SWEEP_PARAMS = {"s0", "s1", "h", "h_c", "lambda"}
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -137,8 +137,7 @@ def _cmd_sweep(args) -> int:
     gas = _gas_from(args)
     if args.parameter not in _SWEEP_PARAMS:
         raise ConfigError(f"unknown sweep parameter {args.parameter!r}")
-    parse = parse_frequency if args.parameter == "freq" else parse_length
-    start, stop = parse(args.start), parse(args.stop)
+    start, stop = parse_length(args.start), parse_length(args.stop)
     if not start < stop:
         raise ConfigError("sweep start must be below stop")
     if args.steps < 2:
@@ -153,7 +152,7 @@ def _cmd_sweep(args) -> int:
         g, gs = geom, gas
         if args.parameter == "lambda":
             gs = dataclasses.replace(gas, lam=value)
-        elif args.parameter != "freq":
+        else:
             g = dataclasses.replace(geom, **{args.parameter: value})
         for model in models:
             res = cm.MODELS[model](g, gs)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from perfdamp.geometry import PlateGeometry, BeamGeometry, derive_geometry
+from perfdamp.geometry import PlateGeometry, BeamGeometry
 from perfdamp.flow_regime import GasProperties
 
 # Closed-form series. Both series run over odd indices and rest on
@@ -143,7 +143,7 @@ def damping_m1(geom: PlateGeometry, gas: GasProperties, slip_correct: bool = Fal
     H_eff = h_c + 3*pi*r_0/8, not the bare plate height; with the bare height
     the model misses the published comparison by 10-18 points.
     """
-    d = derive_geometry(geom)
+    d = geom.derived
     a = geom.W / 2
     l, eta = _attenuation_length(geom, d.beta, d.r_0)
     H_eff = geom.h_c + 3 * math.pi * d.r_0 / 8
@@ -170,7 +170,7 @@ def damping_m2(geom: PlateGeometry, gas: GasProperties, slip_correct: bool = Fal
     damping raises, since that would indicate a sign-convention misreading
     rather than physics.
     """
-    d = derive_geometry(geom)
+    d = geom.derived
     a, b = geom.W / 2, geom.L / 2
     kappa = a / b
     l, _ = _attenuation_length(geom, d.beta, d.r_0)
@@ -200,7 +200,7 @@ def damping_m2(geom: PlateGeometry, gas: GasProperties, slip_correct: bool = Fal
 def cell_resistance_circular(geom: PlateGeometry, gas: GasProperties) -> CellResistanceBreakdown:
     """Flow resistance of one circular-equivalent perforation cell (model M5's
     cell; also feeds M3). Slip-flow corrected via Q_ch and Q_tb = 1 + 4*lam/r_0."""
-    d = derive_geometry(geom)
+    d = geom.derived
     r_X, r_0 = d.r_X, d.r_0
     h, h_c, mu = geom.h, geom.h_c, gas.mu
     K_ch = gas.lam / h
@@ -241,7 +241,7 @@ def cell_resistance_circular(geom: PlateGeometry, gas: GasProperties) -> CellRes
 def cell_resistance_square(geom: PlateGeometry, gas: GasProperties) -> CellResistanceBreakdown:
     """Flow resistance of one square perforation cell (model M6's cell; also
     feeds M4). Uses the effective square-hole radius r_0E and Q_sq = 1 + 7.567*lam/s0."""
-    d = derive_geometry(geom)
+    d = geom.derived
     s_X, s_0, r_X, r_0E, xi = d.s_X, geom.s0, d.r_X, d.r_0E, d.xi
     h, h_c, mu = geom.h, geom.h_c, gas.mu
     K_ch = gas.lam / h
@@ -296,10 +296,12 @@ def damping_border_coupled(geom: PlateGeometry, gas: GasProperties, R_p: float) 
 
     # sum_m pi*tanh(pi c_m/2)/(4 c_m m^2 alpha_m) = C sum_m tanh(pi c_m/2) f(m)
     # with c_m = (b/a) sqrt(m^2 + d^2), d^2 = a^2/(g r) and C = pi a^3/(4 b g)
+    k = math.pi * b / (2 * a)
     explicit = 0.0
     for m in range(1, 2 * BORDER_TERMS, 2):
         q = m * m + d2
-        explicit += math.tanh(math.pi * b / (2 * a) * math.sqrt(q)) / (m * m * q * math.sqrt(q))
+        rq = math.sqrt(q)
+        explicit += math.tanh(k * rq) / (m * m * q * rq)
     x0 = 2 * BORDER_TERMS + 1
     s = math.sqrt(x0 * x0 + d2)
     f0 = 1 / (x0 * x0 * s**3)

@@ -43,14 +43,6 @@ class MeasuredRecord:
             raise ValueError("mass ratio must be in (0, 1]")
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    id: str
-    model: str
-    c_s: float
-    delta_pct: float
-
-
 _BEAMS = BeamGeometry(L_b=122e-6, W_b=4e-6, count=4)
 
 # (L, W, M, N, s0, s1) in um / counts, then c_m (Ns/m), f0 (Hz), alpha
@@ -91,22 +83,31 @@ PUBLISHED_TABLE5 = {
 }
 
 
+# The records are frozen, so one set serves every caller; each PlateGeometry
+# derives its cell quantities once, here at import.
+_DATASET = tuple(
+    MeasuredRecord(
+        id=dev_id,
+        geom=PlateGeometry(
+            L=L * 1e-6, W=W * 1e-6, M=M, N=N,
+            s0=s0 * 1e-6, s1=s1 * 1e-6, h=1.6e-6, h_c=15e-6,
+            beams=_BEAMS,
+        ),
+        c_m=c_m, f0=f0, alpha=alpha,
+    )
+    for dev_id, ((L, W, M, N, s0, s1), c_m, f0, alpha) in _DEVICES.items()
+)
+
+
 def builtin_dataset() -> list[MeasuredRecord]:
     """The six measured devices with all dimensions and measurements.
 
     The air gap is 1.6 um and the plate height 15 um for every device; the
-    supporting beams are 122 um x 4 um, four per device.
+    supporting beams are 122 um x 4 um, four per device. The records, and the
+    derived cell quantities of their geometries, are built once at import;
+    each call returns a new list of those same frozen records.
     """
-    records = []
-    for dev_id, (dims, c_m, f0, alpha) in _DEVICES.items():
-        L, W, M, N, s0, s1 = dims
-        geom = PlateGeometry(
-            L=L * 1e-6, W=W * 1e-6, M=M, N=N,
-            s0=s0 * 1e-6, s1=s1 * 1e-6, h=1.6e-6, h_c=15e-6,
-            beams=_BEAMS,
-        )
-        records.append(MeasuredRecord(id=dev_id, geom=geom, c_m=c_m, f0=f0, alpha=alpha))
-    return records
+    return list(_DATASET)
 
 
 def relative_error(c_s: float, c_m: float) -> float:
@@ -118,7 +119,7 @@ def relative_error(c_s: float, c_m: float) -> float:
 
 def _error_table(models: tuple[str, ...], gas: GasProperties) -> dict[str, tuple[float, ...]]:
     out = {}
-    for rec in builtin_dataset():
+    for rec in _DATASET:
         row = []
         for model in models:
             try:
@@ -144,7 +145,7 @@ def reproduce_table5(gas: GasProperties = GasProperties()) -> dict[str, tuple[fl
     """Relative contributions of the six M5 flow-resistance components, in
     percent of the total cell resistance (each row sums to 100)."""
     out = {}
-    for rec in builtin_dataset():
+    for rec in _DATASET:
         out[rec.id] = cm.cell_resistance_circular(rec.geom, gas).percentages()
     return out
 

@@ -31,8 +31,8 @@ class GasProperties:
 
     def __post_init__(self):
         for name in ("P_A", "rho", "mu", "lam"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be strictly positive and finite")
 
 
 @dataclass(frozen=True)

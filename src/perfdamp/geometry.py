@@ -2,13 +2,15 @@
 conversions that let circular-cell damping models represent square holes.
 
 All lengths are SI meters. Types are frozen dataclasses; every operation is a
-pure function, so instances can be shared freely across threads.
+pure function, so instances can be shared freely across threads. A
+PlateGeometry derives its equivalent-cell quantities once, when it is built,
+and carries them as `derived`; the models read them from there.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 # Square channels are mapped onto circular ones by matching acoustic
 # impedances; the coefficient below is the unrounded published value.
@@ -28,8 +30,9 @@ class BeamGeometry:
     count: int = 4
 
     def __post_init__(self):
-        if self.L_b < 0 or self.W_b < 0:
-            raise ValueError("beam dimensions must be non-negative")
+        for name in ("L_b", "W_b"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
         if self.count < 1:
             raise ValueError("beam count must be >= 1")
 
@@ -51,11 +54,12 @@ class PlateGeometry:
     h: float
     h_c: float
     beams: BeamGeometry | None = None
+    derived: DerivedGeometry = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("L", "W", "s0", "s1", "h", "h_c"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be strictly positive and finite")
         if self.M < 1 or self.N < 1:
             raise ValueError("hole counts M, N must be >= 1")
         pitch = self.s0 + self.s1
@@ -63,6 +67,7 @@ class PlateGeometry:
             raise ValueError("perforation grid does not fit along plate length")
         if self.N * pitch > _GRID_SLACK * self.W:
             raise ValueError("perforation grid does not fit along plate width")
+        object.__setattr__(self, "derived", derive_geometry(self))
 
 
 @dataclass(frozen=True)
@@ -119,7 +124,8 @@ def effective_square_radius(s0: float, xi: float) -> float:
 
 
 def derive_geometry(geom: PlateGeometry) -> DerivedGeometry:
-    """All equivalent-cell quantities for a plate, computed once."""
+    """All equivalent-cell quantities for a plate. PlateGeometry calls this
+    once, when it is built, and keeps the result as `derived`."""
     s_X = cell_pitch(geom)
     r_X = equivalent_cell_radius(s_X)
     r_0 = equivalent_hole_radius(geom.s0)

@@ -20,6 +20,11 @@ class TestDataset:
         assert len(records) == 6
         assert [r.id for r in records] == list("ABCDEF")
 
+    def test_fresh_list_of_the_same_records(self):
+        first, second = cmp.builtin_dataset(), cmp.builtin_dataset()
+        assert first is not second
+        assert all(a is b for a, b in zip(first, second, strict=True))
+
     def test_record_a(self, dataset):
         rec = dataset["A"]
         assert rec.c_m == 47.38e-6

@@ -160,6 +160,12 @@ class TestCli:
         for value, _, c in rows:
             assert float(value) > 0 and float(c) > 0
 
+    def test_sweep_rejects_freq_parameter(self, capsys):
+        # no model depends on the drive frequency
+        assert cli.run(["sweep", "--device", str(DEVICES / "A.json"),
+                        "--parameter", "freq", "--start", "100kHz",
+                        "--stop", "300kHz", "--steps", "3"]) == 1
+
     def test_sweep_rejects_reversed_range(self, capsys):
         assert cli.run(["sweep", "--device", str(DEVICES / "A.json"),
                         "--parameter", "h", "--start", "2um",

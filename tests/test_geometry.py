@@ -1,7 +1,12 @@
+import dataclasses
 import math
+import sys
 
 import pytest
 
+from perfdamp import compact_models as cm
+from perfdamp import comparison as cmp
+from perfdamp.flow_regime import regime_report
 from perfdamp.geometry import (
     BeamGeometry,
     PlateGeometry,
@@ -38,6 +43,12 @@ class TestConstruction:
     def test_beam_count_positive(self):
         with pytest.raises(ValueError):
             BeamGeometry(L_b=1e-6, W_b=1e-6, count=0)
+
+    @pytest.mark.parametrize("field", ["L_b", "W_b"])
+    @pytest.mark.parametrize("value", [-1e-6, math.nan, math.inf])
+    def test_beam_dimension_must_be_finite_non_negative(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            BeamGeometry(**{"L_b": 1e-6, "W_b": 1e-6, field: value})
 
 
 class TestCellPitch:
@@ -117,3 +128,46 @@ class TestDerivedGeometry:
     def test_pure_function(self, dataset):
         geom = dataset["A"].geom
         assert derive_geometry(geom) == derive_geometry(geom)
+
+    def test_plate_carries_its_derived_geometry(self, dataset):
+        for rec in dataset.values():
+            assert rec.geom.derived == derive_geometry(rec.geom)
+
+    def test_replace_recomputes_derived(self, dataset):
+        geom = dataset["A"].geom
+        wider = dataclasses.replace(geom, s0=1.2 * geom.s0)
+        assert wider.derived == derive_geometry(wider)
+        assert wider.derived.xi > geom.derived.xi
+
+    def test_derived_outside_equality_hash_and_repr(self):
+        a, b = _plate(), _plate()
+        object.__setattr__(b, "derived", derive_geometry(_plate(s0=6.0e-6)))
+        assert a.derived != b.derived
+        assert a == b
+        assert hash(a) == hash(b)
+        assert repr(a) == repr(b)
+        assert "derived" not in repr(a)
+
+    def test_derived_once_per_plate(self, monkeypatch, gas):
+        # counts every call, whichever perfdamp module it is reached through
+        calls = []
+
+        def counting(geom):
+            calls.append(geom)
+            return derive_geometry(geom)
+
+        for name, mod in list(sys.modules.items()):
+            if (name == "perfdamp" or name.startswith("perfdamp.")) \
+                    and getattr(mod, "derive_geometry", None) is derive_geometry:
+                monkeypatch.setattr(mod, "derive_geometry", counting)
+
+        geom = _plate()
+        assert len(calls) == 1
+        for model in cm.MODELS.values():
+            model(geom, gas)
+        regime_report(geom, gas, 200e3)
+        assert len(calls) == 1
+        cmp.reproduce_table3(gas)
+        cmp.reproduce_table4(gas)
+        cmp.reproduce_table5(gas)
+        assert len(calls) == 1

@@ -92,7 +92,7 @@ def damping_from_q(f0: float, Q: float, m_eff: float) -> float:
     return 2 * math.pi * f0 * m_eff / Q
 
 
-def _default_window(amps: list[float], i_peak: int) -> tuple[int, int]:
+def _fit_window(amps: list[float], i_peak: int) -> tuple[int, int]:
     """Widest symmetric index span around the raw peak whose amplitudes stay
     above half the raw maximum, at least MIN_WINDOW samples."""
     thr = amps[i_peak] / 2.0
@@ -187,13 +187,11 @@ def _crossing(freqs, amps, poly, window, thr, i_start, step):
     raise BandwidthError("amplitude never falls below the half-power level")
 
 
-def extract(curve: FrfCurve, poly_window: int | None = None,
-            m_eff: float | None = None) -> ExtractionResult:
+def extract(curve: FrfCurve, m_eff: float | None = None) -> ExtractionResult:
     """Extract f0, half-power bandwidth and Q from a single-peak response.
 
-    poly_window overrides the default amplitude-threshold window with a fixed
-    sample count centered on the raw maximum. When m_eff is given, the damping
-    coefficient c = 2*pi*f0*m_eff/Q is included in the result.
+    When m_eff is given, the damping coefficient c = 2*pi*f0*m_eff/Q is
+    included in the result.
     """
     freqs, amps = curve.freqs, curve.amps
     i_peak = int(np.argmax(amps))
@@ -201,12 +199,7 @@ def extract(curve: FrfCurve, poly_window: int | None = None,
         raise BandwidthError("curve has no peak")
     # the sample walks below run on Python floats, not on numpy scalars
     freq_list, amp_list = freqs.tolist(), amps.tolist()
-    if poly_window is None:
-        lo, hi = _default_window(amp_list, i_peak)
-    else:
-        half = max(poly_window, MIN_WINDOW) // 2
-        lo = max(0, i_peak - half)
-        hi = min(len(amps) - 1, i_peak + half)
+    lo, hi = _fit_window(amp_list, i_peak)
     poly, f0, A_peak = _poly_peak(freqs, amps, lo, hi)
     thr = A_peak * HALF_POWER
     f1 = _crossing(freq_list, amp_list, poly, (lo, hi), thr, i_peak, -1)

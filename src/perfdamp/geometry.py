@@ -63,6 +63,8 @@ class PlateGeometry:
         if self.M < 1 or self.N < 1:
             raise ValueError("hole counts M, N must be >= 1")
         pitch = self.s0 + self.s1
+        if not self.s0 / pitch < 1:
+            raise ValueError("s1 is too thin against s0: s0/(s0 + s1) rounds to 1")
         if self.M * pitch > _GRID_SLACK * self.L:
             raise ValueError("perforation grid does not fit along plate length")
         if self.N * pitch > _GRID_SLACK * self.W:

@@ -10,6 +10,8 @@ import pytest
 
 import perfdamp
 from perfdamp import cli
+from perfdamp import compact_models as cm
+from perfdamp import comparison as cmp
 from perfdamp.config import (
     ConfigError,
     dump_device,
@@ -261,6 +263,66 @@ class TestCli:
             assert len(rows) == 6
             for row in rows:
                 assert len(row.split()) == n_fields
+
+    @pytest.mark.parametrize("gas_data,code,verdicts", [
+        ({}, 0, ["within tolerance"] * 3),
+        ({"mu_Ns_m2": 37e-6}, 2, ["TOLERANCE BREACH"] * 2 + ["within tolerance"]),
+    ], ids=["air", "double-viscosity"])
+    def test_compare_text_shows_residuals(self, tmp_path, capsys, gas_data, code, verdicts):
+        gas_file = _write(tmp_path, gas_data, "gas.json")
+        assert cli.run(["compare", "--format", "text", "--gas", gas_file]) == code
+        gas = load_gas(gas_file)
+        tables = [
+            (cmp.reproduce_table3(gas), cmp.PUBLISHED_TABLE3, cmp.TABLE3_TOL_PP,
+             cmp.TABLE3_MODELS),
+            (cmp.reproduce_table4(gas), cmp.PUBLISHED_TABLE4, cmp.TABLE4_TOL_PP,
+             cmp.TABLE4_MODELS),
+            (cmp.reproduce_table5(gas), cmp.PUBLISHED_TABLE5, cmp.TABLE5_TOL_PP,
+             cmp.TABLE5_COLUMNS),
+        ]
+        blocks = capsys.readouterr().out.strip().split("\n\n")
+        assert len(blocks) == len(tables)
+        for block, verdict, (repro, published, tol, columns) in zip(blocks, verdicts, tables):
+            title, head, *rows = block.splitlines()
+            worst = max(abs(r - p) for dev in published
+                        for r, p in zip(repro[dev], published[dev]))
+            assert title.endswith(f": worst |Δ| {worst:.2f} pp, tolerance {tol} pp, {verdict}")
+            assert head.split() == ["device", *(n for c in columns for n in (c, "Δ" + c))]
+            assert [row.split()[0] for row in rows] == list(published)
+            for row in rows:
+                dev, *fields = row.split()
+                assert fields == [f for r, p in zip(repro[dev], published[dev])
+                                  for f in (f"{r:.2f}", f"{r - p:+.2f}")]
+
+    @pytest.mark.parametrize("argv", [
+        ["frf", "synth", "--meff", "1e-9", "--damping", "2e-5", "--stiffness", "1.58e3",
+         "--start", "190kHz", "--stop", "210kHz"],
+        ["frf", "extract", "--input", "curve.csv"],
+        ["dump-config", "--device", str(DEVICES / "A.json")],
+    ], ids=["frf-synth", "frf-extract", "dump-config"])
+    def test_gas_refused_where_unused(self, tmp_path, capsys, argv):
+        gas = tmp_path / "gas.json"
+        gas.write_text(json.dumps({"lambda_nm": 30.0}))
+        out = tmp_path / "out"
+        assert cli.run([*argv, "--gas", str(gas), "--out", str(out)]) == 1
+        assert "--gas" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_damp_slip_correct(self, capsys, gas):
+        device = str(DEVICES / "A.json")
+        geom, _ = load_device(device)
+
+        def c_by_model(*flags):
+            assert cli.run(["damp", "--device", device, "--model", "all", *flags]) == 0
+            rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+            return {model: c for _, model, c, _, _ in rows}
+
+        plain, slip = c_by_model(), c_by_model("--slip-correct")
+        for model in ("m1", "m2"):
+            c = cm.MODELS[model](geom, gas).c
+            assert float(slip[model]) == c / (1 + 6 * gas.lam / geom.h)
+        for model in ("m3", "m4", "m5", "m6"):
+            assert slip[model] == plain[model]
 
     def test_frf_extract_fit_error_exit3(self, tmp_path, capsys):
         # the peak sits on the first sample, so the fit window has 5 samples

@@ -146,11 +146,6 @@ class TestMatchesReference:
         assert self._fields(extract(curve, m_eff=1e-9)) == \
             self._fields(extract_reference(curve, m_eff=1e-9))
 
-    def test_equal_fields_fixed_window(self):
-        curve, _, _ = _resonator_curve(150e3, 80, points=401)
-        assert self._fields(extract(curve, poly_window=31)) == \
-            self._fields(extract_reference(curve, poly_window=31))
-
 
 class TestDampingFromQ:
     def test_unit_case(self):

@@ -31,6 +31,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             _plate(s0=1.0, s1=0.0, L=100.0, W=100.0, M=1, N=1)
 
+    def test_vanishing_wall_names_s1(self):
+        # s1 > 0, but s0/(s0 + s1) rounds to 1
+        with pytest.raises(ValueError, match="^s1 "):
+            _plate(L=1e-4, W=1e-4, M=1, N=1, s0=5e-6, s1=1e-22, h=1e-6, h_c=1e-5)
+
     @pytest.mark.parametrize("field", ["L", "W", "s0", "s1", "h", "h_c"])
     def test_nonpositive_length_rejected(self, field):
         with pytest.raises(ValueError, match=field):

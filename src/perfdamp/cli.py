@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: regime, damp, compare, sweep, frf synth, frf extract,
-dump-config. Exit codes: 0 success, 1 usage or configuration error,
+dump-config. Exit codes: 0 success, 1 usage, configuration or file error,
 2 comparison tolerance breach, 3 model-domain error.
 
 Only the frf subcommands load numpy (through ``perfdamp.frf``); the others
@@ -283,7 +283,8 @@ def run(argv=None) -> int:
     except _model_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODEL
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
+        # OSError: an --input that cannot be read or an --out that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -8,15 +8,18 @@ solution with slip-flow corrections. M5 and M6 are the cell-only variants
 (closed-borders flow pattern): c = M*N*R_p. A rough supporting-beam drag
 estimate completes the set.
 
-All functions are pure. The M2 shape series and the M3/M4 border double
-series are evaluated in closed form plus a number of explicit terms fixed
-before summing, which each result reports as `series_terms`.
+All functions are pure. They take the validated inputs, PlateGeometry and
+GasProperties (frozen dataclasses), and return their results as immutable
+NamedTuples (ModelResult, CellResistanceBreakdown), which are cheaper to
+build. The M2 shape series and the M3/M4 border double series are evaluated
+in closed form plus a number of explicit terms fixed before summing, which
+each result reports as `series_terms`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from perfdamp.geometry import PlateGeometry, BeamGeometry
 from perfdamp.flow_regime import GasProperties
@@ -42,13 +45,16 @@ from perfdamp.flow_regime import GasProperties
 BORDER_TERMS = 24
 TANH_SATURATION = 19.0
 
+# m^2 for the odd m of the explicit border terms, as floats: the loop adds
+# them to d^2 and multiplies them by floats, which converts an int each time.
+_ODD_SQUARES = tuple(float(m * m) for m in range(1, 2 * BORDER_TERMS, 2))
+
 
 class ModelDomainError(ValueError):
     """The model's formulas are invalid for the given geometry."""
 
 
-@dataclass(frozen=True)
-class CellResistanceBreakdown:
+class CellResistanceBreakdown(NamedTuple):
     """Flow resistance of one perforation cell, by component (Ns/m each).
 
     R_S: squeeze-film resistance of the cell annulus; R_IS, R_IB, R_IC:
@@ -83,8 +89,7 @@ class CellResistanceBreakdown:
         return tuple(100.0 * x / self.R_p for x in self.scaled_components())
 
 
-@dataclass(frozen=True)
-class ModelResult:
+class ModelResult(NamedTuple):
     model: str
     c: float
     breakdown: CellResistanceBreakdown | None = None
@@ -298,10 +303,10 @@ def damping_border_coupled(geom: PlateGeometry, gas: GasProperties, R_p: float) 
     # with c_m = (b/a) sqrt(m^2 + d^2), d^2 = a^2/(g r) and C = pi a^3/(4 b g)
     k = math.pi * b / (2 * a)
     explicit = 0.0
-    for m in range(1, 2 * BORDER_TERMS, 2):
-        q = m * m + d2
+    for m2 in _ODD_SQUARES:
+        q = m2 + d2
         rq = math.sqrt(q)
-        explicit += math.tanh(k * rq) / (m * m * q * rq)
+        explicit += math.tanh(k * rq) / (m2 * q * rq)
     x0 = 2 * BORDER_TERMS + 1
     s = math.sqrt(x0 * x0 + d2)
     f0 = 1 / (x0 * x0 * s**3)

@@ -9,7 +9,8 @@ spring forces equal) and Re ~ 6 (real and imaginary channel impedance equal).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from perfdamp.geometry import PlateGeometry
 
@@ -35,8 +36,7 @@ class GasProperties:
                 raise ValueError(f"{name} must be strictly positive and finite")
 
 
-@dataclass(frozen=True)
-class RegimeReport:
+class RegimeReport(NamedTuple):
     """Characteristic numbers of one device at one drive frequency.
 
     Rarefaction percentages are the estimated damping reductions (magnitudes)
@@ -56,7 +56,7 @@ class RegimeReport:
     inertial: bool
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def knudsen(lam: float, char_length: float) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -55,8 +56,7 @@ class FrfCurve:
             raise ValueError("amplitudes must be non-negative")
 
 
-@dataclass(frozen=True)
-class ExtractionResult:
+class ExtractionResult(NamedTuple):
     f0: float
     A_peak: float
     f1: float

@@ -1,16 +1,20 @@
 """Dimensional model of a perforated plate device and the equivalent-radius
 conversions that let circular-cell damping models represent square holes.
 
-All lengths are SI meters. Types are frozen dataclasses; every operation is a
-pure function, so instances can be shared freely across threads. A
-PlateGeometry derives its equivalent-cell quantities once, when it is built,
-and carries them as `derived`; the models read them from there.
+All lengths are SI meters. The validated inputs (PlateGeometry,
+BeamGeometry) are frozen dataclasses, so `dataclasses.replace` makes a
+changed copy that is checked again; the derived result (DerivedGeometry) is
+an immutable NamedTuple. Every operation is a pure function, so instances can
+be shared freely across threads. A PlateGeometry derives its equivalent-cell
+quantities once, when it is built, and carries them as `derived`; the models
+read them from there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 # Square channels are mapped onto circular ones by matching acoustic
 # impedances; the coefficient below is the unrounded published value.
@@ -72,8 +76,7 @@ class PlateGeometry:
         object.__setattr__(self, "derived", derive_geometry(self))
 
 
-@dataclass(frozen=True)
-class DerivedGeometry:
+class DerivedGeometry(NamedTuple):
     """Equivalent-cell quantities derived from a PlateGeometry.
 
     s_X: cell pitch; r_X: equivalent (area-matched) cell radius; r_0:

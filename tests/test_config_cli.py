@@ -224,6 +224,19 @@ class TestCli:
         assert cli.run(["regime", "--device", "no/such/file.json",
                         "--freq", "200kHz"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["frf", "extract", "--input", "{tmp}/none.csv"],
+        ["compare", "--table", "3", "--out", "{tmp}/no_dir/x"],
+    ], ids=["missing_input", "out_in_missing_directory"])
+    def test_os_error_exit1(self, tmp_path, argv):
+        src = str(Path(cli.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "perfdamp.cli", *(a.format(tmp=tmp_path) for a in argv)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
     def test_usage_error_exit1(self, capsys):
         assert cli.run(["damp", "--model", "m9"]) == 1
 

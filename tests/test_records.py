@@ -1,0 +1,60 @@
+"""Result records are immutable NamedTuples with fixed field order and defaults."""
+
+import pytest
+
+from perfdamp import compact_models as cm
+from perfdamp.flow_regime import RegimeReport, regime_report
+from perfdamp.frf import ExtractionResult, extract, synth_frf
+from perfdamp.geometry import DerivedGeometry
+
+FIELDS = {
+    cm.ModelResult: ("model", "c", "breakdown", "series_terms", "converged"),
+    cm.CellResistanceBreakdown: ("R_S", "R_IS", "R_IB", "R_IC", "R_C", "R_E", "scale", "R_p"),
+    RegimeReport: ("K_ch", "K_hole", "sigma_plate", "sigma_cell", "Re",
+                   "rarefaction_gap_pct", "rarefaction_hole_pct", "compressible", "inertial"),
+    DerivedGeometry: ("s_X", "r_X", "r_0", "r_0E", "xi", "beta", "q"),
+    ExtractionResult: ("f0", "A_peak", "f1", "f2", "Q", "c"),
+}
+
+
+@pytest.fixture(scope="module")
+def records(dataset, gas):
+    rec = dataset["A"]
+    freqs = [5.9e3 + 1.0 * i for i in range(901)]  # f0 ~ 6.37 kHz, Q = 40
+    return {
+        cm.ModelResult: cm.damping_m3(rec.geom, gas),
+        cm.CellResistanceBreakdown: cm.cell_resistance_circular(rec.geom, gas),
+        RegimeReport: regime_report(rec.geom, gas, rec.f0),
+        DerivedGeometry: rec.geom.derived,
+        ExtractionResult: extract(synth_frf(1e-9, 1e-6, 1.6, 1e-6, freqs), m_eff=1e-9),
+    }
+
+
+@pytest.mark.parametrize("cls", list(FIELDS), ids=lambda cls: cls.__name__)
+class TestRecord:
+    def test_field_order(self, cls):
+        assert cls._fields == FIELDS[cls]
+
+    def test_assignment_raises(self, cls, records):
+        with pytest.raises(AttributeError):
+            setattr(records[cls], FIELDS[cls][0], 0.0)
+
+    def test_hashable_and_equal_to_its_values(self, cls, records):
+        rec = records[cls]
+        values = tuple(getattr(rec, name) for name in FIELDS[cls])
+        assert hash(rec) == hash(values)
+        assert rec == values
+        assert cls(*values) == rec
+
+
+def test_defaults():
+    assert cm.ModelResult("m1", 1.0) == ("m1", 1.0, None, 0, True)
+    assert ExtractionResult(1.0, 2.0, 0.5, 1.5, 1.0).c is None
+
+
+def test_regime_to_dict_is_the_plain_field_dict(records):
+    rep = records[RegimeReport]
+    d = rep.to_dict()
+    assert type(d) is dict
+    assert list(d) == list(FIELDS[RegimeReport])
+    assert d == {name: getattr(rep, name) for name in FIELDS[RegimeReport]}

@@ -14,6 +14,15 @@ NamedTuples (ModelResult, CellResistanceBreakdown), which are cheaper to
 build. The M2 shape series and the M3/M4 border double series are evaluated
 in closed form plus a number of explicit terms fixed before summing, which
 each result reports as `series_terms`.
+
+Each model runs in two stages. The per-plate stage, `derive_geometry`, runs
+once when a PlateGeometry is built and stores every gas-independent factor
+in `geom.derived`: the attenuation length triple H_eff, eta, l of M1 and M2,
+and the plate-only parts of both cell resistances. The functions here are
+the gas stage: they read those factors and do only the arithmetic that
+involves the gas (and, in M2 and the border series, the series themselves).
+Each docstring states the model's full formula. A floating-point overflow or
+division by zero inside M1-M6 is raised as ModelDomainError.
 """
 
 from __future__ import annotations
@@ -44,10 +53,24 @@ from perfdamp.flow_regime import GasProperties
 # relatively.
 BORDER_TERMS = 24
 TANH_SATURATION = 19.0
+# tanh(x) is exactly 1.0 in double precision from x = 19.0615 on (fdlibm,
+# glibc and musl all return 1.0 for x >= 22), so border terms past that
+# argument skip the tanh call.
+_TANH_ONE = 22.0
+# The M2 correction series has about 6*W/L terms; a plate so much wider
+# than long that it needs more than this is refused rather than summed.
+M2_MAX_TERMS = 100_000
 
 # m^2 for the odd m of the explicit border terms, as floats: the loop adds
 # them to d^2 and multiplies them by floats, which converts an int each time.
 _ODD_SQUARES = tuple(float(m * m) for m in range(1, 2 * BORDER_TERMS, 2))
+
+# Leading constant products of the cell resistances, each the value the
+# formula's own left-to-right evaluation starts from.
+_12PI = 12 * math.pi
+_6PI = 6 * math.pi
+_8PI = 8 * math.pi
+_DELTA_E0 = 0.944 * 3 * math.pi
 
 
 class ModelDomainError(ValueError):
@@ -97,20 +120,11 @@ class ModelResult(NamedTuple):
     converged: bool = True
 
 
-def _attenuation_length(geom: PlateGeometry, beta: float, r_0: float) -> tuple[float, float]:
-    """Attenuation length l of the perforated-plate Reynolds solution and the
-    perforation-loading factor eta(beta); shared by M1 and M2."""
-    if beta >= 1.0:
-        raise ModelDomainError("hole radius must be smaller than cell radius")
-    h = geom.h
-    K = 4 * beta**2 - beta**4 - 4 * math.log(beta) - 3
-    H_eff = geom.h_c + 3 * math.pi * r_0 / 8
-    # eta's denominator uses the effective hole length, not the bare plate
-    # height; with the bare height the published comparison is missed by up
-    # to 3.5 points, with H_eff five of six devices match within 0.01 points.
-    eta = 1 + 3 * r_0**4 * K / (16 * H_eff * h**3)
-    l = math.sqrt(2 * h**3 * H_eff * eta / (3 * beta**2 * r_0**2))
-    return l, eta
+def _out_of_range(label: str, exc: ArithmeticError) -> ModelDomainError:
+    """A floating-point overflow or division by zero inside a model: the plate
+    or gas lies outside the range its formulas can be evaluated in."""
+    return ModelDomainError(f"{label} is out of floating-point range "
+                            f"({type(exc).__name__}: {exc})")
 
 
 def _edge_leak_bracket(t: float) -> float:
@@ -144,20 +158,24 @@ def _shape_bracket(al: float) -> float:
 def damping_m1(geom: PlateGeometry, gas: GasProperties, slip_correct: bool = False) -> ModelResult:
     """Model M1: continuum compact model for a plate much longer than wide.
 
-    Note: the damping prefactor uses the effective hole length
-    H_eff = h_c + 3*pi*r_0/8, not the bare plate height; with the bare height
-    the model misses the published comparison by 10-18 points.
+    c = 2*a*L * 8*mu*H_eff/(beta^2*r_0^2) * eta * (1 - (l/a)*tanh(a/l)) with
+    a = W/2 and the attenuation length l, effective hole length
+    H_eff = h_c + 3*pi*r_0/8 and loading factor eta of `DerivedGeometry`.
+
+    Note: the damping prefactor uses H_eff, not the bare plate height; with
+    the bare height the model misses the published comparison by 10-18 points.
     """
     d = geom.derived
     a = geom.W / 2
-    l, eta = _attenuation_length(geom, d.beta, d.r_0)
-    H_eff = geom.h_c + 3 * math.pi * d.r_0 / 8
-    c = (
-        2 * a * geom.L
-        * (8 * gas.mu * H_eff / (d.beta**2 * d.r_0**2))
-        * eta
-        * _edge_leak_bracket(l / a)
-    )
+    try:
+        c = (
+            2 * a * geom.L
+            * (8 * gas.mu * d.H_eff / (d.beta**2 * d.r_0**2))
+            * d.eta
+            * _edge_leak_bracket(d.l / a)
+        )
+    except ArithmeticError as exc:
+        raise _out_of_range("M1", exc) from exc
     if not math.isfinite(c) or c <= 0:
         raise ModelDomainError("M1 produced a non-physical damping coefficient")
     if slip_correct:
@@ -168,33 +186,41 @@ def damping_m1(geom: PlateGeometry, gas: GasProperties, slip_correct: bool = Fal
 def damping_m2(geom: PlateGeometry, gas: GasProperties, slip_correct: bool = False) -> ModelResult:
     """Model M2: continuum compact model for an arbitrary rectangular plate.
 
-    The shape factor gamma holds the series sum_{n odd} tanh(x_n)/(n^2 t_n^2)
-    with t_n = 1 + (n*pi*al/2)^2 and x_n = sqrt(t_n)/(al*kappa). It is the
-    closed form of the series with tanh = 1, less the terms 1 - tanh(x_n)
-    that are not negligible; `series_terms` counts those. A non-positive
-    damping raises, since that would indicate a sign-convention misreading
-    rather than physics.
+    c = gamma * mu * (2a)^3 * (2b) / h^3 with a = W/2, b = L/2, kappa = a/b,
+    al = l/a (l the attenuation length of `DerivedGeometry`) and
+    gamma = 3*al^2 - 3*al^3*tanh(1/al)
+            - (24*al^3*kappa/pi^2) * sum_{n odd} tanh(x_n)/(n^2 t_n^2),
+    t_n = 1 + (n*pi*al/2)^2, x_n = sqrt(t_n)/(al*kappa).
+
+    The series is the closed form of the series with tanh = 1, less the
+    terms 1 - tanh(x_n) that are not negligible; `series_terms` counts those.
+    A non-positive damping raises, since that would indicate a
+    sign-convention misreading rather than physics.
     """
-    d = geom.derived
     a, b = geom.W / 2, geom.L / 2
     kappa = a / b
-    l, _ = _attenuation_length(geom, d.beta, d.r_0)
-    al = l / a
+    al = geom.derived.l / a
     if not 0 < al < math.inf:
         raise ModelDomainError("M2 attenuation length is not a positive finite number")
 
-    k = math.pi * al / 2
-    s = math.pi**2 / 8 * _shape_bracket(al)
-    # x_n < TANH_SATURATION exactly when n*k < sqrt((TANH_SATURATION*al*kappa)^2 - 1)
-    n_last = math.sqrt(max((TANH_SATURATION * al * kappa) ** 2 - 1, 0.0)) / k
-    odd = range(1, int(n_last) + 1, 2)
-    for n in odd:
-        t = 1 + (n * k) ** 2
-        s -= 2 / (math.exp(2 * math.sqrt(t) / (al * kappa)) + 1) / (n**2 * t**2)
+    try:
+        k = math.pi * al / 2
+        s = math.pi**2 / 8 * _shape_bracket(al)
+        # x_n < TANH_SATURATION exactly when n*k < sqrt((TANH_SATURATION*al*kappa)^2 - 1)
+        n_last = math.sqrt(max((TANH_SATURATION * al * kappa) ** 2 - 1, 0.0)) / k
+        if n_last > 2 * M2_MAX_TERMS:
+            raise ModelDomainError(f"M2 shape series would need more than {M2_MAX_TERMS} "
+                                   f"terms on a plate {kappa:.3g} times wider than long")
+        odd = range(1, int(n_last) + 1, 2)
+        for n in odd:
+            t = 1 + (n * k) ** 2
+            s -= 2 / (math.exp(2 * math.sqrt(t) / (al * kappa)) + 1) / (n**2 * t**2)
 
-    # 3*al^3*tanh(1/al) equals 6*al^3*sinh(1/al)^2/sinh(2/al) and cannot overflow
-    gamma = 3 * al**2 * _edge_leak_bracket(al) - 24 * al**3 * kappa / math.pi**2 * s
-    c = gamma * gas.mu * (2 * a) ** 3 * (2 * b) / geom.h**3
+        # 3*al^3*tanh(1/al) equals 6*al^3*sinh(1/al)^2/sinh(2/al) and cannot overflow
+        gamma = 3 * al**2 * _edge_leak_bracket(al) - 24 * al**3 * kappa / math.pi**2 * s
+        c = gamma * gas.mu * (2 * a) ** 3 * (2 * b) / geom.h**3
+    except ArithmeticError as exc:
+        raise _out_of_range("M2", exc) from exc
     if not math.isfinite(c) or c <= 0:
         raise ModelDomainError("M2 produced a non-positive damping coefficient")
     if slip_correct:
@@ -204,73 +230,77 @@ def damping_m2(geom: PlateGeometry, gas: GasProperties, slip_correct: bool = Fal
 
 def cell_resistance_circular(geom: PlateGeometry, gas: GasProperties) -> CellResistanceBreakdown:
     """Flow resistance of one circular-equivalent perforation cell (model M5's
-    cell; also feeds M3). Slip-flow corrected via Q_ch and Q_tb = 1 + 4*lam/r_0."""
-    d = geom.derived
-    r_X, r_0 = d.r_X, d.r_0
-    h, h_c, mu = geom.h, geom.h_c, gas.mu
-    K_ch = gas.lam / h
+    cell; also feeds M3), slip-flow corrected.
+
+    With rr = r_0/r_X, x = r_0/h, y = h_c/h, K_ch = lam/h, K_tb = lam/r_0,
+    Q_ch = 1 + 6*K_ch and Q_tb = 1 + 4*K_tb:
+      R_S  = 12*pi*mu*r_X^4/(Q_ch*h^3) * (ln(r_X/r_0)/2 - 3/8 + rr^2/2 - rr^4/8)
+      R_IS = 6*pi*mu*(r_X^2 - r_0^2)^2/(r_0*h^2) * delta_S,
+             delta_S = (0.56 - 0.32*rr + 0.86*rr^2)/(1 + 2.5*K_ch)
+      R_IB = 8*pi*mu*r_0*delta_B, delta_B = 1.33*(1 - 0.812*rr^2)
+             * (1 + 0.732*K_tb)/(1 + K_ch) * f_B, f_B = 1 + x^4*y^3/(7.11*(43*y^3 + 1))
+      R_IC = 8*pi*mu*r_0*delta_C, delta_C = (1 + 6*K_tb)*(0.66 - 0.41*rr - 0.25*rr^2)
+      R_C  = 8*pi*mu*h_c/Q_tb
+      R_E  = 8*pi*mu*delta_E*r_0, delta_E = 0.944*3*pi*(1 + 0.216*K_tb)/16
+             * (1 + 0.2*rr^2 - 0.754*rr^4) * f_E, f_E = 1 + x^3.5/(178*(1 + 17.5*K_ch))
+      scale = (r_X/r_0)^4
+    The plate-only factors come from `geom.derived.circular`.
+    """
+    r_X4, h3, g_S, g_IS, r0h2, dS_num, f_B, dB, dC, x35, dE, scale = geom.derived.circular
+    r_0, mu = geom.derived.r_0, gas.mu
+    K_ch = gas.lam / geom.h
     K_tb = gas.lam / r_0
     Q_ch = 1 + 6 * K_ch
     Q_tb = 1 + 4 * K_tb
-    rr = r_0 / r_X
+    mu8pi = _8PI * mu
 
-    R_S = (
-        12 * math.pi * mu * r_X**4 / (Q_ch * h**3)
-        * (0.5 * math.log(r_X / r_0) - 3 / 8 + rr**2 / 2 - rr**4 / 8)
-    )
-    delta_S = (0.56 - 0.32 * rr + 0.86 * rr**2) / (1 + 2.5 * K_ch)
-    R_IS = 6 * math.pi * mu * (r_X**2 - r_0**2) ** 2 / (r_0 * h**2) * delta_S
+    R_S = _12PI * mu * r_X4 / (Q_ch * h3) * g_S
+    delta_S = dS_num / (1 + 2.5 * K_ch)
+    R_IS = _6PI * mu * g_IS / r0h2 * delta_S
+    delta_B = dB * (1 + 0.732 * K_tb) / (1 + K_ch) * f_B
+    R_IB = mu8pi * r_0 * delta_B
+    delta_C = (1 + 6 * K_tb) * dC
+    R_IC = mu8pi * r_0 * delta_C
+    f_E = 1 + x35 / (178 * (1 + 17.5 * K_ch))
+    delta_E = _DELTA_E0 * (1 + 0.216 * K_tb) / 16 * dE * f_E
+    R_C = mu8pi * geom.h_c / Q_tb
+    R_E = mu8pi * delta_E * r_0
 
-    x, y = r_0 / h, h_c / h
-    f_B = 1 + x**4 * y**3 / (7.11 * (43 * y**3 + 1))
-    delta_B = 1.33 * (1 - 0.812 * rr**2) * (1 + 0.732 * K_tb) / (1 + K_ch) * f_B
-    R_IB = 8 * math.pi * mu * r_0 * delta_B
-
-    delta_C = (1 + 6 * K_tb) * (0.66 - 0.41 * rr - 0.25 * rr**2)
-    R_IC = 8 * math.pi * mu * r_0 * delta_C
-
-    f_E = 1 + x**3.5 / (178 * (1 + 17.5 * K_ch))
-    delta_E = (
-        0.944 * 3 * math.pi * (1 + 0.216 * K_tb) / 16
-        * (1 + 0.2 * rr**2 - 0.754 * rr**4)
-        * f_E
-    )
-    R_C = 8 * math.pi * mu * h_c / Q_tb
-    R_E = 8 * math.pi * mu * delta_E * r_0
-
-    scale = (r_X / r_0) ** 4
     R_p = R_S + R_IS + R_IB + scale * (R_IC + R_C + R_E)
     return CellResistanceBreakdown(R_S, R_IS, R_IB, R_IC, R_C, R_E, scale, R_p)
 
 
 def cell_resistance_square(geom: PlateGeometry, gas: GasProperties) -> CellResistanceBreakdown:
     """Flow resistance of one square perforation cell (model M6's cell; also
-    feeds M4). Uses the effective square-hole radius r_0E and Q_sq = 1 + 7.567*lam/s0."""
-    d = geom.derived
-    s_X, s_0, r_X, r_0E, xi = d.s_X, geom.s0, d.r_X, d.r_0E, d.xi
-    h, h_c, mu = geom.h, geom.h_c, gas.mu
-    K_ch = gas.lam / h
+    feeds M4), slip-flow corrected.
+
+    With the effective square-hole radius r_0E, rr = r_0E/r_X, K_ch = lam/h,
+    K_sq = lam/s0, Q_ch = 1 + 6*K_ch and Q_sq = 1 + 7.567*K_sq:
+      R_S  = 12*pi*mu*r_X^4/(Q_ch*h^3) * (ln(r_X/r_0E)/2 - 3/8 + rr^2/2 - rr^4/8)
+      R_IS = 3*mu*(s_X^2 - s0^2)^2/(s0*h^2) * 0.122*(1 + 6.5*xi - 3.8*xi^2)
+      R_IB = 0
+      R_IC = 28.454*mu*s0*0.302
+      R_C  = 28.454*mu*h_c/Q_sq
+      R_E  = 28.454*mu*delta_E*s0,
+             delta_E = 0.242*(1 + 4*K_sq)*(1 - xi^4)*(1 + 0.019*(s0/h)^2.83)
+      scale = (s_X/s0)^4
+    The plate-only factors come from `geom.derived.square`.
+    """
+    r_X4, h3, g_S, g_IS, s0h2, delta_S, dE_xi, dE_h, scale = geom.derived.square
+    s_0, mu = geom.s0, gas.mu
+    K_ch = gas.lam / geom.h
     K_sq = gas.lam / s_0
     Q_ch = 1 + 6 * K_ch
     Q_sq = 1 + 7.567 * K_sq
-    rr = r_0E / r_X
 
-    R_S = (
-        12 * math.pi * mu * r_X**4 / (Q_ch * h**3)
-        * (0.5 * math.log(r_X / r_0E) - 3 / 8 + rr**2 / 2 - rr**4 / 8)
-    )
-    delta_S = 0.122 * (1 + 6.5 * xi - 3.8 * xi**2)
-    R_IS = 3 * mu * (s_X**2 - s_0**2) ** 2 / (s_0 * h**2) * delta_S
+    R_S = _12PI * mu * r_X4 / (Q_ch * h3) * g_S
+    R_IS = 3 * mu * g_IS / s0h2 * delta_S
     R_IB = 0.0
-
-    delta_C = 0.302
-    R_IC = 28.454 * mu * s_0 * delta_C
-
-    delta_E = 0.242 * (1 + 4 * K_sq) * (1 - xi**4) * (1 + 0.019 * (s_0 / h) ** 2.83)
-    R_C = 28.454 * mu * h_c / Q_sq
+    R_IC = 28.454 * mu * s_0 * 0.302
+    delta_E = 0.242 * (1 + 4 * K_sq) * dE_xi * dE_h
+    R_C = 28.454 * mu * geom.h_c / Q_sq
     R_E = 28.454 * mu * delta_E * s_0
 
-    scale = (s_X / s_0) ** 4
     R_p = R_S + R_IS + R_IB + scale * (R_IC + R_C + R_E)
     return CellResistanceBreakdown(R_S, R_IS, R_IB, R_IC, R_C, R_E, scale, R_p)
 
@@ -303,10 +333,20 @@ def damping_border_coupled(geom: PlateGeometry, gas: GasProperties, R_p: float) 
     # with c_m = (b/a) sqrt(m^2 + d^2), d^2 = a^2/(g r) and C = pi a^3/(4 b g)
     k = math.pi * b / (2 * a)
     explicit = 0.0
-    for m2 in _ODD_SQUARES:
+    sqrt = math.sqrt
+    # k*rq grows with m: once tanh(k*rq) is 1.0, it is 1.0 for every later term
+    odd_squares = iter(_ODD_SQUARES)
+    for m2 in odd_squares:
         q = m2 + d2
-        rq = math.sqrt(q)
+        rq = sqrt(q)
+        if k * rq >= _TANH_ONE:
+            explicit += 1.0 / (m2 * q * rq)
+            break
         explicit += math.tanh(k * rq) / (m2 * q * rq)
+    for m2 in odd_squares:
+        q = m2 + d2
+        rq = sqrt(q)
+        explicit += 1.0 / (m2 * q * rq)
     x0 = 2 * BORDER_TERMS + 1
     s = math.sqrt(x0 * x0 + d2)
     f0 = 1 / (x0 * x0 * s**3)
@@ -319,36 +359,48 @@ def damping_border_coupled(geom: PlateGeometry, gas: GasProperties, R_p: float) 
 
 def damping_m3(geom: PlateGeometry, gas: GasProperties) -> ModelResult:
     """Model M3: border-coupled series with the circular-cell resistance."""
-    br = cell_resistance_circular(geom, gas)
-    res = damping_border_coupled(geom, gas, br.R_p)
+    try:
+        br = cell_resistance_circular(geom, gas)
+        res = damping_border_coupled(geom, gas, br.R_p)
+    except ArithmeticError as exc:
+        raise _out_of_range("M3", exc) from exc
     return ModelResult(model="m3", c=res.c, breakdown=br,
                        series_terms=res.series_terms, converged=res.converged)
 
 
 def damping_m4(geom: PlateGeometry, gas: GasProperties) -> ModelResult:
     """Model M4: border-coupled series with the square-cell resistance."""
-    br = cell_resistance_square(geom, gas)
-    res = damping_border_coupled(geom, gas, br.R_p)
+    try:
+        br = cell_resistance_square(geom, gas)
+        res = damping_border_coupled(geom, gas, br.R_p)
+    except ArithmeticError as exc:
+        raise _out_of_range("M4", exc) from exc
     return ModelResult(model="m4", c=res.c, breakdown=br,
                        series_terms=res.series_terms, converged=res.converged)
 
 
 def _cell_only_c(geom: PlateGeometry, br: CellResistanceBreakdown) -> float:
     c = geom.M * geom.N * br.R_p
-    if not math.isfinite(c):
-        raise ModelDomainError("cell-only model produced a non-finite damping coefficient")
+    if not math.isfinite(c) or c <= 0:
+        raise ModelDomainError("cell-only model produced a non-physical damping coefficient")
     return c
 
 
 def damping_m5(geom: PlateGeometry, gas: GasProperties) -> ModelResult:
     """Model M5: closed-borders pattern, circular cells: c = M*N*R_p."""
-    br = cell_resistance_circular(geom, gas)
+    try:
+        br = cell_resistance_circular(geom, gas)
+    except ArithmeticError as exc:
+        raise _out_of_range("M5", exc) from exc
     return ModelResult(model="m5", c=_cell_only_c(geom, br), breakdown=br)
 
 
 def damping_m6(geom: PlateGeometry, gas: GasProperties) -> ModelResult:
     """Model M6: closed-borders pattern, square cells: c = M*N*R_p."""
-    br = cell_resistance_square(geom, gas)
+    try:
+        br = cell_resistance_square(geom, gas)
+    except ArithmeticError as exc:
+        raise _out_of_range("M6", exc) from exc
     return ModelResult(model="m6", c=_cell_only_c(geom, br), breakdown=br)
 
 

@@ -10,7 +10,6 @@ import math
 
 import numpy as np
 
-from perfdamp.compact_models import _attenuation_length
 from perfdamp.frf import BandwidthError, ExtractionResult, FitError, damping_from_q
 from perfdamp.geometry import derive_geometry
 
@@ -42,12 +41,16 @@ def border_series(geom, gas, R_p):
 
 
 def m2_damping(geom, gas):
-    """Model M2 with its shape series summed directly, smallest terms first."""
+    """Model M2 with its shape series summed directly, smallest terms first,
+    and its attenuation length computed here from the published formula."""
     d = derive_geometry(geom)
+    beta, r_0, h = d.beta, d.r_0, geom.h
     a, b = geom.W / 2, geom.L / 2
     kappa = a / b
-    l, _ = _attenuation_length(geom, d.beta, d.r_0)
-    al = l / a
+    K = 4 * beta**2 - beta**4 - 4 * math.log(beta) - 3
+    H_eff = geom.h_c + 3 * math.pi * r_0 / 8
+    eta = 1 + 3 * r_0**4 * K / (16 * H_eff * h**3)
+    al = math.sqrt(2 * h**3 * H_eff * eta / (3 * beta**2 * r_0**2)) / a
     n = np.arange(2 * M2_TERMS - 1, 0, -2, dtype=float)
     t = 1 + (n * math.pi * al / 2) ** 2
     s = math.fsum((np.tanh(np.sqrt(t) / (al * kappa)) / (n**2 * t**2)).tolist())

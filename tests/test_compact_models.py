@@ -68,6 +68,12 @@ class TestM2:
         c = cm.damping_m2(geom, gas).c
         assert c == pytest.approx(oracles.m2_damping(geom, gas), rel=1e-9, abs=0)
 
+    def test_refuses_series_past_term_cap(self, gas):
+        # W/L = 1e5 would need about 6e5 correction terms
+        geom = PlateGeometry(L=20e-6, W=2.0, M=1, N=1, s0=5e-6, s1=5e-6, h=1.6e-6, h_c=15e-6)
+        with pytest.raises(cm.ModelDomainError, match="more than 100000 terms"):
+            cm.damping_m2(geom, gas)
+
     @pytest.mark.parametrize("al", [0.03, 2.0, 9.99, 10.01, 68.0, 1e3, 1e5])
     def test_shape_bracket_both_branches(self, al):
         # (pi^2/8) * bracket = sum_{n odd} 1/(n^2 t_n^2); its closed form

@@ -250,6 +250,27 @@ class TestCli:
         assert out == ""
         assert field in err
 
+    # Each device passes field validation, but deriving the plate or
+    # evaluating a model leaves the float range: a tiny gap overflows x^4 of
+    # the cell resistance, a tiny hole underflows the attenuation length's
+    # denominator, a huge plate overflows the perforation ratio, and a
+    # 1e104 m plate overflows M2's (2a)^3.
+    @pytest.mark.parametrize("fields,argv,code", [
+        ({"h_um": 1e-84}, ["damp", "--model", "all"], cli.EXIT_USAGE),
+        ({"s0_um": 1e-294}, ["damp", "--model", "m1"], cli.EXIT_USAGE),
+        ({"L_um": 1e206, "W_um": 1e206, "s0_um": 1e205, "s1_um": 1e205, "M": 5, "N": 5},
+         ["regime", "--freq", "200kHz"], cli.EXIT_USAGE),
+        ({"L_um": 1e110, "W_um": 1e110, "M": 5, "N": 5}, ["damp", "--model", "m2"],
+         cli.EXIT_MODEL),
+    ], ids=["tiny_gap", "tiny_hole", "huge_plate", "model_overflow"])
+    def test_out_of_float_range_one_error_line(self, tmp_path, capsys, fields, argv, code):
+        device = _write(tmp_path, {**VALID, **fields})
+        assert cli.run([*argv, "--device", device]) == code
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "out of floating-point range" in err
+
     def test_compare_nan_gas_exit1(self, tmp_path, capsys):
         gas = tmp_path / "gas.json"
         gas.write_text(json.dumps({"lambda_nm": math.nan}))

@@ -15,7 +15,12 @@ from perfdamp.flow_regime import (
     squeeze_number,
 )
 from perfdamp.frf import FrfCurve, extract, synth_frf
-from perfdamp.geometry import PlateGeometry, derive_geometry, equivalent_cell_radius
+from perfdamp.geometry import (
+    HOLE_RADIUS_FACTOR,
+    PlateGeometry,
+    derive_geometry,
+    equivalent_cell_radius,
+)
 
 lengths = st.floats(min_value=1e-7, max_value=1e-3, allow_nan=False)
 mean_free_paths = st.floats(min_value=1e-9, max_value=2e-7)
@@ -53,10 +58,53 @@ class TestGeometryProperties:
     def test_derived_quantities_in_range(self, geom):
         d = derive_geometry(geom)
         assert 0 < d.xi < 1
-        assert 0 < d.beta < 1
+        assert 0 < d.beta < HOLE_RADIUS_FACTOR * math.sqrt(math.pi)
         assert 0 < d.q < 1
         assert d.r_0 < d.r_X
         assert d.r_0E < d.r_X
+
+
+# Mostly counts a grid can fit, some past the float range.
+hole_counts = st.integers(min_value=1, max_value=1000) | st.integers(min_value=1,
+                                                                     max_value=10**400)
+
+
+@st.composite
+def extreme_plates(draw):
+    """PlateGeometry keyword arguments: lengths log-uniform over 1e-300..1e300,
+    drawn either independently or within 20 decades of a common scale (which
+    builds a plate far more often), and any hole counts."""
+    spread = draw(st.sampled_from((300.0, 20.0)))
+    centre = draw(st.floats(min_value=spread - 300, max_value=300 - spread))
+    kw = {name: 10.0 ** (centre + draw(st.floats(min_value=-spread, max_value=spread)))
+          for name in ("L", "W", "s0", "s1", "h", "h_c")}
+    return {**kw, "M": draw(hole_counts), "N": draw(hole_counts)}
+
+
+class TestExtremePlates:
+    """Any constructible plate: each model returns a finite positive damping
+    or raises ModelDomainError; building the plate raises nothing but
+    ValueError."""
+
+    @settings(max_examples=500, deadline=None)
+    @example(kw=dict(L=372.4e-6, W=66.4e-6, M=36, N=6, s0=5e-6, s1=5.2e-6, h=1e-90, h_c=15e-6))
+    @example(kw=dict(L=372.4e-6, W=66.4e-6, M=36, N=6, s0=1e-300, s1=5.2e-6, h=1.6e-6,
+                     h_c=15e-6))
+    @example(kw=dict(L=1e200, W=1e200, M=5, N=5, s0=1e199, s1=1e199, h=1.6e-6, h_c=15e-6))
+    @example(kw=dict(L=1e104, W=1e104, M=5, N=5, s0=5e-6, s1=5.2e-6, h=1.6e-6, h_c=15e-6))
+    @given(kw=extreme_plates())
+    def test_models_finite_positive_or_domain_error(self, kw):
+        try:
+            geom = PlateGeometry(**kw)
+        except ValueError:
+            return
+        gas = GasProperties()
+        for model in cm.MODELS.values():
+            try:
+                c = model(geom, gas).c
+            except cm.ModelDomainError:
+                continue
+            assert math.isfinite(c) and c > 0
 
 
 class TestRegimeProperties:

@@ -5,14 +5,19 @@ import pytest
 from perfdamp import compact_models as cm
 from perfdamp.flow_regime import RegimeReport, regime_report
 from perfdamp.frf import ExtractionResult, extract, synth_frf
-from perfdamp.geometry import DerivedGeometry
+from perfdamp.geometry import CircularCellFactors, DerivedGeometry, SquareCellFactors
 
 FIELDS = {
     cm.ModelResult: ("model", "c", "breakdown", "series_terms", "converged"),
     cm.CellResistanceBreakdown: ("R_S", "R_IS", "R_IB", "R_IC", "R_C", "R_E", "scale", "R_p"),
     RegimeReport: ("K_ch", "K_hole", "sigma_plate", "sigma_cell", "Re",
                    "rarefaction_gap_pct", "rarefaction_hole_pct", "compressible", "inertial"),
-    DerivedGeometry: ("s_X", "r_X", "r_0", "r_0E", "xi", "beta", "q"),
+    DerivedGeometry: ("s_X", "r_X", "r_0", "r_0E", "xi", "beta", "q",
+                      "H_eff", "eta", "l", "circular", "square"),
+    CircularCellFactors: ("r_X4", "h3", "g_S", "g_IS", "r0h2", "dS_num", "f_B", "dB", "dC",
+                          "x35", "dE", "scale"),
+    SquareCellFactors: ("r_X4", "h3", "g_S", "g_IS", "s0h2", "delta_S", "dE_xi", "dE_h",
+                        "scale"),
     ExtractionResult: ("f0", "A_peak", "f1", "f2", "Q", "c"),
 }
 
@@ -26,6 +31,8 @@ def records(dataset, gas):
         cm.CellResistanceBreakdown: cm.cell_resistance_circular(rec.geom, gas),
         RegimeReport: regime_report(rec.geom, gas, rec.f0),
         DerivedGeometry: rec.geom.derived,
+        CircularCellFactors: rec.geom.derived.circular,
+        SquareCellFactors: rec.geom.derived.square,
         ExtractionResult: extract(synth_frf(1e-9, 1e-6, 1.6, 1e-6, freqs), m_eff=1e-9),
     }
 

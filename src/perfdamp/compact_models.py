@@ -31,7 +31,12 @@ import math
 from typing import NamedTuple
 
 from perfdamp.geometry import PlateGeometry, BeamGeometry
-from perfdamp.flow_regime import GasProperties
+from perfdamp.flow_regime import (
+    CHANNEL_SLIP_SLOPE,
+    SQUARE_SLIP_SLOPE,
+    TUBE_SLIP_SLOPE,
+    GasProperties,
+)
 
 # Closed-form series. Both series run over odd indices and rest on
 # sum_{n odd} 1/(n^2 + c^2) = pi*tanh(pi*c/2)/(4c) (Gradshteyn & Ryzhik 1.421).
@@ -179,7 +184,7 @@ def damping_m1(geom: PlateGeometry, gas: GasProperties, slip_correct: bool = Fal
     if not math.isfinite(c) or c <= 0:
         raise ModelDomainError("M1 produced a non-physical damping coefficient")
     if slip_correct:
-        c /= 1 + 6 * gas.lam / geom.h
+        c /= 1 + CHANNEL_SLIP_SLOPE * gas.lam / geom.h
     return ModelResult(model="m1", c=c)
 
 
@@ -224,7 +229,7 @@ def damping_m2(geom: PlateGeometry, gas: GasProperties, slip_correct: bool = Fal
     if not math.isfinite(c) or c <= 0:
         raise ModelDomainError("M2 produced a non-positive damping coefficient")
     if slip_correct:
-        c /= 1 + 6 * gas.lam / geom.h
+        c /= 1 + CHANNEL_SLIP_SLOPE * gas.lam / geom.h
     return ModelResult(model="m2", c=c, series_terms=len(odd))
 
 
@@ -250,8 +255,8 @@ def cell_resistance_circular(geom: PlateGeometry, gas: GasProperties) -> CellRes
     r_0, mu = geom.derived.r_0, gas.mu
     K_ch = gas.lam / geom.h
     K_tb = gas.lam / r_0
-    Q_ch = 1 + 6 * K_ch
-    Q_tb = 1 + 4 * K_tb
+    Q_ch = 1 + CHANNEL_SLIP_SLOPE * K_ch
+    Q_tb = 1 + TUBE_SLIP_SLOPE * K_tb
     mu8pi = _8PI * mu
 
     R_S = _12PI * mu * r_X4 / (Q_ch * h3) * g_S
@@ -290,8 +295,8 @@ def cell_resistance_square(geom: PlateGeometry, gas: GasProperties) -> CellResis
     s_0, mu = geom.s0, gas.mu
     K_ch = gas.lam / geom.h
     K_sq = gas.lam / s_0
-    Q_ch = 1 + 6 * K_ch
-    Q_sq = 1 + 7.567 * K_sq
+    Q_ch = 1 + CHANNEL_SLIP_SLOPE * K_ch
+    Q_sq = 1 + SQUARE_SLIP_SLOPE * K_sq
 
     R_S = _12PI * mu * r_X4 / (Q_ch * h3) * g_S
     R_IS = 3 * mu * g_IS / s0h2 * delta_S
@@ -321,7 +326,7 @@ def damping_border_coupled(geom: PlateGeometry, gas: GasProperties, R_p: float) 
     K_ch = gas.lam / h
     edge = 1.3 * (1 + 3.3 * K_ch) * h
     a, b = sorted((geom.W + edge, geom.L + edge))
-    g = math.pi**6 * h**3 * (1 + 6 * K_ch) / (768 * mu * a * b)
+    g = math.pi**6 * h**3 * (1 + CHANNEL_SLIP_SLOPE * K_ch) / (768 * mu * a * b)
     inv_r = math.pi**4 / (64 * geom.M * geom.N * R_p)
     d2 = a**2 * inv_r / g
 
@@ -427,5 +432,5 @@ def beam_damping(beams: BeamGeometry, h: float, gas: GasProperties) -> float:
     K_ch = gas.lam / h
     return (
         beams.count * beams.L_b * (beams.W_b + 1.3 * h) ** 3 * gas.mu
-        / (3 * h**3 * (1 + 6 * K_ch))
+        / (3 * h**3 * (1 + CHANNEL_SLIP_SLOPE * K_ch))
     )

@@ -17,8 +17,12 @@ from perfdamp.geometry import PlateGeometry
 SIGMA_THRESHOLD = 20.0
 RE_THRESHOLD = 6.0
 
-# Slip-flow rate coefficients Q = 1 + slope*K per channel cross-section.
-_FLOW_RATE_SLOPES = {"channel": 6.0, "tube": 4.0, "square": 7.567}
+# Slopes of the first-order slip-flow rate coefficient Q = 1 + slope*K of a
+# gap (channel), a circular hole (tube) and a square hole, K the Knudsen
+# number of that cross-section.
+CHANNEL_SLIP_SLOPE = 6.0
+TUBE_SLIP_SLOPE = 4.0
+SQUARE_SLIP_SLOPE = 7.567
 
 
 @dataclass(frozen=True)
@@ -68,18 +72,6 @@ def knudsen(lam: float, char_length: float) -> float:
     return lam / char_length
 
 
-def flow_rate_coefficient(kind: str, K: float) -> float:
-    """Slip-flow rate coefficient for a gap ("channel"), circular hole
-    ("tube"), or square hole ("square")."""
-    if K < 0:
-        raise ValueError("Knudsen number must be non-negative")
-    try:
-        slope = _FLOW_RATE_SLOPES[kind]
-    except KeyError:
-        raise ValueError(f"unknown channel kind {kind!r}") from None
-    return 1.0 + slope * K
-
-
 def squeeze_number(mu: float, W_char: float, omega: float, P_A: float, h: float) -> float:
     """Squeeze number 12*mu*W^2*omega / (P_A*h^2) for the dominating
     characteristic dimension W_char."""
@@ -112,8 +104,8 @@ def regime_report(geom: PlateGeometry, gas: GasProperties, f: float) -> RegimeRe
         sigma_plate=sigma_plate,
         sigma_cell=sigma_cell,
         Re=Re,
-        rarefaction_gap_pct=100.0 * 6.0 * K_ch,
-        rarefaction_hole_pct=100.0 * 7.567 * K_hole,
+        rarefaction_gap_pct=100.0 * CHANNEL_SLIP_SLOPE * K_ch,
+        rarefaction_hole_pct=100.0 * SQUARE_SLIP_SLOPE * K_hole,
         compressible=sigma_cell >= SIGMA_THRESHOLD,
         inertial=Re >= RE_THRESHOLD,
     )

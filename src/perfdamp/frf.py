@@ -4,6 +4,10 @@ The measured procedure is mirrored: locate the resonance peak, fit a
 6th-degree polynomial through a window around it, and read Q from the
 half-power bandwidth Q = f0/(f2 - f1). A synthetic second-order resonator
 response is provided so the extraction can be tested closed-loop.
+
+The searches over the samples (the fit window, the first sample pair that
+brackets each half-power crossing) run in numpy. Only the bracketing samples
+and the bisection between them run on Python floats.
 """
 
 from __future__ import annotations
@@ -19,6 +23,9 @@ from numpy.polynomial import polynomial as P
 POLY_DEGREE = 6
 MIN_WINDOW = 9
 HALF_POWER = 1.0 / math.sqrt(2.0)
+_EPS = np.finfo(float).eps
+# d/dx of c_i*x^i is i*c_i*x^(i-1): the factors of c_1..c_6 in the derivative
+_DERIV_POWERS = np.arange(1, POLY_DEGREE + 1)
 
 
 class BandwidthError(ValueError):
@@ -44,15 +51,15 @@ class FrfCurve:
         if freqs.ndim != 1 or freqs.shape != amps.shape:
             raise ValueError("freqs and amps must be 1-D arrays of equal length")
         for name, values in (("freqs", freqs), ("amps", amps)):
-            bad = np.flatnonzero(~np.isfinite(values))
-            if bad.size:
-                i = int(bad[0])
+            finite = np.isfinite(values)
+            if not finite.all():
+                i = int(finite.argmin())
                 raise ValueError(f"{name}[{i}] is not finite ({values[i]})")
         if len(freqs) < 8:
             raise ValueError("need at least 8 samples")
-        if not np.all(np.diff(freqs) > 0):
+        if not (freqs[1:] > freqs[:-1]).all():
             raise ValueError("freqs must be strictly increasing")
-        if np.any(amps < 0):
+        if (amps < 0).any():
             raise ValueError("amplitudes must be non-negative")
 
 
@@ -65,13 +72,20 @@ class ExtractionResult(NamedTuple):
     c: float | None = None
 
 
+def _check_m_eff(m_eff: float) -> None:
+    if not 0 < m_eff < math.inf:
+        raise ValueError(f"m_eff (effective mass) must be positive and finite, got {m_eff}")
+
+
 def synth_frf(m_eff: float, c: float, k: float, F0: float, freqs: np.ndarray) -> FrfCurve:
     """Amplitude response of a driven damped resonator:
     A(w) = F0 / sqrt((k - m*w^2)^2 + (c*w)^2)."""
-    if m_eff <= 0 or k <= 0 or F0 <= 0:
-        raise ValueError("m_eff, k, F0 must be positive")
-    if c < 0:
-        raise ValueError("damping must be non-negative")
+    _check_m_eff(m_eff)
+    for name, value in (("k (stiffness)", k), ("F0 (drive force)", F0)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+    if not 0 <= c < math.inf:
+        raise ValueError(f"c (damping) must be non-negative and finite, got {c}")
     w = 2 * np.pi * np.asarray(freqs, dtype=float)
     amps = F0 / np.sqrt((k - m_eff * w**2) ** 2 + (c * w) ** 2)
     return FrfCurve(freqs=np.asarray(freqs, dtype=float), amps=amps)
@@ -87,21 +101,26 @@ def read_curve(path) -> FrfCurve:
 
 def damping_from_q(f0: float, Q: float, m_eff: float) -> float:
     """Damping coefficient from quality factor: c = 2*pi*f0*m_eff/Q."""
-    if f0 <= 0 or Q <= 0 or m_eff <= 0:
-        raise ValueError("f0, Q, m_eff must be positive")
+    _check_m_eff(m_eff)
+    if f0 <= 0 or Q <= 0:
+        raise ValueError("f0 and Q must be positive")
     return 2 * math.pi * f0 * m_eff / Q
 
 
-def _fit_window(amps: list[float], i_peak: int) -> tuple[int, int]:
+def _fit_window(amps: np.ndarray, i_peak: int) -> tuple[int, int]:
     """Widest symmetric index span around the raw peak whose amplitudes stay
-    above half the raw maximum, at least MIN_WINDOW samples."""
-    thr = amps[i_peak] / 2.0
+    above half the raw maximum, at least MIN_WINDOW samples.
+
+    Both sides widen together until a sample on either side falls below half
+    the maximum or the span reaches an end of the array."""
+    reach = min(i_peak, len(amps) - 1 - i_peak)
     half = 0
-    while True:
-        lo, hi = i_peak - half - 1, i_peak + half + 1
-        if lo < 0 or hi >= len(amps) or amps[lo] < thr or amps[hi] < thr:
-            break
-        half += 1
+    if reach:
+        below = amps[i_peak - reach : i_peak + reach + 1] < amps[i_peak] / 2.0
+        # stop[k]: a sample k + 1 places left or right of the peak is below half
+        stop = below[reach + 1 :] | below[reach - 1 :: -1]
+        k = int(stop.argmax())
+        half = k if stop[k] else reach
     half = max(half, MIN_WINDOW // 2)
     lo = max(0, i_peak - half)
     hi = min(len(amps) - 1, i_peak + half)
@@ -113,39 +132,41 @@ def _horner(poly, f: float) -> float:
     coefficients in the mapped variable x = off + scl*f, highest degree first.
     The operations are those of numpy's Polynomial.__call__, so the result is
     bit-identical to it."""
-    off, scl, coef = poly
+    off, scl, (c6, c5, c4, c3, c2, c1, c0) = poly
     x = off + scl * f
-    acc = 0.0
-    for c in coef:
-        acc = c + acc * x
-    return acc
+    return ((((((c6 + 0.0 * x) * x + c5) * x + c4) * x + c3) * x + c2) * x + c1) * x + c0
 
 
 def _poly_peak(freqs, amps, lo, hi):
     """Fit the window with a degree-6 polynomial and return (poly, f0, A_peak).
 
     The least-squares fit and the derivative roots repeat numpy's
-    Polynomial.fit, deriv and roots step for step, without the class."""
+    Polynomial.fit, deriv and roots step for step, without the class; the
+    Vandermonde matrix is built as polyvander builds it, one row per power."""
     x, y = freqs[lo : hi + 1], amps[lo : hi + 1]
     if len(x) <= POLY_DEGREE + 1:
         raise FitError("fit window too small for a 6th-degree polynomial")
-    x_lo, x_hi = float(x[0]), float(x[-1])
+    x_lo, x_hi = x.item(0), x.item(-1)
     span = x_hi - x_lo
     off, scl = (-x_hi - x_lo) / span, 2.0 / span  # map [x_lo, x_hi] to [-1, 1]
-    van = P.polyvander(off + scl * x, POLY_DEGREE)
-    norms = np.sqrt(np.square(van.T).sum(1))
+    t = off + scl * x
+    van_t = np.empty((POLY_DEGREE + 1, len(t)))
+    van_t[0] = t * 0 + 1
+    for i in range(1, POLY_DEGREE + 1):
+        np.multiply(van_t[i - 1], t, out=van_t[i])
+    norms = np.sqrt(np.square(van_t).sum(1))
     try:
-        coef, _, rank, _ = np.linalg.lstsq(van / norms, y, len(x) * np.finfo(float).eps)
+        coef, _, rank, _ = np.linalg.lstsq(van_t.T / norms, y, len(x) * _EPS)
     except np.linalg.LinAlgError as exc:
         raise FitError("polynomial fit failed") from exc
     if rank != POLY_DEGREE + 1:
         warnings.warn("The fit may be poorly conditioned", np.exceptions.RankWarning,
                       stacklevel=2)
     coef = coef / norms
-    roots = P.polyroots(coef[1:] * scl * np.arange(1, POLY_DEGREE + 1))
+    roots = P.polyroots(coef[1:] * scl * _DERIV_POWERS)
     crit = (x_hi + x_lo) / 2 + span / 2 * roots
     crit = crit.real[crit.imag == 0]
-    cand = crit[(crit >= x_lo) & (crit <= x_hi)].tolist() + [x_lo, x_hi]
+    cand = [f for f in crit.tolist() if x_lo <= f <= x_hi] + [x_lo, x_hi]
     poly = (off, scl, coef[::-1].tolist())
     vals = [_horner(poly, f) for f in cand]
     j = max(range(len(vals)), key=vals.__getitem__)
@@ -153,38 +174,45 @@ def _poly_peak(freqs, amps, lo, hi):
 
 
 def _crossing(freqs, amps, poly, window, thr, i_start, step):
-    """Walk outward from i_start in direction step and return the frequency
-    where the amplitude falls through thr. Uses the polynomial inside the fit
-    window, linear interpolation between raw samples outside it."""
+    """Return the frequency where the amplitude first falls through thr going
+    outward from i_start in direction step.
+
+    numpy finds the first sample pair i, j = i + step with
+    amps[j] < thr <= amps[i]; only that pair and the bisection between its
+    frequencies run on Python floats. Inside the fit window the crossing is
+    bisected on the polynomial, outside it the raw samples are interpolated
+    linearly."""
+    walk = amps[i_start:] if step > 0 else amps[i_start::-1]
+    above = walk >= thr
+    falls = above[:-1] > above[1:]  # above at i, below at j
+    k = int(falls.argmax()) if falls.size else 0
+    if not (falls.size and falls[k]):
+        raise BandwidthError("amplitude never falls below the half-power level")
+    i = i_start + k * step
+    j = i + step
     lo, hi = window
-    i = i_start
-    while 0 <= i + step < len(freqs):
-        j = i + step
-        if amps[j] < thr <= amps[i]:
-            if lo <= i <= hi and lo <= j <= hi:
-                # bisection on the fitted polynomial
-                a, b = (freqs[i], freqs[j]) if step > 0 else (freqs[j], freqs[i])
-                # g(f) = poly(f) - thr keeps the sign of g(a) at every left
-                # end, so the sign stands in for g(a) in the bracket test;
-                # a product of two g values would underflow on tiny amplitudes
-                ga = _horner(poly, a) - thr
-                sa = (ga > 0) - (ga < 0)
-                if sa * (_horner(poly, b) - thr) <= 0:
-                    for _ in range(80):
-                        mid = 0.5 * (a + b)
-                        if mid == a or mid == b:
-                            # the bracket is at float resolution and stays put
-                            return mid
-                        if sa * (_horner(poly, mid) - thr) <= 0:
-                            b = mid
-                        else:
-                            a = mid
-                    return 0.5 * (a + b)
-            # linear interpolation on the raw samples
-            aa, ab = amps[i], amps[j]
-            return freqs[i] + (thr - aa) * (freqs[j] - freqs[i]) / (ab - aa)
-        i = j
-    raise BandwidthError("amplitude never falls below the half-power level")
+    if lo <= i <= hi and lo <= j <= hi:
+        # bisection on the fitted polynomial
+        a, b = (freqs.item(i), freqs.item(j)) if step > 0 else (freqs.item(j), freqs.item(i))
+        # g(f) = poly(f) - thr keeps the sign of g(a) at every left end, so
+        # the sign stands in for g(a) in the bracket test; a product of two g
+        # values would underflow on tiny amplitudes
+        ga = _horner(poly, a) - thr
+        sa = (ga > 0) - (ga < 0)
+        if sa * (_horner(poly, b) - thr) <= 0:
+            for _ in range(80):
+                mid = 0.5 * (a + b)
+                if mid == a or mid == b:
+                    # the bracket is at float resolution and stays put
+                    return mid
+                if sa * (_horner(poly, mid) - thr) <= 0:
+                    b = mid
+                else:
+                    a = mid
+            return 0.5 * (a + b)
+    # linear interpolation on the raw samples
+    fi, aa, ab = freqs.item(i), amps.item(i), amps.item(j)
+    return fi + (thr - aa) * (freqs.item(j) - fi) / (ab - aa)
 
 
 def extract(curve: FrfCurve, m_eff: float | None = None) -> ExtractionResult:
@@ -193,20 +221,21 @@ def extract(curve: FrfCurve, m_eff: float | None = None) -> ExtractionResult:
     When m_eff is given, the damping coefficient c = 2*pi*f0*m_eff/Q is
     included in the result.
     """
+    if m_eff is not None:
+        _check_m_eff(m_eff)
     freqs, amps = curve.freqs, curve.amps
-    i_peak = int(np.argmax(amps))
-    if amps[i_peak] <= 0 or np.all(amps == amps[0]):
+    i_peak = int(amps.argmax())
+    peak = amps.item(i_peak)
+    # amplitudes are finite, so a flat curve is one whose minimum is its peak
+    if peak <= 0 or peak == amps.min():
         raise BandwidthError("curve has no peak")
-    # the sample walks below run on Python floats, not on numpy scalars
-    freq_list, amp_list = freqs.tolist(), amps.tolist()
-    lo, hi = _fit_window(amp_list, i_peak)
+    lo, hi = _fit_window(amps, i_peak)
     poly, f0, A_peak = _poly_peak(freqs, amps, lo, hi)
     thr = A_peak * HALF_POWER
-    f1 = _crossing(freq_list, amp_list, poly, (lo, hi), thr, i_peak, -1)
-    f2 = _crossing(freq_list, amp_list, poly, (lo, hi), thr, i_peak, +1)
+    f1 = _crossing(freqs, amps, poly, (lo, hi), thr, i_peak, -1)
+    f2 = _crossing(freqs, amps, poly, (lo, hi), thr, i_peak, +1)
     if not f1 < f0 < f2:
         raise BandwidthError("half-power frequencies do not bracket the peak")
     Q = f0 / (f2 - f1)
     c = damping_from_q(f0, Q, m_eff) if m_eff is not None else None
     return ExtractionResult(f0=f0, A_peak=A_peak, f1=f1, f2=f2, Q=Q, c=c)
-

@@ -58,7 +58,7 @@ def m2_damping(geom, gas):
     return gamma * gas.mu * (2 * a) ** 3 * (2 * b) / geom.h**3
 
 
-def extract_reference(curve, poly_window=None, m_eff=None):
+def extract_reference(curve, m_eff=None):
     """frf.extract through numpy's Polynomial class: fit a degree-6 polynomial
     around the raw peak, take its maximum, and bisect each half-power crossing
     inside the fit window for 80 steps, evaluating both ends on every step."""
@@ -66,17 +66,14 @@ def extract_reference(curve, poly_window=None, m_eff=None):
     i_peak = int(np.argmax(amps))
     if amps[i_peak] <= 0 or np.all(amps == amps[0]):
         raise BandwidthError("curve has no peak")
-    if poly_window is None:
-        thr = amps[i_peak] / 2.0
-        half = 0
-        while True:
-            lo, hi = i_peak - half - 1, i_peak + half + 1
-            if lo < 0 or hi >= len(amps) or amps[lo] < thr or amps[hi] < thr:
-                break
-            half += 1
-        half = max(half, 9 // 2)
-    else:
-        half = max(poly_window, 9) // 2
+    thr = amps[i_peak] / 2.0
+    half = 0
+    while True:
+        lo, hi = i_peak - half - 1, i_peak + half + 1
+        if lo < 0 or hi >= len(amps) or amps[lo] < thr or amps[hi] < thr:
+            break
+        half += 1
+    half = max(half, 9 // 2)
     lo = max(0, i_peak - half)
     hi = min(len(amps) - 1, i_peak + half)
 

@@ -207,6 +207,31 @@ class TestCli:
         assert cli.run(["frf", "extract", "--input", str(curve_csv)]) == 1
         assert "amps[30] is not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,name", [
+        (["frf", "extract", "--input", "{curve}", "--meff", "nan"], "m_eff"),
+        (["frf", "extract", "--input", "{curve}", "--meff", "inf"], "m_eff"),
+        (["frf", "synth", "--meff", "1e-9", "--damping", "inf", "--stiffness", "1.6",
+          "--start", "5kHz", "--stop", "8kHz", "--points", "9"], "damping"),
+        (["frf", "synth", "--meff", "1e-9", "--damping", "nan", "--stiffness", "1.6",
+          "--start", "5kHz", "--stop", "8kHz", "--points", "9"], "damping"),
+        (["frf", "synth", "--meff", "1e-9", "--damping", "2e-5", "--stiffness", "inf",
+          "--start", "5kHz", "--stop", "8kHz"], "stiffness"),
+        (["frf", "synth", "--meff", "1e-9", "--damping", "2e-5", "--stiffness", "1.6",
+          "--force", "nan", "--start", "5kHz", "--stop", "8kHz"], "force"),
+    ], ids=["extract-meff-nan", "extract-meff-inf", "synth-damping-inf",
+            "synth-damping-nan", "synth-stiffness-inf", "synth-force-nan"])
+    def test_frf_non_finite_option_exit1(self, tmp_path, capsys, argv, name):
+        curve_csv = tmp_path / "curve.csv"
+        assert cli.run(["frf", "synth", "--meff", "1e-9", "--damping", "2e-5",
+                        "--stiffness", "1.6", "--start", "5kHz", "--stop", "8kHz",
+                        "--points", "101", "--out", str(curve_csv)]) == 0
+        capsys.readouterr()
+        assert cli.run([a.format(curve=curve_csv) for a in argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert name in err
+
     def test_frf_extract_flat_curve_exit3(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
         path.write_text("freq_hz,amp_m\n" +

@@ -4,7 +4,6 @@ import pytest
 
 from perfdamp.flow_regime import (
     GasProperties,
-    flow_rate_coefficient,
     knudsen,
     regime_report,
     reynolds_number,
@@ -27,23 +26,6 @@ class TestKnudsen:
     def test_bad_length(self):
         with pytest.raises(ValueError):
             knudsen(65e-9, 0.0)
-
-
-class TestFlowRateCoefficient:
-    def test_channel(self):
-        assert flow_rate_coefficient("channel", 0.0406) == pytest.approx(1.2436, abs=1e-4)
-        assert flow_rate_coefficient("channel", 65e-9 / 1.6e-6) == pytest.approx(1.24375, abs=1e-5)
-
-    def test_square(self):
-        assert flow_rate_coefficient("square", 0.013) == pytest.approx(1.0984, abs=1e-4)
-
-    @pytest.mark.parametrize("kind", ["channel", "tube", "square"])
-    def test_continuum(self, kind):
-        assert flow_rate_coefficient(kind, 0.0) == 1.0
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            flow_rate_coefficient("slot", 0.1)
 
 
 class TestSqueezeNumber:

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from perfdamp.frf import (
+    HALF_POWER,
     BandwidthError,
+    FitError,
     FrfCurve,
+    _crossing,
+    _fit_window,
     damping_from_q,
     extract,
     synth_frf,
@@ -47,6 +51,19 @@ class TestSynth:
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             synth_frf(0.0, 1e-5, 1.0, 1e-6, np.linspace(1, 2, 9))
+
+    @pytest.mark.parametrize("arg,value", [
+        ("m_eff", math.nan), ("m_eff", math.inf), ("m_eff", 0.0),
+        ("c", math.nan), ("c", math.inf), ("c", -1e-5),
+        ("k", math.nan), ("k", math.inf), ("F0", math.nan), ("F0", math.inf),
+    ])
+    def test_rejects_non_finite_or_out_of_range_parameter(self, arg, value):
+        args = {"m_eff": 1e-9, "c": 2e-5, "k": 1.6, "F0": 1e-6, **{arg: value}}
+        with pytest.raises(ValueError, match=rf"^{arg} \("):
+            synth_frf(freqs=np.linspace(5e3, 8e3, 9), **args)
+
+    def test_zero_damping_allowed(self):
+        assert synth_frf(1e-9, 0.0, 1.6, 1e-6, np.linspace(5e3, 6e3, 9)).amps[0] > 0
 
 
 class TestCurveValidation:
@@ -116,6 +133,13 @@ class TestExtract:
             assert q == pytest.approx(500, rel=0.02)
         assert abs(qs[2] - qs[1]) <= abs(qs[1] - qs[0]) + 0.01 * 500
 
+    @pytest.mark.parametrize("m_eff", [math.nan, math.inf, 0.0, -1e-9])
+    def test_rejects_bad_m_eff_before_fit(self, m_eff):
+        # a flat curve would fail the fit with BandwidthError; m_eff is checked first
+        curve = FrfCurve(freqs=np.linspace(1, 2, 64), amps=np.ones(64))
+        with pytest.raises(ValueError, match=r"^m_eff \("):
+            extract(curve, m_eff=m_eff)
+
     def test_type_c_damping_round_trip(self):
         # Table-style values: f0 = 211.011 kHz, c_m = 9.863e-6 Ns/m;
         # effective mass chosen so Q lands in the measured range
@@ -147,6 +171,118 @@ class TestMatchesReference:
             self._fields(extract_reference(curve, m_eff=1e-9))
 
 
+def _outcome(fn, curve):
+    """Result fields of fn(curve), or the type and message of its error."""
+    try:
+        return tuple(fn(curve, m_eff=1e-9))
+    except (BandwidthError, FitError) as exc:
+        return type(exc), str(exc)
+
+
+class TestIndexSearches:
+    """The numpy searches of the fit window and of the crossings keep the
+    semantics of a walk outward from the peak, one sample at a time."""
+
+    def test_window_widens_both_sides_together(self):
+        amps = np.full(21, 0.6)
+        amps[10] = 1.0
+        amps[3] = 0.4  # 7 samples left of the peak, below half
+        assert _fit_window(amps, 10) == (4, 16)
+
+    def test_window_clipped_by_array_end(self):
+        amps = np.full(21, 0.6)
+        amps[15] = 1.0
+        assert _fit_window(amps, 15) == (10, 20)
+        amps[15], amps[3] = 0.6, 1.0
+        # the walk stops at the left end after 3 samples; MIN_WINDOW widens it
+        assert _fit_window(amps, 3) == (0, 7)
+
+    def test_window_sample_at_half_counts_as_above(self):
+        amps = np.full(21, 0.6)
+        amps[10], amps[3] = 1.0, 0.5
+        assert _fit_window(amps, 10) == (0, 20)
+
+    def test_crossing_sample_at_threshold_counts_as_above(self):
+        amps = np.array([0.2, 0.5, 1.0, 0.75, 0.5, 0.25, 0.1, 0.1])
+        freqs = np.arange(8.0)
+        # amps[4] == amps[1] == thr count as above, so the crossings are the
+        # pairs (4, 5) and (1, 0), where these lines do not bracket thr; they
+        # would in (3, 4) at 3.5 and in (2, 1) at 1.5
+        falling, rising = (0.0, 1.0, [0.0] * 5 + [-1.0, 4.0]), (0.0, 1.0, [0.0] * 5 + [1.0, -1.0])
+        assert _crossing(freqs, amps, falling, (0, 7), 0.5, 2, +1) == 4.0
+        assert _crossing(freqs, amps, rising, (0, 7), 0.5, 2, -1) == 1.0
+
+    def test_crossing_ignores_a_rise(self):
+        # the walk starts below thr; the first pair that falls through it wins
+        amps = np.array([0.1, 0.9, 0.9, 0.4, 1.0, 0.5, 0.1, 0.1])
+        assert _crossing(np.arange(8.0), amps, None, (3, 3), 0.75, 3, +1) == 4.5
+
+    def test_crossing_first_dip_wins(self):
+        amps = np.array([0.1, 0.25, 0.5, 1.0, 1.0, 1.0, 0.5, 1.0, 0.25, 0.1])
+        freqs = np.arange(10.0)
+        # pairs (5, 6) and (7, 8) both fall through 0.75; the walk stops at the first
+        assert _crossing(freqs, amps, None, (4, 4), 0.75, 4, +1) == 5.5
+        assert _crossing(freqs, amps, None, (4, 4), 0.75, 4, -1) == 2.5
+
+    def test_crossing_never_falls(self):
+        amps = np.array([0.9, 0.95, 1.0, 0.5, 0.25, 0.2, 0.1, 0.1])
+        with pytest.raises(BandwidthError):
+            _crossing(np.arange(8.0), amps, None, (2, 2), 0.75, 2, -1)
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_peak_on_end_sample(self, first):
+        # the fit window holds 5 samples, too few for the polynomial
+        amps = np.linspace(1.0, 0.1, 64)
+        curve = FrfCurve(freqs=np.linspace(1e5, 2e5, 64), amps=amps if first else amps[::-1])
+        out = _outcome(extract, curve)
+        assert out[0] is FitError
+        assert out == _outcome(extract_reference, curve)
+
+    def test_window_clipped_then_no_crossing(self):
+        amps = np.concatenate([[0.9, 0.95, 0.97, 0.99, 1.0], np.linspace(0.98, 0.1, 59)])
+        curve = FrfCurve(freqs=np.linspace(1e5, 2e5, 64), amps=amps)
+        out = _outcome(extract, curve)
+        assert out[0] is BandwidthError
+        assert out == _outcome(extract_reference, curve)
+
+    def test_dip_above_half_inside_window(self):
+        curve, _, _ = _resonator_curve(200e3, 50, points=201, span_bw=3.0)
+        amps = curve.amps.copy()
+        i_peak = int(amps.argmax())
+        amps[i_peak + 3] = 0.6 * amps[i_peak]
+        dipped = FrfCurve(freqs=curve.freqs, amps=amps)
+        assert _outcome(extract, dipped) == _outcome(extract_reference, dipped)
+
+    def _narrow_window_curve(self):
+        """A curve whose left dip below half the peak narrows the fit window,
+        so its right crossing lies outside the window."""
+        curve, _, _ = _resonator_curve(200e3, 50, points=201, span_bw=3.0)
+        amps = curve.amps.copy()
+        i_peak = int(amps.argmax())
+        amps[i_peak - 6] = 0.4 * amps[i_peak]
+        return FrfCurve(freqs=curve.freqs, amps=amps), i_peak
+
+    def test_crossing_outside_window_interpolated(self):
+        curve, i_peak = self._narrow_window_curve()
+        lo, hi = _fit_window(curve.amps, i_peak)
+        assert (lo, hi) == (i_peak - 5, i_peak + 5)
+        res = extract(curve, m_eff=1e-9)
+        assert res.f2 > curve.freqs[hi]
+        assert tuple(res) == tuple(extract_reference(curve, m_eff=1e-9))
+
+    def test_sample_at_threshold_outside_window(self):
+        curve, i_peak = self._narrow_window_curve()
+        thr = extract_reference(curve).A_peak * HALF_POWER
+        amps = curve.amps.copy()
+        j = i_peak + int(np.argmax(amps[i_peak:] < thr))  # first sample right below thr
+        amps[j] = thr  # outside the window, so the fit and thr stay as they are
+        moved = FrfCurve(freqs=curve.freqs, amps=amps)
+        res = extract(moved, m_eff=1e-9)
+        assert extract(curve).f2 < curve.freqs[j]
+        assert res.f2 == curve.freqs[j]  # the crossing moves to the pair (j, j + 1)
+        assert tuple(res) == tuple(extract_reference(moved, m_eff=1e-9))
+
+
 class TestDampingFromQ:
     def test_unit_case(self):
         assert damping_from_q(1 / (2 * math.pi), 1.0, 1.0) == pytest.approx(1.0, rel=1e-14)
@@ -159,3 +295,8 @@ class TestDampingFromQ:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             damping_from_q(1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("m_eff", [math.nan, math.inf, 0.0])
+    def test_rejects_bad_m_eff(self, m_eff):
+        with pytest.raises(ValueError, match=r"^m_eff \("):
+            damping_from_q(200e3, 500.0, m_eff)

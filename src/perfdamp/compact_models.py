@@ -20,9 +20,11 @@ once when a PlateGeometry is built and stores every gas-independent factor
 in `geom.derived`: the attenuation length triple H_eff, eta, l of M1 and M2,
 and the plate-only parts of both cell resistances. The functions here are
 the gas stage: they read those factors and do only the arithmetic that
-involves the gas (and, in M2 and the border series, the series themselves).
-Each docstring states the model's full formula. A floating-point overflow or
-division by zero inside M1-M6 is raised as ModelDomainError.
+involves the gas (and, in M2 and the border series, the series themselves),
+with the constant powers of pi taken from module constants; M3/M4 return the
+border series' record with their cell breakdown. Each docstring states the
+model's full formula. A floating-point overflow or division by zero inside
+M1-M6 is raised as ModelDomainError.
 """
 
 from __future__ import annotations
@@ -62,13 +64,18 @@ TANH_SATURATION = 19.0
 # glibc and musl all return 1.0 for x >= 22), so border terms past that
 # argument skip the tanh call.
 _TANH_ONE = 22.0
-# The M2 correction series has about 6*W/L terms; a plate so much wider
-# than long that it needs more than this is refused rather than summed.
-M2_MAX_TERMS = 100_000
 
 # m^2 for the odd m of the explicit border terms, as floats: the loop adds
 # them to d^2 and multiplies them by floats, which converts an int each time.
 _ODD_SQUARES = tuple(float(m * m) for m in range(1, 2 * BORDER_TERMS, 2))
+# First index of the border tail, and the constant powers of pi in both series.
+_X0 = 2 * BORDER_TERMS + 1
+_X0SQ = _X0 * _X0
+_PI2 = math.pi**2
+_PI2_8 = _PI2 / 8
+_PI2_8_SQ = _PI2_8**2
+_PI4 = math.pi**4
+_PI6 = math.pi**6
 
 # Leading constant products of the cell resistances, each the value the
 # formula's own left-to-right evaluation starts from.
@@ -114,7 +121,10 @@ class CellResistanceBreakdown(NamedTuple):
 
     def percentages(self) -> tuple[float, float, float, float, float, float]:
         """Relative contributions of the six components to R_p, in percent."""
-        return tuple(100.0 * x / self.R_p for x in self.scaled_components())
+        S, IS, IB, IC, C, E = self.scaled_components()
+        R_p = self.R_p
+        return (100.0 * S / R_p, 100.0 * IS / R_p, 100.0 * IB / R_p,
+                100.0 * IC / R_p, 100.0 * C / R_p, 100.0 * E / R_p)
 
 
 class ModelResult(NamedTuple):
@@ -185,24 +195,30 @@ def damping_m1(geom: PlateGeometry, gas: GasProperties, slip_correct: bool = Fal
         raise ModelDomainError("M1 produced a non-physical damping coefficient")
     if slip_correct:
         c /= 1 + CHANNEL_SLIP_SLOPE * gas.lam / geom.h
-    return ModelResult(model="m1", c=c)
+    return ModelResult("m1", c)
 
 
 def damping_m2(geom: PlateGeometry, gas: GasProperties, slip_correct: bool = False) -> ModelResult:
     """Model M2: continuum compact model for an arbitrary rectangular plate.
 
-    c = gamma * mu * (2a)^3 * (2b) / h^3 with a = W/2, b = L/2, kappa = a/b,
-    al = l/a (l the attenuation length of `DerivedGeometry`) and
+    c = gamma * mu * (2a)^3 * (2b) / h^3 with a = min(W, L)/2, b = max(W, L)/2,
+    kappa = a/b, al = l/a (l the attenuation length of `DerivedGeometry`) and
     gamma = 3*al^2 - 3*al^3*tanh(1/al)
             - (24*al^3*kappa/pi^2) * sum_{n odd} tanh(x_n)/(n^2 t_n^2),
     t_n = 1 + (n*pi*al/2)^2, x_n = sqrt(t_n)/(al*kappa).
 
-    The series is the closed form of the series with tanh = 1, less the
-    terms 1 - tanh(x_n) that are not negligible; `series_terms` counts those.
+    The formula is symmetric in W <-> L only approximately, so it is always
+    evaluated in the orientation of the published devices, L >= W: a plate
+    wider than long is evaluated with its axes swapped. Then kappa <= 1 and
+    the series is the closed form of the series with tanh = 1, less at most
+    about 6 terms 1 - tanh(x_n) that are not negligible; `series_terms`
+    counts those.
     A non-positive damping raises, since that would indicate a
     sign-convention misreading rather than physics.
     """
     a, b = geom.W / 2, geom.L / 2
+    if a > b:
+        a, b = b, a
     kappa = a / b
     al = geom.derived.l / a
     if not 0 < al < math.inf:
@@ -210,19 +226,16 @@ def damping_m2(geom: PlateGeometry, gas: GasProperties, slip_correct: bool = Fal
 
     try:
         k = math.pi * al / 2
-        s = math.pi**2 / 8 * _shape_bracket(al)
+        s = _PI2_8 * _shape_bracket(al)
         # x_n < TANH_SATURATION exactly when n*k < sqrt((TANH_SATURATION*al*kappa)^2 - 1)
         n_last = math.sqrt(max((TANH_SATURATION * al * kappa) ** 2 - 1, 0.0)) / k
-        if n_last > 2 * M2_MAX_TERMS:
-            raise ModelDomainError(f"M2 shape series would need more than {M2_MAX_TERMS} "
-                                   f"terms on a plate {kappa:.3g} times wider than long")
         odd = range(1, int(n_last) + 1, 2)
         for n in odd:
             t = 1 + (n * k) ** 2
             s -= 2 / (math.exp(2 * math.sqrt(t) / (al * kappa)) + 1) / (n**2 * t**2)
 
         # 3*al^3*tanh(1/al) equals 6*al^3*sinh(1/al)^2/sinh(2/al) and cannot overflow
-        gamma = 3 * al**2 * _edge_leak_bracket(al) - 24 * al**3 * kappa / math.pi**2 * s
+        gamma = 3 * al**2 * _edge_leak_bracket(al) - 24 * al**3 * kappa / _PI2 * s
         c = gamma * gas.mu * (2 * a) ** 3 * (2 * b) / geom.h**3
     except ArithmeticError as exc:
         raise _out_of_range("M2", exc) from exc
@@ -230,7 +243,7 @@ def damping_m2(geom: PlateGeometry, gas: GasProperties, slip_correct: bool = Fal
         raise ModelDomainError("M2 produced a non-positive damping coefficient")
     if slip_correct:
         c /= 1 + CHANNEL_SLIP_SLOPE * gas.lam / geom.h
-    return ModelResult(model="m2", c=c, series_terms=len(odd))
+    return ModelResult("m2", c, None, len(odd))
 
 
 def cell_resistance_circular(geom: PlateGeometry, gas: GasProperties) -> CellResistanceBreakdown:
@@ -251,8 +264,9 @@ def cell_resistance_circular(geom: PlateGeometry, gas: GasProperties) -> CellRes
       scale = (r_X/r_0)^4
     The plate-only factors come from `geom.derived.circular`.
     """
-    r_X4, h3, g_S, g_IS, r0h2, dS_num, f_B, dB, dC, x35, dE, scale = geom.derived.circular
-    r_0, mu = geom.derived.r_0, gas.mu
+    d = geom.derived
+    r_X4, h3, g_S, g_IS, r0h2, dS_num, f_B, dB, dC, x35, dE, scale = d.circular
+    r_0, mu = d.r_0, gas.mu
     K_ch = gas.lam / geom.h
     K_tb = gas.lam / r_0
     Q_ch = 1 + CHANNEL_SLIP_SLOPE * K_ch
@@ -325,14 +339,16 @@ def damping_border_coupled(geom: PlateGeometry, gas: GasProperties, R_p: float) 
     h, mu = geom.h, gas.mu
     K_ch = gas.lam / h
     edge = 1.3 * (1 + 3.3 * K_ch) * h
-    a, b = sorted((geom.W + edge, geom.L + edge))
-    g = math.pi**6 * h**3 * (1 + CHANNEL_SLIP_SLOPE * K_ch) / (768 * mu * a * b)
-    inv_r = math.pi**4 / (64 * geom.M * geom.N * R_p)
+    a, b = geom.W + edge, geom.L + edge
+    if a > b:
+        a, b = b, a
+    g = _PI6 * h**3 * (1 + CHANNEL_SLIP_SLOPE * K_ch) / (768 * mu * a * b)
+    inv_r = _PI4 / (64 * geom.M * geom.N * R_p)
     d2 = a**2 * inv_r / g
 
     # (pi^2/8) sum_m 1/(m^2 alpha_m) = (pi^2/8)^2 r (1 - tanh(y)/y) with y = pi*d/2;
     # the bracket cancels as d -> 0 (sealed holes), which _edge_leak_bracket handles
-    exact = (math.pi**2 / 8) ** 2 / inv_r * _edge_leak_bracket(2 / (math.pi * math.sqrt(d2)))
+    exact = _PI2_8_SQ / inv_r * _edge_leak_bracket(2 / (math.pi * math.sqrt(d2)))
 
     # sum_m pi*tanh(pi c_m/2)/(4 c_m m^2 alpha_m) = C sum_m tanh(pi c_m/2) f(m)
     # with c_m = (b/a) sqrt(m^2 + d^2), d^2 = a^2/(g r) and C = pi a^3/(4 b g)
@@ -344,22 +360,22 @@ def damping_border_coupled(geom: PlateGeometry, gas: GasProperties, R_p: float) 
     for m2 in odd_squares:
         q = m2 + d2
         rq = sqrt(q)
-        if k * rq >= _TANH_ONE:
+        krq = k * rq
+        if krq >= _TANH_ONE:
             explicit += 1.0 / (m2 * q * rq)
             break
-        explicit += math.tanh(k * rq) / (m2 * q * rq)
+        explicit += math.tanh(krq) / (m2 * q * rq)
     for m2 in odd_squares:
         q = m2 + d2
         rq = sqrt(q)
         explicit += 1.0 / (m2 * q * rq)
-    x0 = 2 * BORDER_TERMS + 1
-    s = math.sqrt(x0 * x0 + d2)
-    f0 = 1 / (x0 * x0 * s**3)
-    tail = 0.5 / (x0 * s * (s + x0) ** 2) + f0 / 2 + f0 * (2 / x0 + 3 * x0 / s**2) / 6
+    s = sqrt(_X0SQ + d2)
+    f0 = 1 / (_X0SQ * s**3)
+    tail = 0.5 / (_X0 * s * (s + _X0) ** 2) + f0 / 2 + f0 * (2 / _X0 + 3 * _X0 / s**2) / 6
     c = exact - math.pi * a**3 / (4 * b * g) * (explicit + tail)
     if not math.isfinite(c) or c <= 0:
         raise ModelDomainError("border-coupled series produced a non-physical damping coefficient")
-    return ModelResult(model="border", c=c, series_terms=BORDER_TERMS)
+    return ModelResult("border", c, None, BORDER_TERMS)
 
 
 def damping_m3(geom: PlateGeometry, gas: GasProperties) -> ModelResult:
@@ -369,8 +385,7 @@ def damping_m3(geom: PlateGeometry, gas: GasProperties) -> ModelResult:
         res = damping_border_coupled(geom, gas, br.R_p)
     except ArithmeticError as exc:
         raise _out_of_range("M3", exc) from exc
-    return ModelResult(model="m3", c=res.c, breakdown=br,
-                       series_terms=res.series_terms, converged=res.converged)
+    return ModelResult("m3", res.c, br, res.series_terms, res.converged)
 
 
 def damping_m4(geom: PlateGeometry, gas: GasProperties) -> ModelResult:
@@ -380,8 +395,7 @@ def damping_m4(geom: PlateGeometry, gas: GasProperties) -> ModelResult:
         res = damping_border_coupled(geom, gas, br.R_p)
     except ArithmeticError as exc:
         raise _out_of_range("M4", exc) from exc
-    return ModelResult(model="m4", c=res.c, breakdown=br,
-                       series_terms=res.series_terms, converged=res.converged)
+    return ModelResult("m4", res.c, br, res.series_terms, res.converged)
 
 
 def _cell_only_c(geom: PlateGeometry, br: CellResistanceBreakdown) -> float:
@@ -397,7 +411,7 @@ def damping_m5(geom: PlateGeometry, gas: GasProperties) -> ModelResult:
         br = cell_resistance_circular(geom, gas)
     except ArithmeticError as exc:
         raise _out_of_range("M5", exc) from exc
-    return ModelResult(model="m5", c=_cell_only_c(geom, br), breakdown=br)
+    return ModelResult("m5", _cell_only_c(geom, br), br)
 
 
 def damping_m6(geom: PlateGeometry, gas: GasProperties) -> ModelResult:
@@ -406,7 +420,7 @@ def damping_m6(geom: PlateGeometry, gas: GasProperties) -> ModelResult:
         br = cell_resistance_square(geom, gas)
     except ArithmeticError as exc:
         raise _out_of_range("M6", exc) from exc
-    return ModelResult(model="m6", c=_cell_only_c(geom, br), breakdown=br)
+    return ModelResult("m6", _cell_only_c(geom, br), br)
 
 
 MODELS = {

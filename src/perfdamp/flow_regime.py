@@ -35,9 +35,12 @@ class GasProperties:
     lam: float = 65e-9       # mean free path, m
 
     def __post_init__(self):
-        for name in ("P_A", "rho", "mu", "lam"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be strictly positive and finite")
+        inf = math.inf
+        if not (0 < self.P_A < inf and 0 < self.rho < inf and 0 < self.mu < inf
+                and 0 < self.lam < inf):
+            for name in ("P_A", "rho", "mu", "lam"):
+                if not 0 < getattr(self, name) < inf:
+                    raise ValueError(f"{name} must be strictly positive and finite")
 
 
 class RegimeReport(NamedTuple):
@@ -93,19 +96,12 @@ def regime_report(geom: PlateGeometry, gas: GasProperties, f: float) -> RegimeRe
     if f <= 0:
         raise ValueError("frequency must be positive")
     omega = 2.0 * math.pi * f
-    K_ch = knudsen(gas.lam, geom.h)
-    K_hole = knudsen(gas.lam, geom.s0)
-    sigma_plate = squeeze_number(gas.mu, min(geom.L, geom.W), omega, gas.P_A, geom.h)
-    sigma_cell = squeeze_number(gas.mu, geom.s1, omega, gas.P_A, geom.h)
-    Re = reynolds_number(gas.rho, geom.s0 / 2.0, omega, gas.mu)
-    return RegimeReport(
-        K_ch=K_ch,
-        K_hole=K_hole,
-        sigma_plate=sigma_plate,
-        sigma_cell=sigma_cell,
-        Re=Re,
-        rarefaction_gap_pct=100.0 * CHANNEL_SLIP_SLOPE * K_ch,
-        rarefaction_hole_pct=100.0 * SQUARE_SLIP_SLOPE * K_hole,
-        compressible=sigma_cell >= SIGMA_THRESHOLD,
-        inertial=Re >= RE_THRESHOLD,
-    )
+    lam, mu, P_A, h, s0 = gas.lam, gas.mu, gas.P_A, geom.h, geom.s0
+    K_ch = knudsen(lam, h)
+    K_hole = knudsen(lam, s0)
+    sigma_plate = squeeze_number(mu, min(geom.L, geom.W), omega, P_A, h)
+    sigma_cell = squeeze_number(mu, geom.s1, omega, P_A, h)
+    Re = reynolds_number(gas.rho, s0 / 2.0, omega, mu)
+    return RegimeReport(K_ch, K_hole, sigma_plate, sigma_cell, Re,
+                        100.0 * CHANNEL_SLIP_SLOPE * K_ch, 100.0 * SQUARE_SLIP_SLOPE * K_hole,
+                        sigma_cell >= SIGMA_THRESHOLD, Re >= RE_THRESHOLD)

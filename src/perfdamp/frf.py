@@ -79,16 +79,26 @@ def _check_m_eff(m_eff: float) -> None:
 
 def synth_frf(m_eff: float, c: float, k: float, F0: float, freqs: np.ndarray) -> FrfCurve:
     """Amplitude response of a driven damped resonator:
-    A(w) = F0 / sqrt((k - m*w^2)^2 + (c*w)^2)."""
+    A(w) = F0 / sqrt((k - m*w^2)^2 + (c*w)^2).
+
+    Finite parameters whose response leaves the float range (an amplitude
+    that overflows or underflows to 0, or is infinite) raise ValueError."""
     _check_m_eff(m_eff)
     for name, value in (("k (stiffness)", k), ("F0 (drive force)", F0)):
         if not 0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {value}")
     if not 0 <= c < math.inf:
         raise ValueError(f"c (damping) must be non-negative and finite, got {c}")
-    w = 2 * np.pi * np.asarray(freqs, dtype=float)
-    amps = F0 / np.sqrt((k - m_eff * w**2) ** 2 + (c * w) ** 2)
-    return FrfCurve(freqs=np.asarray(freqs, dtype=float), amps=amps)
+    freqs = np.asarray(freqs, dtype=float)
+    w = 2 * np.pi * freqs
+    with np.errstate(over="ignore", divide="ignore"):
+        amps = F0 / np.sqrt((k - m_eff * w**2) ** 2 + (c * w) ** 2)
+    curve = FrfCurve(freqs=freqs, amps=amps)
+    if not amps.min() > 0:
+        i = int(amps.argmin())
+        raise ValueError(f"response at {freqs[i]} Hz is out of floating-point range "
+                         f"(amplitude {amps[i]})")
+    return curve
 
 
 def read_curve(path) -> FrfCurve:

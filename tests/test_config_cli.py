@@ -232,6 +232,19 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert name in err
 
+    def test_frf_synth_response_out_of_float_range_exit1(self):
+        # finite options whose response overflows: one error line, no numpy warning
+        src = str(Path(cli.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "perfdamp.cli", "frf", "synth", "--meff", "1e-300",
+             "--damping", "2e-5", "--stiffness", "1e300", "--start", "190kHz",
+             "--stop", "210kHz", "--points", "9"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "out of floating-point range" in proc.stderr
+
     def test_frf_extract_flat_curve_exit3(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
         path.write_text("freq_hz,amp_m\n" +

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -64,6 +65,24 @@ class TestSynth:
 
     def test_zero_damping_allowed(self):
         assert synth_frf(1e-9, 0.0, 1.6, 1e-6, np.linspace(5e3, 6e3, 9)).amps[0] > 0
+
+    @pytest.mark.parametrize("m_eff, k, F0", [
+        (1e-300, 1e300, 1e-6),  # (k - m*w^2)^2 overflows
+        (1e-9, 1e150, 1e-300),  # F0/sqrt(...) ~ 1e-450 underflows to 0
+    ], ids=["overflow", "underflow"])
+    def test_rejects_response_out_of_float_range(self, m_eff, k, F0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="out of floating-point range"):
+                synth_frf(m_eff, 2e-5, k, F0, np.linspace(190e3, 210e3, 9))
+
+    def test_rejects_infinite_amplitude_at_undamped_resonance(self):
+        freqs = np.linspace(5e3, 8e3, 9)
+        w = 2 * np.pi * freqs[3]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"amps\[3\] is not finite"):
+                synth_frf(1.0, 0.0, float(w**2), 1e-6, freqs)
 
 
 class TestCurveValidation:

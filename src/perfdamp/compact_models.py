@@ -10,10 +10,13 @@ estimate completes the set.
 
 All functions are pure. They take the validated inputs, PlateGeometry and
 GasProperties (frozen dataclasses), and return their results as immutable
-NamedTuples (ModelResult, CellResistanceBreakdown), which are cheaper to
-build. The M2 shape series and the M3/M4 border double series are evaluated
-in closed form plus a number of explicit terms fixed before summing, which
-each result reports as `series_terms`.
+NamedTuples (ModelResult, CellResistanceBreakdown). The functions here build
+each record positionally with `tuple.__new__(Cls, (...))`, every field
+written out, defaults included, which skips the Python-level `__new__` that
+NamedTuple generates; the keyword constructors stay the public way to build
+a record, and build an equal one. The M2 shape series and the M3/M4 border
+double series are evaluated in closed form plus a number of explicit terms
+fixed before summing, which each result reports as `series_terms`.
 
 Each model runs in two stages. The per-plate stage, `derive_geometry`, runs
 once when a PlateGeometry is built and stores every gas-independent factor
@@ -84,6 +87,11 @@ _6PI = 6 * math.pi
 _8PI = 8 * math.pi
 _DELTA_E0 = 0.944 * 3 * math.pi
 
+# Builds a record from the tuple of all its field values in order, without
+# the Python-level __new__ of a NamedTuple class (which only fills in
+# defaults): _new(ModelResult, ("m1", c, None, 0, True)).
+_new = tuple.__new__
+
 
 class ModelDomainError(ValueError):
     """The model's formulas are invalid for the given geometry."""
@@ -121,10 +129,10 @@ class CellResistanceBreakdown(NamedTuple):
 
     def percentages(self) -> tuple[float, float, float, float, float, float]:
         """Relative contributions of the six components to R_p, in percent."""
-        S, IS, IB, IC, C, E = self.scaled_components()
-        R_p = self.R_p
+        S, IS, IB, IC, C, E, scale, R_p = self
         return (100.0 * S / R_p, 100.0 * IS / R_p, 100.0 * IB / R_p,
-                100.0 * IC / R_p, 100.0 * C / R_p, 100.0 * E / R_p)
+                100.0 * (scale * IC) / R_p, 100.0 * (scale * C) / R_p,
+                100.0 * (scale * E) / R_p)
 
 
 class ModelResult(NamedTuple):
@@ -195,7 +203,7 @@ def damping_m1(geom: PlateGeometry, gas: GasProperties, slip_correct: bool = Fal
         raise ModelDomainError("M1 produced a non-physical damping coefficient")
     if slip_correct:
         c /= 1 + CHANNEL_SLIP_SLOPE * gas.lam / geom.h
-    return ModelResult("m1", c)
+    return _new(ModelResult, ("m1", c, None, 0, True))
 
 
 def damping_m2(geom: PlateGeometry, gas: GasProperties, slip_correct: bool = False) -> ModelResult:
@@ -243,7 +251,7 @@ def damping_m2(geom: PlateGeometry, gas: GasProperties, slip_correct: bool = Fal
         raise ModelDomainError("M2 produced a non-positive damping coefficient")
     if slip_correct:
         c /= 1 + CHANNEL_SLIP_SLOPE * gas.lam / geom.h
-    return ModelResult("m2", c, None, len(odd))
+    return _new(ModelResult, ("m2", c, None, len(odd), True))
 
 
 def cell_resistance_circular(geom: PlateGeometry, gas: GasProperties) -> CellResistanceBreakdown:
@@ -286,7 +294,7 @@ def cell_resistance_circular(geom: PlateGeometry, gas: GasProperties) -> CellRes
     R_E = mu8pi * delta_E * r_0
 
     R_p = R_S + R_IS + R_IB + scale * (R_IC + R_C + R_E)
-    return CellResistanceBreakdown(R_S, R_IS, R_IB, R_IC, R_C, R_E, scale, R_p)
+    return _new(CellResistanceBreakdown, (R_S, R_IS, R_IB, R_IC, R_C, R_E, scale, R_p))
 
 
 def cell_resistance_square(geom: PlateGeometry, gas: GasProperties) -> CellResistanceBreakdown:
@@ -321,7 +329,7 @@ def cell_resistance_square(geom: PlateGeometry, gas: GasProperties) -> CellResis
     R_E = 28.454 * mu * delta_E * s_0
 
     R_p = R_S + R_IS + R_IB + scale * (R_IC + R_C + R_E)
-    return CellResistanceBreakdown(R_S, R_IS, R_IB, R_IC, R_C, R_E, scale, R_p)
+    return _new(CellResistanceBreakdown, (R_S, R_IS, R_IB, R_IC, R_C, R_E, scale, R_p))
 
 
 def damping_border_coupled(geom: PlateGeometry, gas: GasProperties, R_p: float) -> ModelResult:
@@ -367,15 +375,14 @@ def damping_border_coupled(geom: PlateGeometry, gas: GasProperties, R_p: float) 
         explicit += math.tanh(krq) / (m2 * q * rq)
     for m2 in odd_squares:
         q = m2 + d2
-        rq = sqrt(q)
-        explicit += 1.0 / (m2 * q * rq)
+        explicit += 1.0 / (m2 * q * sqrt(q))
     s = sqrt(_X0SQ + d2)
     f0 = 1 / (_X0SQ * s**3)
     tail = 0.5 / (_X0 * s * (s + _X0) ** 2) + f0 / 2 + f0 * (2 / _X0 + 3 * _X0 / s**2) / 6
     c = exact - math.pi * a**3 / (4 * b * g) * (explicit + tail)
     if not math.isfinite(c) or c <= 0:
         raise ModelDomainError("border-coupled series produced a non-physical damping coefficient")
-    return ModelResult("border", c, None, BORDER_TERMS)
+    return _new(ModelResult, ("border", c, None, BORDER_TERMS, True))
 
 
 def damping_m3(geom: PlateGeometry, gas: GasProperties) -> ModelResult:
@@ -385,7 +392,7 @@ def damping_m3(geom: PlateGeometry, gas: GasProperties) -> ModelResult:
         res = damping_border_coupled(geom, gas, br.R_p)
     except ArithmeticError as exc:
         raise _out_of_range("M3", exc) from exc
-    return ModelResult("m3", res.c, br, res.series_terms, res.converged)
+    return _new(ModelResult, ("m3", res.c, br, res.series_terms, res.converged))
 
 
 def damping_m4(geom: PlateGeometry, gas: GasProperties) -> ModelResult:
@@ -395,7 +402,7 @@ def damping_m4(geom: PlateGeometry, gas: GasProperties) -> ModelResult:
         res = damping_border_coupled(geom, gas, br.R_p)
     except ArithmeticError as exc:
         raise _out_of_range("M4", exc) from exc
-    return ModelResult("m4", res.c, br, res.series_terms, res.converged)
+    return _new(ModelResult, ("m4", res.c, br, res.series_terms, res.converged))
 
 
 def _cell_only_c(geom: PlateGeometry, br: CellResistanceBreakdown) -> float:
@@ -411,7 +418,7 @@ def damping_m5(geom: PlateGeometry, gas: GasProperties) -> ModelResult:
         br = cell_resistance_circular(geom, gas)
     except ArithmeticError as exc:
         raise _out_of_range("M5", exc) from exc
-    return ModelResult("m5", _cell_only_c(geom, br), br)
+    return _new(ModelResult, ("m5", _cell_only_c(geom, br), br, 0, True))
 
 
 def damping_m6(geom: PlateGeometry, gas: GasProperties) -> ModelResult:
@@ -420,7 +427,7 @@ def damping_m6(geom: PlateGeometry, gas: GasProperties) -> ModelResult:
         br = cell_resistance_square(geom, gas)
     except ArithmeticError as exc:
         raise _out_of_range("M6", exc) from exc
-    return ModelResult("m6", _cell_only_c(geom, br), br)
+    return _new(ModelResult, ("m6", _cell_only_c(geom, br), br, 0, True))
 
 
 MODELS = {

@@ -24,6 +24,10 @@ CHANNEL_SLIP_SLOPE = 6.0
 TUBE_SLIP_SLOPE = 4.0
 SQUARE_SLIP_SLOPE = 7.567
 
+# Builds a record from the tuple of all its field values in order, without
+# the Python-level __new__ of a NamedTuple class.
+_new = tuple.__new__
+
 
 @dataclass(frozen=True)
 class GasProperties:
@@ -91,17 +95,22 @@ def regime_report(geom: PlateGeometry, gas: GasProperties, f: float) -> RegimeRe
 
     Conventions: the plate squeeze number uses the smaller of L and W, the
     cell squeeze number uses the wall width s1, and the channel Reynolds
-    number uses r = s0/2.
+    number uses r = s0/2. The body is that of `knudsen`, `squeeze_number`
+    and `reynolds_number`, written out in their operation order; the plate
+    and gas are validated, so the length checks of `knudsen` cannot fail.
     """
-    if f <= 0:
-        raise ValueError("frequency must be positive")
+    if not 0 < f < math.inf:
+        raise ValueError("frequency must be positive and finite")
     omega = 2.0 * math.pi * f
-    lam, mu, P_A, h, s0 = gas.lam, gas.mu, gas.P_A, geom.h, geom.s0
-    K_ch = knudsen(lam, h)
-    K_hole = knudsen(lam, s0)
-    sigma_plate = squeeze_number(mu, min(geom.L, geom.W), omega, P_A, h)
-    sigma_cell = squeeze_number(mu, geom.s1, omega, P_A, h)
-    Re = reynolds_number(gas.rho, s0 / 2.0, omega, mu)
-    return RegimeReport(K_ch, K_hole, sigma_plate, sigma_cell, Re,
-                        100.0 * CHANNEL_SLIP_SLOPE * K_ch, 100.0 * SQUARE_SLIP_SLOPE * K_hole,
-                        sigma_cell >= SIGMA_THRESHOLD, Re >= RE_THRESHOLD)
+    lam, mu, h, s0 = gas.lam, gas.mu, geom.h, geom.s0
+    K_ch = lam / h
+    K_hole = lam / s0
+    mu12 = 12.0 * mu
+    P_Ah2 = gas.P_A * h**2
+    sigma_plate = mu12 * min(geom.L, geom.W) ** 2 * omega / P_Ah2
+    sigma_cell = mu12 * geom.s1**2 * omega / P_Ah2
+    Re = gas.rho * (s0 / 2.0) ** 2 * omega / mu
+    return _new(RegimeReport, (
+        K_ch, K_hole, sigma_plate, sigma_cell, Re,
+        100.0 * CHANNEL_SLIP_SLOPE * K_ch, 100.0 * SQUARE_SLIP_SLOPE * K_hole,
+        sigma_cell >= SIGMA_THRESHOLD, Re >= RE_THRESHOLD))

@@ -1,8 +1,10 @@
 import csv
+import math
 from pathlib import Path
 
 import pytest
 
+from perfdamp import compact_models as cm
 from perfdamp import comparison as cmp
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -53,6 +55,30 @@ class TestRelativeError:
     def test_zero_model(self):
         assert cmp.relative_error(0.0, 1.0) == -100.0
 
+    @pytest.mark.parametrize("c_m", [math.nan, math.inf, -math.inf, 0.0, -1.0],
+                             ids=["nan", "inf", "-inf", "zero", "negative"])
+    def test_refuses_measured_outside_positive_finite(self, c_m):
+        with pytest.raises(ValueError, match="measured damping"):
+            cmp.relative_error(1.0, c_m)
+
+
+class TestMeasuredRecord:
+    @pytest.mark.parametrize("field", ["c_m", "f0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0],
+                             ids=["nan", "inf", "-inf", "zero", "negative"])
+    def test_refuses_measurement_outside_positive_finite(self, dataset, field, value):
+        rec = dataset["A"]
+        kwargs = {"id": "X", "geom": rec.geom, "c_m": rec.c_m, "f0": rec.f0, "alpha": rec.alpha}
+        kwargs[field] = value
+        with pytest.raises(ValueError, match="c_m and f0"):
+            cmp.MeasuredRecord(**kwargs)
+
+    @pytest.mark.parametrize("alpha", [math.nan, 0.0, 1.5])
+    def test_refuses_mass_ratio_outside_unit_interval(self, dataset, alpha):
+        rec = dataset["A"]
+        with pytest.raises(ValueError, match="mass ratio"):
+            cmp.MeasuredRecord("X", rec.geom, rec.c_m, rec.f0, alpha)
+
 
 class TestTableReproduction:
     def test_table3_matches_golden(self, gas):
@@ -95,3 +121,26 @@ class TestTableReproduction:
         pub = {"A": (1.0, 2.0)}
         assert cmp.within_tolerance({"A": (1.5, 2.5)}, pub, 1.0)
         assert not cmp.within_tolerance({"A": (1.5, 3.5)}, pub, 1.0)
+
+    def test_within_tolerance_nan_cell_is_a_breach(self):
+        pub = {"A": (1.0, 2.0), "B": (3.0,)}
+        assert not cmp.within_tolerance({"A": (1.0, math.nan), "B": (3.0,)}, pub, 1.0)
+        assert not cmp.within_tolerance({"A": (1.0, 2.0), "B": (math.nan,)}, pub, 1.0)
+
+    def test_within_tolerance_cell_at_the_edge_passes(self):
+        pub = {"A": (1.0, -2.0)}
+        assert cmp.within_tolerance({"A": (1.5, -2.5)}, pub, 0.5)
+        assert not cmp.within_tolerance({"A": (1.5, -2.5)}, pub, 0.4999999)
+
+    def test_within_tolerance_missing_device_raises(self):
+        with pytest.raises(KeyError, match="B"):
+            cmp.within_tolerance({"A": (1.0,)}, {"A": (1.0,), "B": (2.0,)}, 1.0)
+
+    def test_model_domain_error_names_device_and_model(self, gas, monkeypatch):
+        def refuse(geom, gas):
+            raise cm.ModelDomainError("M2 refused")
+
+        monkeypatch.setitem(cm.MODELS, "m2", refuse)
+        with pytest.raises(cm.ModelDomainError, match=r"^device A, model m2: M2 refused$") as info:
+            cmp.reproduce_table3(gas)
+        assert type(info.value.__cause__) is cm.ModelDomainError

@@ -93,3 +93,9 @@ class TestRegimeReport:
             rep = regime_report(rec.geom, gas, rec.f0)
             assert not rep.compressible
             assert not rep.inertial
+
+    @pytest.mark.parametrize("f", [math.nan, math.inf, -math.inf, 0.0, -1.0],
+                             ids=["nan", "inf", "-inf", "zero", "negative"])
+    def test_refuses_frequency_outside_positive_finite(self, dataset, gas, f):
+        with pytest.raises(ValueError, match="frequency"):
+            regime_report(dataset["A"].geom, gas, f)

@@ -3,9 +3,12 @@
 import pytest
 
 from perfdamp import compact_models as cm
-from perfdamp.flow_regime import RegimeReport, regime_report
+from perfdamp.comparison import builtin_dataset
+from perfdamp.flow_regime import GasProperties, RegimeReport, regime_report
 from perfdamp.frf import ExtractionResult, extract, synth_frf
 from perfdamp.geometry import CircularCellFactors, DerivedGeometry, SquareCellFactors
+
+from test_models_golden import design_points
 
 FIELDS = {
     cm.ModelResult: ("model", "c", "breakdown", "series_terms", "converged"),
@@ -65,3 +68,41 @@ def test_regime_to_dict_is_the_plain_field_dict(records):
     assert type(d) is dict
     assert list(d) == list(FIELDS[RegimeReport])
     assert d == {name: getattr(rep, name) for name in FIELDS[RegimeReport]}
+
+
+def _gas_stage_records(geom, gas, f):
+    """Every record the gas stage returns for one plate and gas, with its class."""
+    out = []
+    for fn in cm.MODELS.values():
+        res = fn(geom, gas)
+        out.append((cm.ModelResult, res))
+        if res.breakdown is not None:
+            out.append((cm.CellResistanceBreakdown, res.breakdown))
+    for fn in (cm.cell_resistance_circular, cm.cell_resistance_square):
+        br = fn(geom, gas)
+        out.append((cm.CellResistanceBreakdown, br))
+        out.append((cm.ModelResult, cm.damping_border_coupled(geom, gas, br.R_p)))
+    out.append((cm.ModelResult, cm.damping_m1(geom, gas, slip_correct=True)))
+    out.append((cm.ModelResult, cm.damping_m2(geom, gas, slip_correct=True)))
+    out.append((RegimeReport, regime_report(geom, gas, f)))
+    return out
+
+
+def _plates():
+    """Devices A-F at f0, and every 30th golden design point."""
+    points = [(rec.id, rec.geom, GasProperties(), rec.f0) for rec in builtin_dataset()]
+    for i, (dev, geom, gas) in enumerate(design_points()):
+        if i % 30 == 0:
+            points.append((f"{dev}{i}", geom, gas, 150e3 + 1e3 * i))
+    return points
+
+
+@pytest.mark.parametrize("plate", _plates(), ids=lambda p: p[0])
+def test_gas_stage_records_are_whole_instances(plate):
+    """Records built positionally are instances of their class with every
+    field set, equal to the same record built by keyword."""
+    _, geom, gas, f = plate
+    for cls, rec in _gas_stage_records(geom, gas, f):
+        assert type(rec) is cls
+        assert len(rec) == len(cls._fields)
+        assert rec == cls(**rec._asdict())

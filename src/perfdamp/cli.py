@@ -83,11 +83,7 @@ def _cmd_damp(args) -> int:
     rows = []
     breakdowns = []
     for model in models:
-        fn = cm.MODELS[model]
-        if model in ("m1", "m2"):
-            res = fn(geom, gas, slip_correct=args.slip_correct)
-        else:
-            res = fn(geom, gas)
+        res = cm.MODELS[model](geom, gas)
         rows.append([device, model, res.c, res.series_terms, res.converged])
         if args.breakdown and res.breakdown is not None:
             breakdowns.append((model, res.breakdown))
@@ -221,8 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--device", required=True)
     p.add_argument("--model", default="all", choices=[*cm.MODELS, "all"])
     p.add_argument("--breakdown", action="store_true")
-    p.add_argument("--slip-correct", action="store_true",
-                   help="apply the gap slip correction to M1/M2")
     p.set_defaults(fn=_cmd_damp)
 
     p = sub.add_parser("compare", parents=[gas], help="reproduce the measured-vs-modeled tables")

@@ -1,12 +1,12 @@
 """Compact squeeze-film damping models for perforated rectangular plates.
 
-Six models are provided. M1 (long narrow plate) and M2 (arbitrary rectangle)
-are continuum models built on an attenuation-length solution of the modified
-Reynolds equation. M3 (circular perforation cell) and M4 (square perforation
-cell) couple a per-cell flow resistance into a double-series border-flow
-solution with slip-flow corrections. M5 and M6 are the cell-only variants
-(closed-borders flow pattern): c = M*N*R_p. A rough supporting-beam drag
-estimate completes the set.
+Six models (MODELS) are provided, all functions of (geom, gas). M1 (long
+narrow plate) and M2 (arbitrary rectangle) are the continuum models as
+published, built on an attenuation-length solution of the modified Reynolds
+equation. M3-M6 share one path, `_cell_model`: the slip-corrected resistance
+R_p of one perforation cell, circular (M3, M5) or square (M4, M6), feeds a
+double-series border-flow solution (M3, M4) or the cell-only, closed-borders
+c = M*N*R_p (M5, M6). A rough supporting-beam drag estimate completes the set.
 
 All functions are pure. They take the validated inputs, PlateGeometry and
 GasProperties (frozen dataclasses), and return their results as immutable
@@ -26,14 +26,14 @@ the gas stage: they read those factors and do only the arithmetic that
 involves the gas (and, in M2 and the border series, the series themselves),
 with the constant powers of pi taken from module constants; M3/M4 return the
 border series' record with their cell breakdown. Each docstring states the
-model's full formula. A floating-point overflow or division by zero inside
-M1-M6 is raised as ModelDomainError.
+model's full formula. M1-M6 raise ModelDomainError on a floating-point
+overflow or division by zero, and on a c that is not finite and positive.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from perfdamp.geometry import PlateGeometry, BeamGeometry
 from perfdamp.flow_regime import (
@@ -150,6 +150,13 @@ def _out_of_range(label: str, exc: ArithmeticError) -> ModelDomainError:
                             f"({type(exc).__name__}: {exc})")
 
 
+def _checked(label: str, c: float) -> float:
+    """c itself, if it is a physical damping coefficient: finite and positive."""
+    if not math.isfinite(c) or c <= 0:
+        raise ModelDomainError(f"{label} produced a non-physical damping coefficient")
+    return c
+
+
 def _edge_leak_bracket(t: float) -> float:
     """1 - t*tanh(1/t), the border-leakage attenuation of the plate response.
 
@@ -178,7 +185,7 @@ def _shape_bracket(al: float) -> float:
     return 1.5 * _edge_leak_bracket(al) - 0.5 * t * t
 
 
-def damping_m1(geom: PlateGeometry, gas: GasProperties, slip_correct: bool = False) -> ModelResult:
+def damping_m1(geom: PlateGeometry, gas: GasProperties) -> ModelResult:
     """Model M1: continuum compact model for a plate much longer than wide.
 
     c = 2*a*L * 8*mu*H_eff/(beta^2*r_0^2) * eta * (1 - (l/a)*tanh(a/l)) with
@@ -199,14 +206,10 @@ def damping_m1(geom: PlateGeometry, gas: GasProperties, slip_correct: bool = Fal
         )
     except ArithmeticError as exc:
         raise _out_of_range("M1", exc) from exc
-    if not math.isfinite(c) or c <= 0:
-        raise ModelDomainError("M1 produced a non-physical damping coefficient")
-    if slip_correct:
-        c /= 1 + CHANNEL_SLIP_SLOPE * gas.lam / geom.h
-    return _new(ModelResult, ("m1", c, None, 0, True))
+    return _new(ModelResult, ("m1", _checked("M1", c), None, 0, True))
 
 
-def damping_m2(geom: PlateGeometry, gas: GasProperties, slip_correct: bool = False) -> ModelResult:
+def damping_m2(geom: PlateGeometry, gas: GasProperties) -> ModelResult:
     """Model M2: continuum compact model for an arbitrary rectangular plate.
 
     c = gamma * mu * (2a)^3 * (2b) / h^3 with a = min(W, L)/2, b = max(W, L)/2,
@@ -221,8 +224,6 @@ def damping_m2(geom: PlateGeometry, gas: GasProperties, slip_correct: bool = Fal
     the series is the closed form of the series with tanh = 1, less at most
     about 6 terms 1 - tanh(x_n) that are not negligible; `series_terms`
     counts those.
-    A non-positive damping raises, since that would indicate a
-    sign-convention misreading rather than physics.
     """
     a, b = geom.W / 2, geom.L / 2
     if a > b:
@@ -247,11 +248,7 @@ def damping_m2(geom: PlateGeometry, gas: GasProperties, slip_correct: bool = Fal
         c = gamma * gas.mu * (2 * a) ** 3 * (2 * b) / geom.h**3
     except ArithmeticError as exc:
         raise _out_of_range("M2", exc) from exc
-    if not math.isfinite(c) or c <= 0:
-        raise ModelDomainError("M2 produced a non-positive damping coefficient")
-    if slip_correct:
-        c /= 1 + CHANNEL_SLIP_SLOPE * gas.lam / geom.h
-    return _new(ModelResult, ("m2", c, None, len(odd), True))
+    return _new(ModelResult, ("m2", _checked("M2", c), None, len(odd), True))
 
 
 def cell_resistance_circular(geom: PlateGeometry, gas: GasProperties) -> CellResistanceBreakdown:
@@ -380,54 +377,43 @@ def damping_border_coupled(geom: PlateGeometry, gas: GasProperties, R_p: float) 
     f0 = 1 / (_X0SQ * s**3)
     tail = 0.5 / (_X0 * s * (s + _X0) ** 2) + f0 / 2 + f0 * (2 / _X0 + 3 * _X0 / s**2) / 6
     c = exact - math.pi * a**3 / (4 * b * g) * (explicit + tail)
-    if not math.isfinite(c) or c <= 0:
-        raise ModelDomainError("border-coupled series produced a non-physical damping coefficient")
+    c = _checked("border-coupled series", c)
     return _new(ModelResult, ("border", c, None, BORDER_TERMS, True))
+
+
+def _cell_model(model: str, cell: Callable[..., CellResistanceBreakdown], geom: PlateGeometry,
+                gas: GasProperties, border: bool) -> ModelResult:
+    """M3-M6: the resistance R_p of one cell, fed to the border series
+    (border=True, M3/M4) or scaled to the plate, c = M*N*R_p (M5/M6)."""
+    try:
+        br = cell(geom, gas)
+        if border:
+            res = damping_border_coupled(geom, gas, br.R_p)
+            return _new(ModelResult, (model, res.c, br, res.series_terms, res.converged))
+        c = geom.M * geom.N * br.R_p
+    except ArithmeticError as exc:
+        raise _out_of_range(model.upper(), exc) from exc
+    return _new(ModelResult, (model, _checked(model.upper(), c), br, 0, True))
 
 
 def damping_m3(geom: PlateGeometry, gas: GasProperties) -> ModelResult:
     """Model M3: border-coupled series with the circular-cell resistance."""
-    try:
-        br = cell_resistance_circular(geom, gas)
-        res = damping_border_coupled(geom, gas, br.R_p)
-    except ArithmeticError as exc:
-        raise _out_of_range("M3", exc) from exc
-    return _new(ModelResult, ("m3", res.c, br, res.series_terms, res.converged))
+    return _cell_model("m3", cell_resistance_circular, geom, gas, True)
 
 
 def damping_m4(geom: PlateGeometry, gas: GasProperties) -> ModelResult:
     """Model M4: border-coupled series with the square-cell resistance."""
-    try:
-        br = cell_resistance_square(geom, gas)
-        res = damping_border_coupled(geom, gas, br.R_p)
-    except ArithmeticError as exc:
-        raise _out_of_range("M4", exc) from exc
-    return _new(ModelResult, ("m4", res.c, br, res.series_terms, res.converged))
-
-
-def _cell_only_c(geom: PlateGeometry, br: CellResistanceBreakdown) -> float:
-    c = geom.M * geom.N * br.R_p
-    if not math.isfinite(c) or c <= 0:
-        raise ModelDomainError("cell-only model produced a non-physical damping coefficient")
-    return c
+    return _cell_model("m4", cell_resistance_square, geom, gas, True)
 
 
 def damping_m5(geom: PlateGeometry, gas: GasProperties) -> ModelResult:
     """Model M5: closed-borders pattern, circular cells: c = M*N*R_p."""
-    try:
-        br = cell_resistance_circular(geom, gas)
-    except ArithmeticError as exc:
-        raise _out_of_range("M5", exc) from exc
-    return _new(ModelResult, ("m5", _cell_only_c(geom, br), br, 0, True))
+    return _cell_model("m5", cell_resistance_circular, geom, gas, False)
 
 
 def damping_m6(geom: PlateGeometry, gas: GasProperties) -> ModelResult:
     """Model M6: closed-borders pattern, square cells: c = M*N*R_p."""
-    try:
-        br = cell_resistance_square(geom, gas)
-    except ArithmeticError as exc:
-        raise _out_of_range("M6", exc) from exc
-    return _new(ModelResult, ("m6", _cell_only_c(geom, br), br, 0, True))
+    return _cell_model("m6", cell_resistance_square, geom, gas, False)
 
 
 MODELS = {
@@ -448,8 +434,8 @@ def beam_damping(beams: BeamGeometry, h: float, gas: GasProperties) -> float:
     without the slip divisor; both are negligible next to the plate damping).
     The leading beam count replaces the printed factor of 4.
     """
-    if h <= 0:
-        raise ValueError("air gap must be positive")
+    if not 0 < h < math.inf:
+        raise ValueError("air gap must be positive and finite")
     K_ch = gas.lam / h
     return (
         beams.count * beams.L_b * (beams.W_b + 1.3 * h) ** 3 * gas.mu

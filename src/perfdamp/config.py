@@ -61,12 +61,9 @@ def parse_frequency(text: str) -> float:
     return _parse_quantity(text, _FREQ_UNITS, "frequency")
 
 
-def _number(data: dict, field: str, scale: float = 1.0, required: bool = True,
-            default: float | None = None) -> float | None:
+def _number(data: dict, field: str, scale: float = 1.0) -> float:
     if field not in data:
-        if required:
-            raise ConfigError(f"missing field {field!r}")
-        return default
+        raise ConfigError(f"missing field {field!r}")
     value = data[field]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"field {field!r} must be a number, got {type(value).__name__}")
@@ -79,11 +76,9 @@ def _number(data: dict, field: str, scale: float = 1.0, required: bool = True,
     return scaled
 
 
-def _integer(data: dict, field: str, required: bool = True, default: int | None = None) -> int | None:
+def _integer(data: dict, field: str) -> int:
     if field not in data:
-        if required:
-            raise ConfigError(f"missing field {field!r}")
-        return default
+        raise ConfigError(f"missing field {field!r}")
     value = data[field]
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"field {field!r} must be an integer, got {type(value).__name__}")
@@ -112,11 +107,9 @@ def load_device(path: str | Path) -> tuple[PlateGeometry, MeasuredRecord | None]
         b = data["beams"]
         if not isinstance(b, dict):
             raise ConfigError("field 'beams' must be an object")
-        beams = BeamGeometry(
-            L_b=_number(b, "Lb_um", 1e-6),
-            W_b=_number(b, "Wb_um", 1e-6),
-            count=_integer(b, "count", required=False, default=4),
-        )
+        # an absent count is left to BeamGeometry's default
+        count = {"count": _integer(b, "count")} if "count" in b else {}
+        beams = BeamGeometry(L_b=_number(b, "Lb_um", 1e-6), W_b=_number(b, "Wb_um", 1e-6), **count)
     try:
         geom = PlateGeometry(
             L=_number(data, "L_um", 1e-6),
@@ -192,16 +185,17 @@ def dump_device(geom: PlateGeometry, measured: MeasuredRecord | None = None) -> 
     return data
 
 
+# gas-file field -> (GasProperties field, scale to SI)
+_GAS_FIELDS = {"P_A_kPa": ("P_A", 1e3), "rho_kg_m3": ("rho", 1.0),
+               "mu_Ns_m2": ("mu", 1.0), "lambda_nm": ("lam", 1e-9)}
+
+
 def load_gas(path: str | Path) -> GasProperties:
-    """Load a gas-properties file; missing fields fall back to standard air."""
+    """Load a gas-properties file; the fields it leaves out keep the
+    GasProperties defaults (standard air)."""
     data = _read_json(path)
-    default = GasProperties()
     try:
-        return GasProperties(
-            P_A=_number(data, "P_A_kPa", 1e3, required=False, default=default.P_A),
-            rho=_number(data, "rho_kg_m3", required=False, default=default.rho),
-            mu=_number(data, "mu_Ns_m2", required=False, default=default.mu),
-            lam=_number(data, "lambda_nm", 1e-9, required=False, default=default.lam),
-        )
+        return GasProperties(**{name: _number(data, field, scale)
+                                for field, (name, scale) in _GAS_FIELDS.items() if field in data})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -33,12 +33,6 @@ class TestM1:
         res = cm.damping_m1(geom, gas)
         assert res.c < 1e-6 * cm.damping_m1(dataset["A"].geom, gas).c
 
-    def test_slip_correction_divides_by_qch(self, dataset, gas):
-        geom = dataset["A"].geom
-        plain = cm.damping_m1(geom, gas).c
-        slip = cm.damping_m1(geom, gas, slip_correct=True).c
-        assert slip == pytest.approx(plain / (1 + 6 * gas.lam / geom.h), rel=1e-12, abs=0)
-
 
 class TestM2:
     def test_type_e(self, dataset, gas):
@@ -237,6 +231,34 @@ class TestCellOnlyModels:
             assert cm.damping_m4(rec.geom, gas).c <= cm.damping_m6(rec.geom, gas).c
 
 
+CELL_MODELS = [("m3", "cell_resistance_circular"), ("m4", "cell_resistance_square"),
+               ("m5", "cell_resistance_circular"), ("m6", "cell_resistance_square")]
+
+
+class TestCellModelErrors:
+    """M3-M6 look their cell function up in the module at call time, so a
+    patched one is what they run."""
+
+    @pytest.mark.parametrize("model, cell", CELL_MODELS)
+    def test_cell_overflow_names_model(self, monkeypatch, dataset, gas, model, cell):
+        def overflow(geom, gas):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(cm, cell, overflow)
+        with pytest.raises(cm.ModelDomainError, match=f"^{model.upper()} is out of "
+                           "floating-point range"):
+            cm.MODELS[model](dataset["A"].geom, gas)
+
+    @pytest.mark.parametrize("model, cell", CELL_MODELS[2:])
+    @pytest.mark.parametrize("R_p", [1e308, math.inf, math.nan])
+    def test_cell_only_non_finite_c(self, monkeypatch, dataset, gas, model, cell, R_p):
+        # M*N = 216 on device A, so R_p = 1e308 overflows c = M*N*R_p to inf
+        real = getattr(cm, cell)
+        monkeypatch.setattr(cm, cell, lambda geom, gas: real(geom, gas)._replace(R_p=R_p))
+        with pytest.raises(cm.ModelDomainError):
+            cm.MODELS[model](dataset["A"].geom, gas)
+
+
 class TestBeamDamping:
     BEAMS = BeamGeometry(L_b=122e-6, W_b=4e-6, count=4)
 
@@ -251,6 +273,11 @@ class TestBeamDamping:
 
     def test_no_beams(self, gas):
         assert cm.beam_damping(BeamGeometry(L_b=0.0, W_b=4e-6), 1.6e-6, gas) == 0.0
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_gap_outside_zero_to_inf_refused(self, gas, h):
+        with pytest.raises(ValueError, match="air gap must be positive and finite"):
+            cm.beam_damping(self.BEAMS, h, gas)
 
     def test_count_scales_linearly(self, gas):
         two = BeamGeometry(L_b=122e-6, W_b=4e-6, count=2)

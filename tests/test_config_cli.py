@@ -10,7 +10,6 @@ import pytest
 
 import perfdamp
 from perfdamp import cli
-from perfdamp import compact_models as cm
 from perfdamp import comparison as cmp
 from perfdamp.config import (
     ConfigError,
@@ -20,6 +19,8 @@ from perfdamp.config import (
     parse_frequency,
     parse_length,
 )
+from perfdamp.flow_regime import GasProperties
+from perfdamp.geometry import BeamGeometry
 
 DEVICES = Path(__file__).parent.parent / "devices"
 
@@ -90,6 +91,16 @@ class TestLoadDevice:
         with pytest.raises(ConfigError, match=f"{field}.*finite"):
             load_device(_write(tmp_path, {**VALID, field: value}))
 
+    def test_beams_without_count_default_to_four(self, tmp_path):
+        geom, _ = load_device(_write(tmp_path, {**VALID, "beams": {"Lb_um": 122, "Wb_um": 4}}))
+        assert geom.beams == BeamGeometry(L_b=122e-6, W_b=4e-6)
+        assert geom.beams.count == 4
+
+    def test_beams_count_read_when_present(self, tmp_path):
+        beams = {"Lb_um": 122, "Wb_um": 4, "count": 2}
+        geom, _ = load_device(_write(tmp_path, {**VALID, "beams": beams}))
+        assert geom.beams.count == 2
+
     def test_round_trip(self, tmp_path, dataset):
         rec = dataset["B"]
         path = _write(tmp_path, dump_device(rec.geom, rec))
@@ -99,6 +110,18 @@ class TestLoadDevice:
 
 
 class TestLoadGas:
+    def test_empty_file_is_standard_air(self, tmp_path):
+        path = tmp_path / "gas.json"
+        path.write_text("{}")
+        assert load_gas(path) == GasProperties()
+
+    def test_every_field_read_and_scaled(self, tmp_path):
+        path = tmp_path / "gas.json"
+        path.write_text(json.dumps({"P_A_kPa": 50.0, "rho_kg_m3": 0.6, "mu_Ns_m2": 2e-5,
+                                    "lambda_nm": 130.0}))
+        assert load_gas(path) == GasProperties(P_A=50.0 * 1e3, rho=0.6, mu=2e-5,
+                                               lam=130.0 * 1e-9)
+
     def test_partial_file_uses_air_defaults(self, tmp_path):
         path = tmp_path / "gas.json"
         path.write_text(json.dumps({"P_A_kPa": 50.0}))
@@ -380,21 +403,11 @@ class TestCli:
         assert "--gas" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_damp_slip_correct(self, capsys, gas):
-        device = str(DEVICES / "A.json")
-        geom, _ = load_device(device)
-
-        def c_by_model(*flags):
-            assert cli.run(["damp", "--device", device, "--model", "all", *flags]) == 0
-            rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
-            return {model: c for _, model, c, _, _ in rows}
-
-        plain, slip = c_by_model(), c_by_model("--slip-correct")
-        for model in ("m1", "m2"):
-            c = cm.MODELS[model](geom, gas).c
-            assert float(slip[model]) == c / (1 + 6 * gas.lam / geom.h)
-        for model in ("m3", "m4", "m5", "m6"):
-            assert slip[model] == plain[model]
+    def test_damp_refuses_slip_correct_flag(self, capsys):
+        # M1/M2 are the continuum forms as published; the flag is gone
+        argv = ["damp", "--device", str(DEVICES / "A.json"), "--slip-correct"]
+        assert cli.run(argv) == 1
+        assert "--slip-correct" in capsys.readouterr().err
 
     def test_frf_extract_fit_error_exit3(self, tmp_path, capsys):
         # the peak sits on the first sample, so the fit window has 5 samples

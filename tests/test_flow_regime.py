@@ -53,6 +53,47 @@ class TestReynoldsNumber:
         assert reynolds_number(gas.rho, 4e-6, 0.0, gas.mu) == 0.0
 
 
+BAD = [("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf), ("negative", -1.0)]
+
+
+class TestArgumentChecks:
+    """knudsen, squeeze_number and reynolds_number refuse NaN, infinite and
+    negative arguments, and zero where the argument divides, naming it."""
+
+    CASES = {
+        knudsen: {"lam": 65e-9, "char_length": 1.6e-6},
+        squeeze_number: {"mu": 18.5e-6, "W_char": 66.4e-6, "omega": OMEGA_200K,
+                         "P_A": 101e3, "h": 1.6e-6},
+        reynolds_number: {"rho": 1.155, "r": 4e-6, "omega": OMEGA_200K, "mu": 18.5e-6},
+    }
+    DIVISORS = {knudsen: ("char_length",), squeeze_number: ("P_A", "h"),
+                reynolds_number: ("mu",)}
+
+    @pytest.mark.parametrize("fn, name", [(fn, name) for fn, args in CASES.items()
+                                          for name in args],
+                             ids=lambda v: getattr(v, "__name__", v))
+    @pytest.mark.parametrize("label, bad", BAD, ids=[label for label, _ in BAD])
+    def test_bad_value_names_argument(self, fn, name, label, bad):
+        args = {**self.CASES[fn], name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            fn(**args)
+
+    @pytest.mark.parametrize("fn, name", [(fn, name) for fn, names in DIVISORS.items()
+                                          for name in names],
+                             ids=lambda v: getattr(v, "__name__", v))
+    def test_zero_divisor_names_argument(self, fn, name):
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            fn(**{**self.CASES[fn], name: 0.0})
+
+    @pytest.mark.parametrize("fn, name", [
+        (knudsen, "lam"), (squeeze_number, "mu"), (squeeze_number, "W_char"),
+        (squeeze_number, "omega"), (reynolds_number, "rho"), (reynolds_number, "r"),
+        (reynolds_number, "omega"),
+    ], ids=lambda v: getattr(v, "__name__", v))
+    def test_zero_numerator_gives_zero(self, fn, name):
+        assert fn(**{**self.CASES[fn], name: 0.0}) == 0.0
+
+
 class TestGasProperties:
     def test_defaults_are_standard_air(self, gas):
         assert gas.P_A == 101e3

@@ -82,8 +82,6 @@ def _gas_stage_records(geom, gas, f):
         br = fn(geom, gas)
         out.append((cm.CellResistanceBreakdown, br))
         out.append((cm.ModelResult, cm.damping_border_coupled(geom, gas, br.R_p)))
-    out.append((cm.ModelResult, cm.damping_m1(geom, gas, slip_correct=True)))
-    out.append((cm.ModelResult, cm.damping_m2(geom, gas, slip_correct=True)))
     out.append((RegimeReport, regime_report(geom, gas, f)))
     return out
 

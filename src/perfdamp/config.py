@@ -9,7 +9,8 @@ kilohertz, ...); everything behind this module is SI. Device files are JSON:
      "measured": {"c_Ns_per_m": 47.38e-6, "f0_kHz": 201.637, "mass_ratio": 0.918}}
 
 `beams` and `measured` are optional. Gas files carry the unit in the field
-name as well: {"P_A_kPa", "rho_kg_m3", "mu_Ns_m2", "lambda_nm"}.
+name as well: {"P_A_kPa", "rho_kg_m3", "mu_Ns_m2", "lambda_nm"}. A field
+that a file or block does not define is refused, never ignored.
 """
 
 from __future__ import annotations
@@ -61,12 +62,16 @@ def parse_frequency(text: str) -> float:
     return _parse_quantity(text, _FREQ_UNITS, "frequency")
 
 
-def _number(data: dict, field: str, scale: float = 1.0) -> float:
+def _value(data: dict, field: str, scale: float | None) -> float | int:
+    """The number in `field` times `scale` (to SI), or the integer when scale is None."""
     if field not in data:
         raise ConfigError(f"missing field {field!r}")
     value = data[field]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"field {field!r} must be a number, got {type(value).__name__}")
+    kind, noun = (int, "an integer") if scale is None else ((int, float), "a number")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"field {field!r} must be {noun}, got {type(value).__name__}")
+    if scale is None:
+        return value
     try:
         scaled = float(value) * scale
     except OverflowError:
@@ -74,15 +79,6 @@ def _number(data: dict, field: str, scale: float = 1.0) -> float:
     if not math.isfinite(scaled):
         raise ConfigError(f"field {field!r} must be a finite number, got {value}")
     return scaled
-
-
-def _integer(data: dict, field: str) -> int:
-    if field not in data:
-        raise ConfigError(f"missing field {field!r}")
-    value = data[field]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"field {field!r} must be an integer, got {type(value).__name__}")
-    return value
 
 
 def _read_json(path: str | Path) -> dict:
@@ -98,104 +94,90 @@ def _read_json(path: str | Path) -> dict:
     return data
 
 
+# Field tables of the file blocks: file field -> (attribute, scale to SI),
+# scale None for an integer. load_device/load_gas read them, dump_device
+# writes them, in table order.
+_PLATE_FIELDS = {"L_um": ("L", 1e-6), "W_um": ("W", 1e-6), "M": ("M", None), "N": ("N", None),
+                 "s0_um": ("s0", 1e-6), "s1_um": ("s1", 1e-6), "h_um": ("h", 1e-6),
+                 "hc_um": ("h_c", 1e-6)}
+_BEAM_FIELDS = {"Lb_um": ("L_b", 1e-6), "Wb_um": ("W_b", 1e-6), "count": ("count", None)}
+_MEASURED_FIELDS = {"c_Ns_per_m": ("c_m", 1.0), "f0_kHz": ("f0", 1e3),
+                    "mass_ratio": ("alpha", 1.0)}
+_GAS_FIELDS = {"P_A_kPa": ("P_A", 1e3), "rho_kg_m3": ("rho", 1.0),
+               "mu_Ns_m2": ("mu", 1.0), "lambda_nm": ("lam", 1e-9)}
+
+
+def _build(cls, data, fields: dict, block: str, optional=(), allowed=(), **extra):
+    """cls built from the fields of one block: a field the table does not know
+    (nor `allowed`) is refused, an absent `optional` one is left to cls's
+    default, and cls's ValueError becomes a ConfigError that names the block."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{block} must be a JSON object")
+    for key in data:
+        if key not in fields and key not in allowed:
+            raise ConfigError(f"unknown field {key!r} in {block}")
+    kwargs = {name: _value(data, field, scale) for field, (name, scale) in fields.items()
+              if field in data or field not in optional}
+    try:
+        return cls(**kwargs, **extra)
+    except ValueError as exc:
+        raise ConfigError(f"{block}: {exc}") from exc
+
+
 def load_device(path: str | Path) -> tuple[PlateGeometry, MeasuredRecord | None]:
     """Load and validate a device file; returns SI geometry and, when the file
     carries a `measured` block, the corresponding MeasuredRecord."""
     data = _read_json(path)
     beams = None
     if "beams" in data:
-        b = data["beams"]
-        if not isinstance(b, dict):
-            raise ConfigError("field 'beams' must be an object")
-        # an absent count is left to BeamGeometry's default
-        count = {"count": _integer(b, "count")} if "count" in b else {}
-        beams = BeamGeometry(L_b=_number(b, "Lb_um", 1e-6), W_b=_number(b, "Wb_um", 1e-6), **count)
-    try:
-        geom = PlateGeometry(
-            L=_number(data, "L_um", 1e-6),
-            W=_number(data, "W_um", 1e-6),
-            M=_integer(data, "M"),
-            N=_integer(data, "N"),
-            s0=_number(data, "s0_um", 1e-6),
-            s1=_number(data, "s1_um", 1e-6),
-            h=_number(data, "h_um", 1e-6),
-            h_c=_number(data, "hc_um", 1e-6),
-            beams=beams,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    measured = None
-    if "measured" in data:
-        m = data["measured"]
-        if not isinstance(m, dict):
-            raise ConfigError("field 'measured' must be an object")
-        measured = MeasuredRecord(
-            id=str(data.get("id", Path(path).stem)),
-            geom=geom,
-            c_m=_number(m, "c_Ns_per_m"),
-            f0=_number(m, "f0_kHz", 1e3),
-            alpha=_number(m, "mass_ratio"),
-        )
-    return geom, measured
+        beams = _build(BeamGeometry, data["beams"], _BEAM_FIELDS, "block 'beams'",
+                       optional=("count",))
+    geom = _build(PlateGeometry, data, _PLATE_FIELDS, "device file", beams=beams,
+                  allowed=("id", "beams", "measured"))
+    if "measured" not in data:
+        return geom, None
+    return geom, _build(MeasuredRecord, data["measured"], _MEASURED_FIELDS, "block 'measured'",
+                        id=str(data.get("id", Path(path).stem)), geom=geom)
 
 
-def _to_um(meters: float) -> float:
-    """Micrometer value that converts back to exactly `meters` via * 1e-6.
+def _to_file(value: float, scale: float) -> float:
+    """File value that converts back to exactly `value` via * scale.
 
-    Plain meters*1e6 can land one ulp off; nudge until the round trip is exact
-    so dumped files reload to bit-identical geometry.
+    Plain value*(1/scale) can land one ulp off; nudge until the round trip is
+    exact so dumped files reload to bit-identical values. Where the SI binade
+    holds more floats than the file unit's (f0 in [256, 262.144) kHz), some
+    values have no such file value; they keep the plain product, one ulp off.
     """
-    um = meters * 1e6
-    if um * 1e-6 == meters:
-        return um
+    x = value * (1 / scale)
+    if x * scale == value:
+        return x
     for direction in (math.inf, -math.inf):
-        cand = um
+        cand = x
         for _ in range(4):
             cand = math.nextafter(cand, direction)
-            if cand * 1e-6 == meters:
+            if cand * scale == value:
                 return cand
-    return um
+    return x
+
+
+def _dump(obj, fields: dict) -> dict:
+    return {field: getattr(obj, name) if scale is None else _to_file(getattr(obj, name), scale)
+            for field, (name, scale) in fields.items()}
 
 
 def dump_device(geom: PlateGeometry, measured: MeasuredRecord | None = None) -> dict:
-    """Inverse of load_device; the returned dict reloads to an equal geometry."""
-    data = {
-        "L_um": _to_um(geom.L),
-        "W_um": _to_um(geom.W),
-        "M": geom.M,
-        "N": geom.N,
-        "s0_um": _to_um(geom.s0),
-        "s1_um": _to_um(geom.s1),
-        "h_um": _to_um(geom.h),
-        "hc_um": _to_um(geom.h_c),
-    }
+    """Inverse of load_device; the returned dict reloads to an equal geometry
+    and measured record wherever the file units can hold each value."""
+    data = _dump(geom, _PLATE_FIELDS)
     if geom.beams is not None:
-        data["beams"] = {
-            "Lb_um": _to_um(geom.beams.L_b),
-            "Wb_um": _to_um(geom.beams.W_b),
-            "count": geom.beams.count,
-        }
+        data["beams"] = _dump(geom.beams, _BEAM_FIELDS)
     if measured is not None:
         data["id"] = measured.id
-        data["measured"] = {
-            "c_Ns_per_m": measured.c_m,
-            "f0_kHz": measured.f0 / 1e3,
-            "mass_ratio": measured.alpha,
-        }
+        data["measured"] = _dump(measured, _MEASURED_FIELDS)
     return data
-
-
-# gas-file field -> (GasProperties field, scale to SI)
-_GAS_FIELDS = {"P_A_kPa": ("P_A", 1e3), "rho_kg_m3": ("rho", 1.0),
-               "mu_Ns_m2": ("mu", 1.0), "lambda_nm": ("lam", 1e-9)}
 
 
 def load_gas(path: str | Path) -> GasProperties:
     """Load a gas-properties file; the fields it leaves out keep the
     GasProperties defaults (standard air)."""
-    data = _read_json(path)
-    try:
-        return GasProperties(**{name: _number(data, field, scale)
-                                for field, (name, scale) in _GAS_FIELDS.items() if field in data})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _build(GasProperties, _read_json(path), _GAS_FIELDS, "gas file", optional=_GAS_FIELDS)

@@ -70,45 +70,14 @@ class RegimeReport(NamedTuple):
         return self._asdict()
 
 
-def _check(divisor: bool = False, **args: float) -> None:
-    """Refuse a NaN, infinite or negative argument, and zero if it is a divisor."""
-    for name, value in args.items():
-        if not (0 < value if divisor else 0 <= value) or not value < math.inf:
-            kind = "positive" if divisor else "non-negative"
-            raise ValueError(f"{name} must be {kind} and finite, got {value!r}")
-
-
-def knudsen(lam: float, char_length: float) -> float:
-    """Knudsen number lam / char_length."""
-    _check(lam=lam)
-    _check(True, char_length=char_length)
-    return lam / char_length
-
-
-def squeeze_number(mu: float, W_char: float, omega: float, P_A: float, h: float) -> float:
-    """Squeeze number 12*mu*W^2*omega / (P_A*h^2) for the dominating
-    characteristic dimension W_char."""
-    _check(mu=mu, W_char=W_char, omega=omega)
-    _check(True, P_A=P_A, h=h)
-    return 12.0 * mu * W_char**2 * omega / (P_A * h**2)
-
-
-def reynolds_number(rho: float, r: float, omega: float, mu: float) -> float:
-    """Oscillatory Reynolds number rho*r^2*omega / mu of a circular channel."""
-    _check(rho=rho, r=r, omega=omega)
-    _check(True, mu=mu)
-    return rho * r**2 * omega / mu
-
-
 def regime_report(geom: PlateGeometry, gas: GasProperties, f: float) -> RegimeReport:
     """Full characteristic-number screen of one device at drive frequency f (Hz).
 
     Conventions: the plate squeeze number uses the smaller of L and W, the
     cell squeeze number uses the wall width s1, and the channel Reynolds
-    number uses r = s0/2. The body is that of `knudsen`, `squeeze_number`
-    and `reynolds_number`, written out in their operation order; the plate,
-    gas and frequency are validated, so the argument checks of those
-    functions cannot fail.
+    number uses r = s0/2. Kn = lam/length, sigma = 12*mu*W^2*omega/(P_A*h^2)
+    for the dominating dimension W, and Re = rho*r^2*omega/mu. The plate and
+    the gas are validated when they are built, so only f is checked here.
     """
     if not 0 < f < math.inf:
         raise ValueError("frequency must be positive and finite")

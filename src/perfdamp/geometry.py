@@ -12,12 +12,12 @@ The compact models run in two stages. The per-plate stage is
 keeps as `derived`: the equivalent-cell quantities, and every factor of
 M1-M6 that depends on the plate alone (the attenuation length shared by M1
 and M2, and the plate-only parts of both cell resistances). It builds the
-three records in one pass, takes each conversion from its public helper
-(`cell_pitch`, `equivalent_*_radius`, ...) and computes each repeated power
-once. The gas stage, in `compact_models`, reads the factors and does the
-arithmetic that involves the gas, plus the M2 and border series. Each factor
-is a whole subexpression of the model formula as written, evaluated in the
-same order, so the split changes no result bit.
+three records in one pass and computes each repeated power once; callers
+read the conversions as fields of `derived` (s_X, r_X, r_0, r_0E, q). The
+gas stage, in `compact_models`, reads the factors and does the arithmetic
+that involves the gas, plus the M2 and border series. Each factor is a whole
+subexpression of the model formula as written, evaluated in the same order,
+so the split changes no result bit.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ HOLE_RADIUS_FACTOR = 1.096 / 2
 # geometry is rejected (fabricated devices have border margins either way).
 _GRID_SLACK = 1.10
 _3PI = 3 * math.pi
+_SQRT_PI = math.sqrt(math.pi)
 
 
 @dataclass(frozen=True)
@@ -88,6 +89,8 @@ class PlateGeometry:
                 raise ValueError("perforation grid does not fit along plate length")
             if self.N * pitch > _GRID_SLACK * self.W:
                 raise ValueError("perforation grid does not fit along plate width")
+            if not s0 / pitch > 0:
+                raise ValueError("s0 is too small against s1: s0/(s0 + s1) rounds to 0")
             derived = derive_geometry(self)
         except ArithmeticError as exc:
             raise ValueError(f"plate dimensions are out of floating-point range "
@@ -157,41 +160,6 @@ class DerivedGeometry(NamedTuple):
     square: SquareCellFactors
 
 
-def cell_pitch(geom: PlateGeometry) -> float:
-    """Pitch of the perforation cell, s0 + s1."""
-    return geom.s0 + geom.s1
-
-
-def perforation_ratio(geom: PlateGeometry) -> float:
-    """Open-area fraction M*N*s0^2 / (L*W).
-
-    Always computed from the dimensions; the published per-device percentages
-    disagree with this formula by 2-3 points and are not used.
-    """
-    return geom.M * geom.N * geom.s0**2 / (geom.L * geom.W)
-
-
-def equivalent_cell_radius(s_X: float) -> float:
-    """Radius of the circle with the same area as the square cell: s_X/sqrt(pi)."""
-    if s_X <= 0:
-        raise ValueError("cell pitch must be positive")
-    return s_X / math.sqrt(math.pi)
-
-
-def equivalent_hole_radius(s0: float) -> float:
-    """Impedance-matched circular radius of a square hole of side s0."""
-    if s0 <= 0:
-        raise ValueError("hole side must be positive")
-    return HOLE_RADIUS_FACTOR * s0
-
-
-def effective_square_radius(s0: float, xi: float) -> float:
-    """Effective radius of a square hole for the square-cell model."""
-    if not 0 < xi < 1:
-        raise ValueError("xi must be in (0, 1)")
-    return 0.58076 * s0 / (1 + 0.02108 * xi**2 + 0.008 * xi**4)
-
-
 def derive_geometry(geom: PlateGeometry) -> DerivedGeometry:
     """All equivalent-cell quantities and plate-only model factors of a plate.
     PlateGeometry calls this once, when it is built, and keeps the result as
@@ -200,11 +168,14 @@ def derive_geometry(geom: PlateGeometry) -> DerivedGeometry:
     error, so the steps keep their order. The circular cell's rr = r_0/r_X is
     beta itself."""
     s_0, h, h_c = geom.s0, geom.h, geom.h_c
-    s_X = cell_pitch(geom)
-    r_X = equivalent_cell_radius(s_X)
-    r_0 = equivalent_hole_radius(s_0)
+    s_X = s_0 + geom.s1
+    # area-matched: the circle with the area of the square cell
+    r_X = s_X / _SQRT_PI
+    # impedance-matched: the circular channel of the square hole's impedance
+    r_0 = HOLE_RADIUS_FACTOR * s_0
     xi = s_0 / s_X
-    r_0E = effective_square_radius(s_0, xi)
+    # effective square radius: the square hole in the square-cell model
+    r_0E = 0.58076 * s_0 / (1 + 0.02108 * xi**2 + 0.008 * xi**4)
     beta = r_0 / r_X
     h3, r_X4 = h**3, r_X**4
     beta2, beta4 = beta**2, beta**4
@@ -214,7 +185,9 @@ def derive_geometry(geom: PlateGeometry) -> DerivedGeometry:
     # height; with the bare height the published comparison is missed by up
     # to 3.5 points, with H_eff five of six devices match within 0.01 points.
     eta = 1 + 3 * r_0**4 * K / (16 * H_eff * h3)
-    q = perforation_ratio(geom)
+    # open-area fraction from the dimensions; the published per-device
+    # percentages disagree with it by 2-3 points and are not used
+    q = geom.M * geom.N * s_0**2 / (geom.L * geom.W)
     r_02 = r_0**2
     l = math.sqrt(2 * h3 * H_eff * eta / (3 * beta2 * r_02))
     x, h2, y3 = r_0 / h, h**2, (h_c / h) ** 3

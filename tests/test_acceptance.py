@@ -15,9 +15,9 @@ import pytest
 from perfdamp import cli
 from perfdamp import compact_models as cm
 from perfdamp import comparison as cmp
-from perfdamp.flow_regime import GasProperties, knudsen, reynolds_number, squeeze_number
+from perfdamp.flow_regime import GasProperties, regime_report
 from perfdamp.frf import extract, synth_frf
-from perfdamp.geometry import BeamGeometry
+from perfdamp.geometry import BeamGeometry, PlateGeometry
 
 import oracles
 
@@ -28,14 +28,18 @@ def _report(criterion, detail):
 
 def test_criterion_1_characteristic_numbers(gas):
     t0 = time.perf_counter()
-    K_ch = knudsen(gas.lam, 1.6e-6)
-    K_hole = knudsen(gas.lam, 5e-6)
-    sigma_per_omega = squeeze_number(gas.mu, 66.4e-6, 1.0, gas.P_A, 1.6e-6)
-    omega = 2 * math.pi * 200e3
-    sigma_200k = squeeze_number(gas.mu, 66.4e-6, omega, gas.P_A, 1.6e-6)
-    sigma_cell = squeeze_number(gas.mu, 5.2e-6, omega, gas.P_A, 1.6e-6)
-    re_per_omega = reynolds_number(gas.rho, 4e-6, 1.0, gas.mu)
-    re_200k = reynolds_number(gas.rho, 4e-6, omega, gas.mu)
+    # type A plate (h = 1.6 um, s0 = 5 um, s1 = 5.2 um, W = 66.4 um), and the
+    # same plate with s0 = 8 um for the Reynolds number at r = s0/2 = 4 um
+    plate = PlateGeometry(L=372.4e-6, W=66.4e-6, M=36, N=6, s0=5e-6, s1=5.2e-6,
+                          h=1.6e-6, h_c=15e-6)
+    plate_r4 = dataclasses.replace(plate, s0=8e-6, M=28, N=5)
+    per_omega = 1 / (2 * math.pi)  # omega = 1 rad/s
+    rep_200k = regime_report(plate, gas, 200e3)
+    K_ch, K_hole = rep_200k.K_ch, rep_200k.K_hole
+    sigma_per_omega = regime_report(plate, gas, per_omega).sigma_plate
+    sigma_200k, sigma_cell = rep_200k.sigma_plate, rep_200k.sigma_cell
+    re_per_omega = regime_report(plate_r4, gas, per_omega).Re
+    re_200k = regime_report(plate_r4, gas, 200e3).Re
     elapsed = time.perf_counter() - t0
 
     assert K_ch == pytest.approx(0.041, abs=0.001)

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -20,7 +22,7 @@ from perfdamp.config import (
     parse_length,
 )
 from perfdamp.flow_regime import GasProperties
-from perfdamp.geometry import BeamGeometry
+from perfdamp.geometry import BeamGeometry, PlateGeometry
 
 DEVICES = Path(__file__).parent.parent / "devices"
 
@@ -107,6 +109,114 @@ class TestLoadDevice:
         geom, measured = load_device(path)
         assert geom == rec.geom
         assert measured.c_m == rec.c_m
+
+
+class TestUnknownAndInvalidBlocks:
+    """Every block refuses a field it does not define, naming it, and a
+    value its record refuses becomes a ConfigError that names the block."""
+
+    MEASURED = {"c_Ns_per_m": 4.738e-05, "f0_kHz": 201.637, "mass_ratio": 0.918}
+    BEAMS = {"Lb_um": 122, "Wb_um": 4, "count": 4}
+
+    @pytest.mark.parametrize("data,field", [
+        ({**VALID, "hc_uum": 15}, "hc_uum"),
+        ({**VALID, "beams": {"Lb_um": 122, "Wb_um": 4, "cuont": 2}}, "cuont"),
+        ({**VALID, "measured": {**MEASURED, "f0_khz": 201.637}}, "f0_khz"),
+    ], ids=["device", "beams", "measured"])
+    def test_device_unknown_field_named(self, tmp_path, data, field):
+        with pytest.raises(ConfigError, match=f"unknown field '{field}'"):
+            load_device(_write(tmp_path, data))
+
+    def test_gas_unknown_field_named(self, tmp_path):
+        with pytest.raises(ConfigError, match="unknown field 'lamda_nm' in gas file"):
+            load_gas(_write(tmp_path, {"lamda_nm": 30}, "gas.json"))
+
+    @pytest.mark.parametrize("data,message", [
+        ({**VALID, "beams": {"Lb_um": -1, "Wb_um": 4}}, "^block 'beams': L_b must"),
+        ({**VALID, "beams": {**BEAMS, "count": 0}}, "^block 'beams': beam count"),
+        ({**VALID, "measured": {**MEASURED, "mass_ratio": 2}}, "^block 'measured': mass ratio"),
+        ({**VALID, "measured": {**MEASURED, "f0_kHz": 0}}, "^block 'measured': c_m and f0"),
+    ], ids=["beam-length", "beam-count", "mass-ratio", "f0"])
+    def test_invalid_block_value_names_block(self, tmp_path, data, message):
+        with pytest.raises(ConfigError, match=message):
+            load_device(_write(tmp_path, data))
+
+    @pytest.mark.parametrize("device,gas,named", [
+        (VALID, {"lamda_nm": 30}, "lamda_nm"),
+        ({**VALID, "hc_uum": 15}, None, "hc_uum"),
+        ({**VALID, "measured": {**MEASURED, "f0_khz": 201.637}}, None, "f0_khz"),
+        ({**VALID, "beams": {"Lb_um": -1, "Wb_um": 4}}, None, "'beams'"),
+        ({**VALID, "measured": {**MEASURED, "mass_ratio": 2}}, None, "'measured'"),
+    ], ids=["gas-unknown", "device-unknown", "measured-unknown", "beams-invalid",
+            "measured-invalid"])
+    def test_cli_exit1_one_error_line(self, tmp_path, capsys, device, gas, named):
+        argv = ["damp", "--device", _write(tmp_path, device), "--model", "m5"]
+        if gas is not None:
+            argv += ["--gas", _write(tmp_path, gas, "gas.json")]
+        assert cli.run(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+
+
+def _reloads_to(value, scale):
+    """Whether some float x near value/scale gives x*scale == value, that is,
+    whether a file can hold the value at all."""
+    lo = hi = value / scale
+    for _ in range(8):
+        if lo * scale == value or hi * scale == value:
+            return True
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    return False
+
+
+class TestDumpDevice:
+    @pytest.mark.parametrize("dev", "ABCDEF")
+    def test_dump_config_reproduces_shipped_file(self, capsys, dev):
+        path = DEVICES / f"{dev}.json"
+        assert cli.run(["dump-config", "--device", str(path)]) == 0
+        assert capsys.readouterr().out == path.read_text()
+
+    def test_scaled_fields_round_trip(self, tmp_path):
+        # every scaled field reloads bit-identical wherever a file value can
+        # reload to it; where none can (f0 in [256, 262.144) kHz, say, whose
+        # binade has twice the floats of [256, 262.144)), it reloads one ulp off
+        rng = random.Random(20261018)
+        path = tmp_path / "dev.json"
+        exact = 0
+        for _ in range(500):
+            s0, s1 = rng.uniform(1e-6, 2e-5), rng.uniform(1e-6, 2e-5)
+            M, N = rng.randint(1, 40), rng.randint(1, 40)
+            geom = PlateGeometry(L=M * (s0 + s1) * rng.uniform(1, 1.1),
+                                 W=N * (s0 + s1) * rng.uniform(1, 1.1), M=M, N=N, s0=s0, s1=s1,
+                                 h=rng.uniform(0.5e-6, 5e-6), h_c=rng.uniform(5e-6, 50e-6),
+                                 beams=BeamGeometry(L_b=rng.uniform(1e-5, 5e-4),
+                                                    W_b=rng.uniform(1e-6, 2e-5)))
+            rec = cmp.MeasuredRecord("R", geom, c_m=rng.uniform(1e-6, 1e-4),
+                                     f0=rng.uniform(100e3, 300e3), alpha=rng.uniform(0.5, 1.0))
+            path.write_text(json.dumps(dump_device(geom, rec)))
+            got, got_rec = load_device(path)
+            pairs = [(getattr(geom, n), getattr(got, n), 1e-6)
+                     for n in ("L", "W", "s0", "s1", "h", "h_c")]
+            pairs += [(geom.beams.L_b, got.beams.L_b, 1e-6), (geom.beams.W_b, got.beams.W_b, 1e-6),
+                      (rec.c_m, got_rec.c_m, 1.0), (rec.f0, got_rec.f0, 1e3),
+                      (rec.alpha, got_rec.alpha, 1.0)]
+            for want, have, scale in pairs:
+                if _reloads_to(want, scale):
+                    assert have == want
+                    exact += 1
+                else:
+                    assert abs(have - want) <= math.ulp(want)
+        assert exact > 0.9 * 500 * 11
+
+    def test_unrepresentable_f0_reloads_one_ulp_off(self, tmp_path):
+        rec = cmp.builtin_dataset()[0]
+        f0 = 256457.5630968484
+        assert not _reloads_to(f0, 1e3)
+        path = tmp_path / "dev.json"
+        path.write_text(json.dumps(dump_device(rec.geom, dataclasses.replace(rec, f0=f0))))
+        assert abs(load_device(path)[1].f0 - f0) == math.ulp(f0)
 
 
 class TestLoadGas:

@@ -7,16 +7,7 @@ import pytest
 from perfdamp import compact_models as cm
 from perfdamp import comparison as cmp
 from perfdamp.flow_regime import regime_report
-from perfdamp.geometry import (
-    BeamGeometry,
-    PlateGeometry,
-    cell_pitch,
-    derive_geometry,
-    effective_square_radius,
-    equivalent_cell_radius,
-    equivalent_hole_radius,
-    perforation_ratio,
-)
+from perfdamp.geometry import BeamGeometry, PlateGeometry, derive_geometry
 
 
 def _plate(**kw):
@@ -56,68 +47,83 @@ class TestConstruction:
             BeamGeometry(**{"L_b": 1e-6, "W_b": 1e-6, field: value})
 
 
+def _cell(s_X):
+    """A one-hole plate of pitch s0 + s1 = s_X (halving is exact)."""
+    return _plate(L=s_X, W=s_X, M=1, N=1, s0=s_X / 2, s1=s_X / 2).derived
+
+
+def _hole(s0, xi):
+    """A one-hole plate with hole side s0 and s0/(s0 + s1) = xi."""
+    s1 = s0 / xi - s0
+    return _plate(L=s0 + s1, W=s0 + s1, M=1, N=1, s0=s0, s1=s1).derived
+
+
 class TestCellPitch:
     def test_type_a(self):
-        assert cell_pitch(_plate()) == pytest.approx(10.2e-6, rel=1e-12)
+        assert _plate().derived.s_X == pytest.approx(10.2e-6, rel=1e-12)
 
     def test_type_e(self):
         geom = _plate(L=363.8e-6, W=123.8e-6, N=12, s0=6.2e-6, s1=3.8e-6)
-        assert cell_pitch(geom) == pytest.approx(10.0e-6, rel=1e-12)
+        assert geom.derived.s_X == pytest.approx(10.0e-6, rel=1e-12)
 
 
 class TestPerforationRatio:
     # computed directly from M*N*s0^2/(L*W); the published per-device
     # percentages (24% for A, 59% for D) disagree with the formula
     def test_type_a(self):
-        assert perforation_ratio(_plate()) == pytest.approx(0.21836, rel=1e-4)
+        assert _plate().derived.q == pytest.approx(0.21836, rel=1e-4)
 
     def test_type_d(self):
         geom = _plate(L=369.5e-6, W=64.5e-6, s0=7.9e-6, s1=2.3e-6)
-        assert perforation_ratio(geom) == pytest.approx(0.56566, rel=1e-4)
+        assert geom.derived.q == pytest.approx(0.56566, rel=1e-4)
 
     def test_vanishing_hole_limit(self):
-        assert perforation_ratio(_plate(s0=1e-12)) < 1e-10
+        assert _plate(s0=1e-12).derived.q < 1e-10
 
 
 class TestEquivalentRadii:
     def test_cell_radius_type_a(self):
-        assert equivalent_cell_radius(10.2e-6) == pytest.approx(5.7548e-6, rel=1e-4)
+        assert _cell(10.2e-6).r_X == pytest.approx(5.7548e-6, rel=1e-4)
 
     def test_cell_radius_type_e(self):
-        assert equivalent_cell_radius(10.0e-6) == pytest.approx(5.6419e-6, rel=1e-4)
+        assert _cell(10.0e-6).r_X == pytest.approx(5.6419e-6, rel=1e-4)
 
     def test_cell_radius_unit_case(self):
-        assert equivalent_cell_radius(math.sqrt(math.pi)) == pytest.approx(1.0, rel=1e-14)
+        assert _cell(math.sqrt(math.pi)).r_X == pytest.approx(1.0, rel=1e-14)
 
     def test_cell_radius_preserves_area(self):
         for s_X in (10.0e-6, 10.2e-6, 3.3e-6, 1.0):
-            r_X = equivalent_cell_radius(s_X)
+            r_X = _cell(s_X).r_X
             assert math.pi * r_X**2 == pytest.approx(s_X**2, rel=1e-14)
 
     def test_hole_radius_type_a(self):
-        assert equivalent_hole_radius(5.0e-6) == pytest.approx(2.740e-6, rel=1e-4)
+        assert _plate().derived.r_0 == pytest.approx(2.740e-6, rel=1e-4)
 
     def test_hole_radius_inversion(self):
-        assert equivalent_hole_radius(2 / 1.096) == pytest.approx(1.0, rel=1e-14)
+        assert _hole(2 / 1.096, 0.5).r_0 == pytest.approx(1.0, rel=1e-14)
 
     def test_hole_radius_type_d(self):
-        assert equivalent_hole_radius(7.9e-6) == pytest.approx(4.329e-6, rel=1e-3)
+        assert _hole(7.9e-6, 7.9 / 10.2).r_0 == pytest.approx(4.329e-6, rel=1e-3)
 
 
 class TestEffectiveSquareRadius:
     def test_type_a(self):
         # 0.58076*5.0um / (1 + 0.02108*xi^2 + 0.008*xi^4) at xi = 5.0/10.2
-        assert effective_square_radius(5.0e-6, 5.0 / 10.2) == pytest.approx(2.8879e-6, rel=1e-4)
+        assert _hole(5.0e-6, 5.0 / 10.2).r_0E == pytest.approx(2.8879e-6, rel=1e-4)
 
     def test_type_d(self):
-        assert effective_square_radius(7.9e-6, 7.9 / 10.2) == pytest.approx(4.5179e-6, rel=1e-4)
+        assert _hole(7.9e-6, 7.9 / 10.2).r_0E == pytest.approx(4.5179e-6, rel=1e-4)
 
     def test_vanishing_hole_limit(self):
-        assert effective_square_radius(5.0e-6, 1e-9) == pytest.approx(0.58076 * 5.0e-6, rel=1e-6)
+        assert _hole(5.0e-6, 1e-9).r_0E == pytest.approx(0.58076 * 5.0e-6, rel=1e-6)
 
     def test_xi_out_of_range(self):
-        with pytest.raises(ValueError):
-            effective_square_radius(5.0e-6, 1.0)
+        # the formula needs 0 < xi < 1: a plate where s0/(s0 + s1) rounds to
+        # 1 or to 0 is refused when it is built, naming the field at fault
+        with pytest.raises(ValueError, match="^s1 .* rounds to 1"):
+            _plate(L=1e-4, W=1e-4, M=1, N=1, s0=5e-6, s1=1e-22)
+        with pytest.raises(ValueError, match="^s0 .* rounds to 0"):
+            _plate(L=1e300, W=1e300, M=1, N=1, s0=1e-300, s1=1e300)
 
 
 class TestDerivedGeometry:

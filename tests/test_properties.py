@@ -1,5 +1,6 @@
 """Property-based checks of the model invariants."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,18 +8,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from perfdamp import compact_models as cm
-from perfdamp.flow_regime import (
-    GasProperties,
-    knudsen,
-    reynolds_number,
-    squeeze_number,
-)
+from perfdamp.flow_regime import GasProperties, regime_report
 from perfdamp.frf import FrfCurve, extract, synth_frf
 from perfdamp.geometry import (
     HOLE_RADIUS_FACTOR,
     PlateGeometry,
     derive_geometry,
-    equivalent_cell_radius,
 )
 
 lengths = st.floats(min_value=1e-7, max_value=1e-3, allow_nan=False)
@@ -47,7 +42,8 @@ def plate_geometries(draw):
 class TestGeometryProperties:
     @given(s_X=lengths)
     def test_cell_radius_preserves_area(self, s_X):
-        r_X = equivalent_cell_radius(s_X)
+        r_X = PlateGeometry(L=s_X, W=s_X, M=1, N=1, s0=s_X / 2, s1=s_X / 2,
+                            h=1.6e-6, h_c=15e-6).derived.r_X
         assert math.pi * r_X**2 == pytest.approx(s_X**2, rel=1e-12, abs=0)
 
     @given(geom=plate_geometries())
@@ -103,21 +99,32 @@ class TestExtremePlates:
             assert math.isfinite(c) and c > 0
 
 
+# Type A plate, whose gap h the Knudsen property replaces
+_TYPE_A = PlateGeometry(L=372.4e-6, W=66.4e-6, M=36, N=6, s0=5e-6, s1=5.2e-6,
+                        h=1.6e-6, h_c=15e-6)
+
+
 class TestRegimeProperties:
     @given(lam=st.floats(min_value=1e-9, max_value=1e-6),
            shorter=lengths, stretch=st.floats(min_value=1.01, max_value=100))
     def test_knudsen_decreasing_in_length(self, lam, shorter, stretch):
-        assert knudsen(lam, shorter * stretch) < knudsen(lam, shorter)
+        gas = GasProperties(lam=lam)
+
+        def K_ch(h):
+            return regime_report(dataclasses.replace(_TYPE_A, h=h), gas, 200e3).K_ch
+
+        assert K_ch(shorter * stretch) < K_ch(shorter)
 
     @given(w1=st.floats(min_value=1.0, max_value=1e6),
            factor=st.floats(min_value=1.01, max_value=100))
     def test_monotone_in_omega(self, w1, factor):
         gas = GasProperties()
         w2 = w1 * factor
-        assert squeeze_number(gas.mu, 1e-5, w2, gas.P_A, 1.6e-6) \
-            > squeeze_number(gas.mu, 1e-5, w1, gas.P_A, 1.6e-6)
-        assert reynolds_number(gas.rho, 1e-5, w2, gas.mu) \
-            > reynolds_number(gas.rho, 1e-5, w1, gas.mu)
+        rep1 = regime_report(_TYPE_A, gas, w1 / (2 * math.pi))
+        rep2 = regime_report(_TYPE_A, gas, w2 / (2 * math.pi))
+        assert rep2.sigma_plate > rep1.sigma_plate
+        assert rep2.sigma_cell > rep1.sigma_cell
+        assert rep2.Re > rep1.Re
 
 
 class TestModelProperties:

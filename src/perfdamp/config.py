@@ -110,18 +110,22 @@ _GAS_FIELDS = {"P_A_kPa": ("P_A", 1e3), "rho_kg_m3": ("rho", 1.0),
 def _build(cls, data, fields: dict, block: str, optional=(), allowed=(), **extra):
     """cls built from the fields of one block: a field the table does not know
     (nor `allowed`) is refused, an absent `optional` one is left to cls's
-    default, and cls's ValueError becomes a ConfigError that names the block."""
+    default, and a bad value or cls's ValueError becomes a ConfigError that
+    names the block. Each word of the message that is an attribute of cls with
+    a file field of another name is replaced by that field (`L_b` -> `Lb_um`)."""
     if not isinstance(data, dict):
         raise ConfigError(f"{block} must be a JSON object")
     for key in data:
         if key not in fields and key not in allowed:
             raise ConfigError(f"unknown field {key!r} in {block}")
-    kwargs = {name: _value(data, field, scale) for field, (name, scale) in fields.items()
-              if field in data or field not in optional}
     try:
+        kwargs = {name: _value(data, field, scale) for field, (name, scale) in fields.items()
+                  if field in data or field not in optional}
         return cls(**kwargs, **extra)
     except ValueError as exc:
-        raise ConfigError(f"{block}: {exc}") from exc
+        to_field = {name: field for field, (name, _) in fields.items() if name != field}
+        message = re.sub(r"\w+", lambda m: to_field.get(m[0], m[0]), str(exc))
+        raise ConfigError(f"{block}: {message}") from exc
 
 
 def load_device(path: str | Path) -> tuple[PlateGeometry, MeasuredRecord | None]:

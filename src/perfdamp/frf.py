@@ -1,13 +1,10 @@
 """Quality-factor and damping extraction from frequency-response curves.
 
-The measured procedure is mirrored: locate the resonance peak, fit a
-6th-degree polynomial through a window around it, and read Q from the
-half-power bandwidth Q = f0/(f2 - f1). A synthetic second-order resonator
+The measured procedure is mirrored: a 6th-degree polynomial fitted to the
+top of the resonance peak gives f0 and the peak amplitude, and Q is read from
+the half-power bandwidth Q = f0/(f2 - f1), each crossing interpolated linearly
+between the samples that bracket it. A synthetic second-order resonator
 response is provided so the extraction can be tested closed-loop.
-
-The searches over the samples (the fit window, the first sample pair that
-brackets each half-power crossing) run in numpy. Only the bracketing samples
-and the bisection between them run on Python floats.
 """
 
 from __future__ import annotations
@@ -23,6 +20,7 @@ from numpy.polynomial import polynomial as P
 POLY_DEGREE = 6
 MIN_WINDOW = 9
 HALF_POWER = 1.0 / math.sqrt(2.0)
+FIT_WINDOW_LEVEL = 0.9
 _EPS = np.finfo(float).eps
 # d/dx of c_i*x^i is i*c_i*x^(i-1): the factors of c_1..c_6 in the derivative
 _DERIV_POWERS = np.arange(1, POLY_DEGREE + 1)
@@ -72,9 +70,13 @@ class ExtractionResult(NamedTuple):
     c: float | None = None
 
 
-def _check_m_eff(m_eff: float) -> None:
-    if not 0 < m_eff < math.inf:
-        raise ValueError(f"m_eff (effective mass) must be positive and finite, got {m_eff}")
+def _check_positive(*named_values: tuple[str, float]) -> None:
+    for name, value in named_values:
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+_M_EFF = "m_eff (effective mass)"
 
 
 def synth_frf(m_eff: float, c: float, k: float, F0: float, freqs: np.ndarray) -> FrfCurve:
@@ -83,10 +85,7 @@ def synth_frf(m_eff: float, c: float, k: float, F0: float, freqs: np.ndarray) ->
 
     Finite parameters whose response leaves the float range (an amplitude
     that overflows or underflows to 0, or is infinite) raise ValueError."""
-    _check_m_eff(m_eff)
-    for name, value in (("k (stiffness)", k), ("F0 (drive force)", F0)):
-        if not 0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value}")
+    _check_positive((_M_EFF, m_eff), ("k (stiffness)", k), ("F0 (drive force)", F0))
     if not 0 <= c < math.inf:
         raise ValueError(f"c (damping) must be non-negative and finite, got {c}")
     freqs = np.asarray(freqs, dtype=float)
@@ -111,23 +110,21 @@ def read_curve(path) -> FrfCurve:
 
 def damping_from_q(f0: float, Q: float, m_eff: float) -> float:
     """Damping coefficient from quality factor: c = 2*pi*f0*m_eff/Q."""
-    _check_m_eff(m_eff)
-    if f0 <= 0 or Q <= 0:
-        raise ValueError("f0 and Q must be positive")
+    _check_positive((_M_EFF, m_eff), ("f0 (resonance frequency)", f0), ("Q (quality factor)", Q))
     return 2 * math.pi * f0 * m_eff / Q
 
 
 def _fit_window(amps: np.ndarray, i_peak: int) -> tuple[int, int]:
     """Widest symmetric index span around the raw peak whose amplitudes stay
-    above half the raw maximum, at least MIN_WINDOW samples.
+    at or above FIT_WINDOW_LEVEL of it, at least MIN_WINDOW samples.
 
-    Both sides widen together until a sample on either side falls below half
-    the maximum or the span reaches an end of the array."""
+    Both sides widen together until a sample on either side falls below the
+    level or the span reaches an end of the array."""
     reach = min(i_peak, len(amps) - 1 - i_peak)
     half = 0
     if reach:
-        below = amps[i_peak - reach : i_peak + reach + 1] < amps[i_peak] / 2.0
-        # stop[k]: a sample k + 1 places left or right of the peak is below half
+        below = amps[i_peak - reach : i_peak + reach + 1] < amps[i_peak] * FIT_WINDOW_LEVEL
+        # stop[k]: a sample k + 1 places left or right of the peak is below the level
         stop = below[reach + 1 :] | below[reach - 1 :: -1]
         k = int(stop.argmax())
         half = k if stop[k] else reach
@@ -140,15 +137,14 @@ def _fit_window(amps: np.ndarray, i_peak: int) -> tuple[int, int]:
 def _horner(poly, f: float) -> float:
     """Value at f of a fitted polynomial (off, scl, coef): coef holds the
     coefficients in the mapped variable x = off + scl*f, highest degree first.
-    The operations are those of numpy's Polynomial.__call__, so the result is
-    bit-identical to it."""
+    For finite f the result is bit-identical to numpy's Polynomial.__call__."""
     off, scl, (c6, c5, c4, c3, c2, c1, c0) = poly
     x = off + scl * f
-    return ((((((c6 + 0.0 * x) * x + c5) * x + c4) * x + c3) * x + c2) * x + c1) * x + c0
+    return (((((c6 * x + c5) * x + c4) * x + c3) * x + c2) * x + c1) * x + c0
 
 
 def _poly_peak(freqs, amps, lo, hi):
-    """Fit the window with a degree-6 polynomial and return (poly, f0, A_peak).
+    """Fit the window with a degree-6 polynomial; return its maximum (f0, A_peak).
 
     The least-squares fit and the derivative roots repeat numpy's
     Polynomial.fit, deriv and roots step for step, without the class; the
@@ -161,7 +157,7 @@ def _poly_peak(freqs, amps, lo, hi):
     off, scl = (-x_hi - x_lo) / span, 2.0 / span  # map [x_lo, x_hi] to [-1, 1]
     t = off + scl * x
     van_t = np.empty((POLY_DEGREE + 1, len(t)))
-    van_t[0] = t * 0 + 1
+    van_t[0] = 1.0
     for i in range(1, POLY_DEGREE + 1):
         np.multiply(van_t[i - 1], t, out=van_t[i])
     norms = np.sqrt(np.square(van_t).sum(1))
@@ -180,18 +176,15 @@ def _poly_peak(freqs, amps, lo, hi):
     poly = (off, scl, coef[::-1].tolist())
     vals = [_horner(poly, f) for f in cand]
     j = max(range(len(vals)), key=vals.__getitem__)
-    return poly, cand[j], vals[j]
+    return cand[j], vals[j]
 
 
-def _crossing(freqs, amps, poly, window, thr, i_start, step):
+def _crossing(freqs, amps, thr, i_start, step):
     """Return the frequency where the amplitude first falls through thr going
     outward from i_start in direction step.
 
     numpy finds the first sample pair i, j = i + step with
-    amps[j] < thr <= amps[i]; only that pair and the bisection between its
-    frequencies run on Python floats. Inside the fit window the crossing is
-    bisected on the polynomial, outside it the raw samples are interpolated
-    linearly."""
+    amps[j] < thr <= amps[i]; the crossing is interpolated linearly on it."""
     walk = amps[i_start:] if step > 0 else amps[i_start::-1]
     above = walk >= thr
     falls = above[:-1] > above[1:]  # above at i, below at j
@@ -200,27 +193,6 @@ def _crossing(freqs, amps, poly, window, thr, i_start, step):
         raise BandwidthError("amplitude never falls below the half-power level")
     i = i_start + k * step
     j = i + step
-    lo, hi = window
-    if lo <= i <= hi and lo <= j <= hi:
-        # bisection on the fitted polynomial
-        a, b = (freqs.item(i), freqs.item(j)) if step > 0 else (freqs.item(j), freqs.item(i))
-        # g(f) = poly(f) - thr keeps the sign of g(a) at every left end, so
-        # the sign stands in for g(a) in the bracket test; a product of two g
-        # values would underflow on tiny amplitudes
-        ga = _horner(poly, a) - thr
-        sa = (ga > 0) - (ga < 0)
-        if sa * (_horner(poly, b) - thr) <= 0:
-            for _ in range(80):
-                mid = 0.5 * (a + b)
-                if mid == a or mid == b:
-                    # the bracket is at float resolution and stays put
-                    return mid
-                if sa * (_horner(poly, mid) - thr) <= 0:
-                    b = mid
-                else:
-                    a = mid
-            return 0.5 * (a + b)
-    # linear interpolation on the raw samples
     fi, aa, ab = freqs.item(i), amps.item(i), amps.item(j)
     return fi + (thr - aa) * (freqs.item(j) - fi) / (ab - aa)
 
@@ -232,7 +204,7 @@ def extract(curve: FrfCurve, m_eff: float | None = None) -> ExtractionResult:
     included in the result.
     """
     if m_eff is not None:
-        _check_m_eff(m_eff)
+        _check_positive((_M_EFF, m_eff))
     freqs, amps = curve.freqs, curve.amps
     i_peak = int(amps.argmax())
     peak = amps.item(i_peak)
@@ -240,10 +212,10 @@ def extract(curve: FrfCurve, m_eff: float | None = None) -> ExtractionResult:
     if peak <= 0 or peak == amps.min():
         raise BandwidthError("curve has no peak")
     lo, hi = _fit_window(amps, i_peak)
-    poly, f0, A_peak = _poly_peak(freqs, amps, lo, hi)
+    f0, A_peak = _poly_peak(freqs, amps, lo, hi)
     thr = A_peak * HALF_POWER
-    f1 = _crossing(freqs, amps, poly, (lo, hi), thr, i_peak, -1)
-    f2 = _crossing(freqs, amps, poly, (lo, hi), thr, i_peak, +1)
+    f1 = _crossing(freqs, amps, thr, i_peak, -1)
+    f2 = _crossing(freqs, amps, thr, i_peak, +1)
     if not f1 < f0 < f2:
         raise BandwidthError("half-power frequencies do not bracket the peak")
     Q = f0 / (f2 - f1)

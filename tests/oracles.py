@@ -3,7 +3,7 @@ the plain numpy form of the FRF extraction.
 
 The series references sum term by term, as the model formulas state them, and
 share no code with the package's closed forms. extract_reference runs the Q
-extraction through numpy's Polynomial class with a full 80-step bisection.
+extraction through numpy's Polynomial class and a sample-by-sample walk.
 """
 
 import math
@@ -60,13 +60,14 @@ def m2_damping(geom, gas):
 
 def extract_reference(curve, m_eff=None):
     """frf.extract through numpy's Polynomial class: fit a degree-6 polynomial
-    around the raw peak, take its maximum, and bisect each half-power crossing
-    inside the fit window for 80 steps, evaluating both ends on every step."""
+    to the samples at or above 0.9 of the raw peak, take its maximum, and walk
+    outward one sample at a time to the first pair that falls through the
+    half-power level, interpolating that pair linearly."""
     freqs, amps = curve.freqs, curve.amps
     i_peak = int(np.argmax(amps))
     if amps[i_peak] <= 0 or np.all(amps == amps[0]):
         raise BandwidthError("curve has no peak")
-    thr = amps[i_peak] / 2.0
+    thr = amps[i_peak] * 0.9
     half = 0
     while True:
         lo, hi = i_peak - half - 1, i_peak + half + 1
@@ -98,17 +99,6 @@ def extract_reference(curve, m_eff=None):
         while 0 <= i + step < len(freqs):
             j = i + step
             if amps[j] < thr <= amps[i]:
-                a, b = (freqs[i], freqs[j]) if step > 0 else (freqs[j], freqs[i])
-                if lo <= i <= hi and lo <= j <= hi:
-                    g = lambda f: poly(f) - thr
-                    if g(a) * g(b) <= 0:
-                        for _ in range(80):
-                            mid = 0.5 * (a + b)
-                            if g(a) * g(mid) <= 0:
-                                b = mid
-                            else:
-                                a = mid
-                        return 0.5 * (a + b)
                 aa, ab = amps[i], amps[j]
                 return freqs[i] + (thr - aa) * (freqs[j] - freqs[i]) / (ab - aa)
             i = j

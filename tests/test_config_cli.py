@@ -132,10 +132,11 @@ class TestUnknownAndInvalidBlocks:
             load_gas(_write(tmp_path, {"lamda_nm": 30}, "gas.json"))
 
     @pytest.mark.parametrize("data,message", [
-        ({**VALID, "beams": {"Lb_um": -1, "Wb_um": 4}}, "^block 'beams': L_b must"),
+        ({**VALID, "beams": {"Lb_um": -1, "Wb_um": 4}}, "^block 'beams': Lb_um must"),
         ({**VALID, "beams": {**BEAMS, "count": 0}}, "^block 'beams': beam count"),
         ({**VALID, "measured": {**MEASURED, "mass_ratio": 2}}, "^block 'measured': mass ratio"),
-        ({**VALID, "measured": {**MEASURED, "f0_kHz": 0}}, "^block 'measured': c_m and f0"),
+        ({**VALID, "measured": {**MEASURED, "f0_kHz": 0}},
+         "^block 'measured': c_Ns_per_m and f0_kHz"),
     ], ids=["beam-length", "beam-count", "mass-ratio", "f0"])
     def test_invalid_block_value_names_block(self, tmp_path, data, message):
         with pytest.raises(ConfigError, match=message):
@@ -158,6 +159,26 @@ class TestUnknownAndInvalidBlocks:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert named in err
+
+    # One case per record (BeamGeometry, GasProperties, PlateGeometry,
+    # MeasuredRecord), each pinning the whole message that _build rewrites.
+    @pytest.mark.parametrize("device,gas,message", [
+        ({**VALID, "beams": {"Wb_um": 4}}, None, "block 'beams': missing field 'Lb_um'"),
+        ({**VALID, "beams": {**BEAMS, "Lb_um": -1}}, None,
+         "block 'beams': Lb_um must be non-negative and finite"),
+        (VALID, {"lambda_nm": -1}, "gas file: lambda_nm must be strictly positive and finite"),
+        ({**VALID, "s0_um": 0}, None, "device file: s0_um must be strictly positive and finite"),
+        ({**VALID, "measured": {**MEASURED, "f0_kHz": 0}}, None,
+         "block 'measured': c_Ns_per_m and f0_kHz must be positive and finite"),
+    ], ids=["Lb_um-missing", "Lb_um", "lambda_nm", "s0_um", "f0_kHz"])
+    def test_cli_error_names_block_and_file_field(self, tmp_path, capsys, device, gas, message):
+        argv = ["damp", "--device", _write(tmp_path, device), "--model", "m5"]
+        if gas is not None:
+            argv += ["--gas", _write(tmp_path, gas, "gas.json")]
+        assert cli.run(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 def _reloads_to(value, scale):

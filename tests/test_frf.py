@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from perfdamp.frf import (
+    FIT_WINDOW_LEVEL,
     HALF_POWER,
     BandwidthError,
     FitError,
@@ -170,6 +171,28 @@ class TestExtract:
         assert res.c == pytest.approx(c_m, rel=0.02)
 
 
+def _half_power_q(Q):
+    """f_peak/(f2 - f1) of the continuous response |X| of a resonator with
+    quality factor Q. With z = 1/(2Q) and r = f/f0, |X|^-2 is proportional to
+    (1 - r^2)^2 + (2*z*r)^2: its minimum lies at r^2 = 1 - 2z^2 and it doubles
+    at the roots r^2 = 1 - 2z^2 +- 2z*sqrt(1 - z^2) of a quadratic in r^2."""
+    z = 1.0 / (2.0 * Q)
+    mid, half_gap = 1.0 - 2.0 * z * z, 2.0 * z * math.sqrt(1.0 - z * z)
+    return math.sqrt(mid) / (math.sqrt(mid + half_gap) - math.sqrt(mid - half_gap))
+
+
+class TestHalfPowerOracle:
+    """On clean curves, Q matches the half-power Q of the continuous response."""
+
+    @pytest.mark.parametrize("points, tol", [(801, 1e-4), (201, 3e-4)])
+    @pytest.mark.parametrize("Q", [2, 3, 5, 10, 20, 50, 100, 500, 5000])
+    def test_matches_closed_form(self, Q, points, tol):
+        # below Q = 3.2 the span narrows so that it starts at 0.05 f0, above
+        # 0 Hz and below the left crossing (0.63 f0 at Q = 2)
+        curve, _, _ = _resonator_curve(200e3, Q, points=points, span_bw=min(3.0, 0.95 * Q))
+        assert abs(extract(curve).Q / _half_power_q(Q) - 1) <= tol
+
+
 class TestMatchesReference:
     """extract is bit-identical to the Polynomial-class extraction."""
 
@@ -203,50 +226,49 @@ class TestIndexSearches:
     semantics of a walk outward from the peak, one sample at a time."""
 
     def test_window_widens_both_sides_together(self):
-        amps = np.full(21, 0.6)
+        amps = np.full(21, 0.95)
         amps[10] = 1.0
-        amps[3] = 0.4  # 7 samples left of the peak, below half
+        amps[3] = 0.85  # 7 samples left of the peak, below the level
         assert _fit_window(amps, 10) == (4, 16)
 
     def test_window_clipped_by_array_end(self):
-        amps = np.full(21, 0.6)
+        amps = np.full(21, 0.95)
         amps[15] = 1.0
         assert _fit_window(amps, 15) == (10, 20)
-        amps[15], amps[3] = 0.6, 1.0
+        amps[15], amps[3] = 0.95, 1.0
         # the walk stops at the left end after 3 samples; MIN_WINDOW widens it
         assert _fit_window(amps, 3) == (0, 7)
 
-    def test_window_sample_at_half_counts_as_above(self):
-        amps = np.full(21, 0.6)
-        amps[10], amps[3] = 1.0, 0.5
+    def test_window_sample_at_level_counts_as_above(self):
+        amps = np.full(21, 0.95)
+        amps[10], amps[3] = 1.0, FIT_WINDOW_LEVEL
         assert _fit_window(amps, 10) == (0, 20)
 
     def test_crossing_sample_at_threshold_counts_as_above(self):
-        amps = np.array([0.2, 0.5, 1.0, 0.75, 0.5, 0.25, 0.1, 0.1])
+        amps = np.array([0.2, 0.5, 0.5, 1.0, 0.75, 0.5, 0.5, 0.1])
         freqs = np.arange(8.0)
-        # amps[4] == amps[1] == thr count as above, so the crossings are the
-        # pairs (4, 5) and (1, 0), where these lines do not bracket thr; they
-        # would in (3, 4) at 3.5 and in (2, 1) at 1.5
-        falling, rising = (0.0, 1.0, [0.0] * 5 + [-1.0, 4.0]), (0.0, 1.0, [0.0] * 5 + [1.0, -1.0])
-        assert _crossing(freqs, amps, falling, (0, 7), 0.5, 2, +1) == 4.0
-        assert _crossing(freqs, amps, rising, (0, 7), 0.5, 2, -1) == 1.0
+        # the plateaus at thr count as above, so the crossings are the pairs
+        # (6, 7) and (1, 0); counted as below, they would be (4, 5) at 5.0
+        # and (3, 2) at 2.0
+        assert _crossing(freqs, amps, 0.5, 3, +1) == 6.0
+        assert _crossing(freqs, amps, 0.5, 3, -1) == 1.0
 
     def test_crossing_ignores_a_rise(self):
         # the walk starts below thr; the first pair that falls through it wins
         amps = np.array([0.1, 0.9, 0.9, 0.4, 1.0, 0.5, 0.1, 0.1])
-        assert _crossing(np.arange(8.0), amps, None, (3, 3), 0.75, 3, +1) == 4.5
+        assert _crossing(np.arange(8.0), amps, 0.75, 3, +1) == 4.5
 
     def test_crossing_first_dip_wins(self):
         amps = np.array([0.1, 0.25, 0.5, 1.0, 1.0, 1.0, 0.5, 1.0, 0.25, 0.1])
         freqs = np.arange(10.0)
         # pairs (5, 6) and (7, 8) both fall through 0.75; the walk stops at the first
-        assert _crossing(freqs, amps, None, (4, 4), 0.75, 4, +1) == 5.5
-        assert _crossing(freqs, amps, None, (4, 4), 0.75, 4, -1) == 2.5
+        assert _crossing(freqs, amps, 0.75, 4, +1) == 5.5
+        assert _crossing(freqs, amps, 0.75, 4, -1) == 2.5
 
     def test_crossing_never_falls(self):
         amps = np.array([0.9, 0.95, 1.0, 0.5, 0.25, 0.2, 0.1, 0.1])
         with pytest.raises(BandwidthError):
-            _crossing(np.arange(8.0), amps, None, (2, 2), 0.75, 2, -1)
+            _crossing(np.arange(8.0), amps, 0.75, 2, -1)
 
     @pytest.mark.parametrize("first", [True, False])
     def test_peak_on_end_sample(self, first):
@@ -273,7 +295,7 @@ class TestIndexSearches:
         assert _outcome(extract, dipped) == _outcome(extract_reference, dipped)
 
     def _narrow_window_curve(self):
-        """A curve whose left dip below half the peak narrows the fit window,
+        """A curve whose left dip below the fit level narrows the fit window,
         so its right crossing lies outside the window."""
         curve, _, _ = _resonator_curve(200e3, 50, points=201, span_bw=3.0)
         amps = curve.amps.copy()
@@ -294,11 +316,13 @@ class TestIndexSearches:
         thr = extract_reference(curve).A_peak * HALF_POWER
         amps = curve.amps.copy()
         j = i_peak + int(np.argmax(amps[i_peak:] < thr))  # first sample right below thr
-        amps[j] = thr  # outside the window, so the fit and thr stay as they are
+        amps[j:j + 2] = thr  # outside the window, so the fit and thr stay as they are
         moved = FrfCurve(freqs=curve.freqs, amps=amps)
         res = extract(moved, m_eff=1e-9)
         assert extract(curve).f2 < curve.freqs[j]
-        assert res.f2 == curve.freqs[j]  # the crossing moves to the pair (j, j + 1)
+        # the crossing moves to the pair (j + 1, j + 2); were a sample at thr
+        # below, it would be (j - 1, j), at about freqs[j]
+        assert res.f2 == curve.freqs[j + 1]
         assert tuple(res) == tuple(extract_reference(moved, m_eff=1e-9))
 
 
@@ -314,6 +338,13 @@ class TestDampingFromQ:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             damping_from_q(1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("arg", ["f0", "Q"])
+    def test_rejects_non_finite_or_nonpositive(self, arg, value):
+        kwargs = {"f0": 200e3, "Q": 10.0, "m_eff": 1e-9, arg: value}
+        with pytest.raises(ValueError, match=rf"^{arg} \("):
+            damping_from_q(**kwargs)
 
     @pytest.mark.parametrize("m_eff", [math.nan, math.inf, 0.0])
     def test_rejects_bad_m_eff(self, m_eff):

@@ -169,8 +169,8 @@ def _frf_pair(scale, Q):
 class TestFrfProperties:
     # A power-of-two scale is exact in binary floating point, so every step of
     # the extraction scales exactly and the frequencies come out bit-identical.
-    # At 2**-520 the amplitudes are near 1e-163, where a product of two
-    # bisection residuals underflows to zero.
+    # At 2**-520 the amplitudes are near 1e-163, where a product of two of
+    # them underflows to zero.
     @settings(max_examples=20, deadline=None)
     @example(k=-520, Q=300.0)
     @given(k=st.integers(min_value=-20, max_value=20),

@@ -91,8 +91,8 @@ def _cmd_damp(args) -> int:
     if args.breakdown:
         for model, br in breakdowns:
             text += f"# {model} cell resistance breakdown (Ns/m per cell, scaled)\n"
-            names = ("R_S", "R_IS", "R_IB", "R_IC", "R_C", "R_E")
-            for name, val, pct in zip(names, br.scaled_components(), br.percentages()):
+            for name, val, pct in zip(cmp.TABLE5_COLUMNS, br.scaled_components(),
+                                      br.percentages()):
                 text += f"# {name:5s} {val:.6e}  {pct:6.2f}%\n"
     _emit(text, args.out)
     return EXIT_OK
@@ -283,8 +283,7 @@ def run(argv=None) -> int:
         return EXIT_USAGE
 
 
-def main(argv=None) -> int:
-    return run(argv)
+main = run
 
 
 if __name__ == "__main__":

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
-from perfdamp.geometry import PlateGeometry, BeamGeometry
+from perfdamp.geometry import PlateGeometry, BeamGeometry, require_positive
 from perfdamp.flow_regime import (
     CHANNEL_SLIP_SLOPE,
     SQUARE_SLIP_SLOPE,
@@ -434,8 +434,7 @@ def beam_damping(beams: BeamGeometry, h: float, gas: GasProperties) -> float:
     without the slip divisor; both are negligible next to the plate damping).
     The leading beam count replaces the printed factor of 4.
     """
-    if not 0 < h < math.inf:
-        raise ValueError("air gap must be positive and finite")
+    require_positive(("air gap", h))
     K_ch = gas.lam / h
     return (
         beams.count * beams.L_b * (beams.W_b + 1.3 * h) ** 3 * gas.mu

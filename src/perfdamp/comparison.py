@@ -9,10 +9,9 @@ reproduction can be tolerance-gated.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from perfdamp.geometry import PlateGeometry, BeamGeometry
+from perfdamp.geometry import PlateGeometry, BeamGeometry, require_positive
 from perfdamp.flow_regime import GasProperties
 from perfdamp import compact_models as cm
 
@@ -38,10 +37,9 @@ class MeasuredRecord:
     alpha: float   # modal/total mass ratio
 
     def __post_init__(self):
-        if not (0 < self.c_m < math.inf and 0 < self.f0 < math.inf):
-            raise ValueError("c_m and f0 must be positive and finite")
+        require_positive(("c_m", self.c_m), ("f0", self.f0))
         if not 0 < self.alpha <= 1:
-            raise ValueError("mass ratio must be in (0, 1]")
+            raise ValueError("alpha must be in (0, 1]")
 
 
 _BEAMS = BeamGeometry(L_b=122e-6, W_b=4e-6, count=4)
@@ -113,8 +111,7 @@ def builtin_dataset() -> list[MeasuredRecord]:
 
 def relative_error(c_s: float, c_m: float) -> float:
     """Relative model error 100*(c_s - c_m)/c_m in percent."""
-    if not 0 < c_m < math.inf:
-        raise ValueError("measured damping must be positive and finite")
+    require_positive(("measured damping", c_m))
     return 100.0 * (c_s - c_m) / c_m
 
 

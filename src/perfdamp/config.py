@@ -72,13 +72,11 @@ def _value(data: dict, field: str, scale: float | None) -> float | int:
         raise ConfigError(f"field {field!r} must be {noun}, got {type(value).__name__}")
     if scale is None:
         return value
+    # a NaN or an infinity is left to the record, which refuses it by name
     try:
-        scaled = float(value) * scale
+        return float(value) * scale
     except OverflowError:
-        scaled = math.inf
-    if not math.isfinite(scaled):
-        raise ConfigError(f"field {field!r} must be a finite number, got {value}")
-    return scaled
+        return math.inf
 
 
 def _read_json(path: str | Path) -> dict:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from perfdamp.geometry import PlateGeometry
+from perfdamp.geometry import PlateGeometry, require_positive
 
 SIGMA_THRESHOLD = 20.0
 RE_THRESHOLD = 6.0
@@ -39,12 +39,8 @@ class GasProperties:
     lam: float = 65e-9       # mean free path, m
 
     def __post_init__(self):
-        inf = math.inf
-        if not (0 < self.P_A < inf and 0 < self.rho < inf and 0 < self.mu < inf
-                and 0 < self.lam < inf):
-            for name in ("P_A", "rho", "mu", "lam"):
-                if not 0 < getattr(self, name) < inf:
-                    raise ValueError(f"{name} must be strictly positive and finite")
+        require_positive(("P_A", self.P_A), ("rho", self.rho), ("mu", self.mu),
+                         ("lam", self.lam))
 
 
 class RegimeReport(NamedTuple):
@@ -79,8 +75,7 @@ def regime_report(geom: PlateGeometry, gas: GasProperties, f: float) -> RegimeRe
     for the dominating dimension W, and Re = rho*r^2*omega/mu. The plate and
     the gas are validated when they are built, so only f is checked here.
     """
-    if not 0 < f < math.inf:
-        raise ValueError("frequency must be positive and finite")
+    require_positive(("frequency", f))
     omega = 2.0 * math.pi * f
     lam, mu, h, s0 = gas.lam, gas.mu, geom.h, geom.s0
     K_ch = lam / h

@@ -17,6 +17,8 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial import polynomial as P
 
+from perfdamp.geometry import require_positive
+
 POLY_DEGREE = 6
 MIN_WINDOW = 9
 HALF_POWER = 1.0 / math.sqrt(2.0)
@@ -36,7 +38,7 @@ class FitError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class FrfCurve:
-    """Sampled amplitude response: strictly increasing freqs (Hz), amps (m)."""
+    """Sampled amplitude response: strictly increasing positive freqs (Hz), amps (m)."""
 
     freqs: np.ndarray
     amps: np.ndarray
@@ -57,6 +59,8 @@ class FrfCurve:
             raise ValueError("need at least 8 samples")
         if not (freqs[1:] > freqs[:-1]).all():
             raise ValueError("freqs must be strictly increasing")
+        # increasing, so the first frequency is the smallest
+        require_positive(("freqs", freqs.item(0)))
         if (amps < 0).any():
             raise ValueError("amplitudes must be non-negative")
 
@@ -70,12 +74,6 @@ class ExtractionResult(NamedTuple):
     c: float | None = None
 
 
-def _check_positive(*named_values: tuple[str, float]) -> None:
-    for name, value in named_values:
-        if not 0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value}")
-
-
 _M_EFF = "m_eff (effective mass)"
 
 
@@ -85,7 +83,7 @@ def synth_frf(m_eff: float, c: float, k: float, F0: float, freqs: np.ndarray) ->
 
     Finite parameters whose response leaves the float range (an amplitude
     that overflows or underflows to 0, or is infinite) raise ValueError."""
-    _check_positive((_M_EFF, m_eff), ("k (stiffness)", k), ("F0 (drive force)", F0))
+    require_positive((_M_EFF, m_eff), ("k (stiffness)", k), ("F0 (drive force)", F0))
     if not 0 <= c < math.inf:
         raise ValueError(f"c (damping) must be non-negative and finite, got {c}")
     freqs = np.asarray(freqs, dtype=float)
@@ -110,7 +108,7 @@ def read_curve(path) -> FrfCurve:
 
 def damping_from_q(f0: float, Q: float, m_eff: float) -> float:
     """Damping coefficient from quality factor: c = 2*pi*f0*m_eff/Q."""
-    _check_positive((_M_EFF, m_eff), ("f0 (resonance frequency)", f0), ("Q (quality factor)", Q))
+    require_positive((_M_EFF, m_eff), ("f0 (resonance frequency)", f0), ("Q (quality factor)", Q))
     return 2 * math.pi * f0 * m_eff / Q
 
 
@@ -204,7 +202,7 @@ def extract(curve: FrfCurve, m_eff: float | None = None) -> ExtractionResult:
     included in the result.
     """
     if m_eff is not None:
-        _check_positive((_M_EFF, m_eff))
+        require_positive((_M_EFF, m_eff))
     freqs, amps = curve.freqs, curve.amps
     i_peak = int(amps.argmax())
     peak = amps.item(i_peak)

@@ -37,6 +37,15 @@ _3PI = 3 * math.pi
 _SQRT_PI = math.sqrt(math.pi)
 
 
+def require_positive(*named: tuple[str, float]) -> None:
+    """Refuse the first (name, value) pair whose value is not in (0, inf),
+    NaN included, with a ValueError that names it. The message carries no
+    value: callers such as `config` rename the field into a unit of their own."""
+    for name, value in named:
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite")
+
+
 @dataclass(frozen=True)
 class BeamGeometry:
     """Supporting beams of the plate: length, width, and how many there are."""
@@ -73,12 +82,9 @@ class PlateGeometry:
     derived: DerivedGeometry = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        inf, s0 = math.inf, self.s0
-        if not (0 < self.L < inf and 0 < self.W < inf and 0 < s0 < inf
-                and 0 < self.s1 < inf and 0 < self.h < inf and 0 < self.h_c < inf):
-            for name in ("L", "W", "s0", "s1", "h", "h_c"):
-                if not 0 < getattr(self, name) < inf:
-                    raise ValueError(f"{name} must be strictly positive and finite")
+        s0 = self.s0
+        require_positive(("L", self.L), ("W", self.W), ("s0", s0), ("s1", self.s1),
+                         ("h", self.h), ("h_c", self.h_c))
         if self.M < 1 or self.N < 1:
             raise ValueError("hole counts M, N must be >= 1")
         pitch = s0 + self.s1

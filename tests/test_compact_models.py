@@ -276,7 +276,7 @@ class TestBeamDamping:
 
     @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_gap_outside_zero_to_inf_refused(self, gas, h):
-        with pytest.raises(ValueError, match="air gap must be positive and finite"):
+        with pytest.raises(ValueError, match="^air gap must be"):
             cm.beam_damping(self.BEAMS, h, gas)
 
     def test_count_scales_linearly(self, gas):

@@ -70,13 +70,13 @@ class TestMeasuredRecord:
         rec = dataset["A"]
         kwargs = {"id": "X", "geom": rec.geom, "c_m": rec.c_m, "f0": rec.f0, "alpha": rec.alpha}
         kwargs[field] = value
-        with pytest.raises(ValueError, match="c_m and f0"):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
             cmp.MeasuredRecord(**kwargs)
 
     @pytest.mark.parametrize("alpha", [math.nan, 0.0, 1.5])
     def test_refuses_mass_ratio_outside_unit_interval(self, dataset, alpha):
         rec = dataset["A"]
-        with pytest.raises(ValueError, match="mass ratio"):
+        with pytest.raises(ValueError, match=r"^alpha must be in \(0, 1\]$"):
             cmp.MeasuredRecord("X", rec.geom, rec.c_m, rec.f0, alpha)
 
 

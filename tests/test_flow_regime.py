@@ -97,7 +97,7 @@ class TestArgumentChecks:
                                           for name in names])
     def test_zero_divisor_names_argument(self, fn, name):
         entry = self.CASES[fn][name]
-        with pytest.raises(ValueError, match=f"^{entry[1]} must be strictly positive and finite"):
+        with pytest.raises(ValueError, match=f"^{entry[1]} must be"):
             _report_with(entry, 0.0)
 
 

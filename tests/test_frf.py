@@ -106,8 +106,14 @@ class TestCurveValidation:
             FrfCurve(**data)
 
     def test_negative_amplitude(self):
-        with pytest.raises(ValueError):
-            FrfCurve(freqs=np.arange(10.0), amps=np.full(10, -1.0))
+        with pytest.raises(ValueError, match="^amplitudes must be non-negative$"):
+            FrfCurve(freqs=np.arange(1.0, 11.0), amps=np.full(10, -1.0))
+
+    def test_first_frequency_must_be_positive(self):
+        # a Q = 0.75 resonance at 200 kHz sampled from -400 to 800 kHz: its
+        # left half-power crossing lies below 0 Hz, where no response exists
+        with pytest.raises(ValueError, match="^freqs must be positive and finite$"):
+            _resonator_curve(200e3, 0.75, span_bw=2.25)
 
 
 class TestExtract:

@@ -27,6 +27,7 @@ from perfdamp.config import (
     parse_length,
 )
 from perfdamp.flow_regime import GasProperties, regime_report
+from perfdamp.geometry import require_positive
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -169,10 +170,14 @@ def _linspace(start: float, stop: float, n: int) -> list[float]:
 
 
 def _cmd_frf_synth(args) -> int:
-    if args.points < 2:
-        raise ConfigError("frf synth needs at least 2 points")
+    start, stop = parse_frequency(args.start), parse_frequency(args.stop)
+    require_positive(("--start", start), ("--stop", stop))
+    if not start < stop:
+        raise ConfigError("frf synth start must be below stop")
+    if args.points < 8:  # the fewest samples an FrfCurve takes
+        raise ConfigError("frf synth needs at least 8 points")
     from perfdamp import frf
-    freqs = _linspace(parse_frequency(args.start), parse_frequency(args.stop), args.points)
+    freqs = _linspace(start, stop, args.points)
     curve = frf.synth_frf(args.meff, args.damping, args.stiffness, args.force, freqs)
     rows = [[float(f), float(a)] for f, a in zip(curve.freqs, curve.amps)]
     _emit(_csv(rows, ["freq_hz", "amp_m"]), args.out)

@@ -46,6 +46,14 @@ def require_positive(*named: tuple[str, float]) -> None:
             raise ValueError(f"{name} must be positive and finite")
 
 
+def require_non_negative(*named: tuple[str, float]) -> None:
+    """The sibling of require_positive for quantities in [0, inf): refuse the
+    first (name, value) pair outside it, NaN included, naming it."""
+    for name, value in named:
+        if not 0 <= value < math.inf:
+            raise ValueError(f"{name} must be non-negative and finite")
+
+
 @dataclass(frozen=True)
 class BeamGeometry:
     """Supporting beams of the plate: length, width, and how many there are."""
@@ -55,9 +63,7 @@ class BeamGeometry:
     count: int = 4
 
     def __post_init__(self):
-        for name in ("L_b", "W_b"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be non-negative and finite")
+        require_non_negative(("L_b", self.L_b), ("W_b", self.W_b))
         if self.count < 1:
             raise ValueError("beam count must be >= 1")
 

@@ -3,7 +3,10 @@ the plain numpy form of the FRF extraction.
 
 The series references sum term by term, as the model formulas state them, and
 share no code with the package's closed forms. extract_reference runs the Q
-extraction through numpy's Polynomial class and a sample-by-sample walk.
+extraction through numpy's Polynomial class (an SVD least-squares fit, the
+peak from the eigenvalues of the derivative's companion matrix) and a
+sample-by-sample walk; frf.extract reaches the same numbers by other
+arithmetic, so tests compare the two within 1e-12.
 """
 
 import math

@@ -1,8 +1,10 @@
-"""The one positive-and-finite rule at the boundary.
+"""The positive-and-finite and non-negative-and-finite rules at the boundary.
 
 Every record field and entry point that takes a strictly positive quantity
 refuses 0, a negative value, NaN and both infinities with the same message,
-`<name> must be positive and finite`, naming the quantity it refused.
+`<name> must be positive and finite`, naming the quantity it refused. One that
+takes a quantity in [0, inf) accepts 0 and refuses the rest with
+`<name> must be non-negative and finite`.
 """
 
 import dataclasses
@@ -62,3 +64,23 @@ def test_curve_refuses_first_frequency(label):
     with pytest.raises(ValueError) as info:
         frf.FrfCurve(freqs=FREQS - FREQS[0] + BAD[label], amps=CURVE.amps)
     assert str(info.value) == "freqs must be positive and finite"
+
+
+NON_NEGATIVE_SITES = {
+    **{f"BeamGeometry.{n}": (n, _replace(REC.geom.beams, n)) for n in ("L_b", "W_b")},
+    "synth_frf.c": ("c (damping)", lambda v: frf.synth_frf(1e-9, v, 1.58e3, 1e-6, FREQS)),
+}
+
+
+@pytest.mark.parametrize("label", ["negative", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("site", NON_NEGATIVE_SITES)
+def test_non_negative_refusal_names_the_quantity(site, label):
+    name, call = NON_NEGATIVE_SITES[site]
+    with pytest.raises(ValueError) as info:
+        call(BAD[label])
+    assert str(info.value) == f"{name} must be non-negative and finite"
+
+
+@pytest.mark.parametrize("site", NON_NEGATIVE_SITES)
+def test_non_negative_accepts_zero(site):
+    NON_NEGATIVE_SITES[site][1](0.0)

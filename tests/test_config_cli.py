@@ -387,6 +387,20 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert name in err
 
+    @pytest.mark.parametrize("options,message", [
+        (["--start", "0Hz"], "--start must be positive and finite"),
+        (["--start=-5kHz"], "--start must be positive and finite"),
+        (["--stop", "1e400"], "--stop must be positive and finite"),
+        (["--start", "210kHz", "--stop", "190kHz"], "frf synth start must be below stop"),
+        (["--points", "5"], "frf synth needs at least 8 points"),
+    ], ids=["start-zero", "start-negative", "stop-infinite", "reversed", "few-points"])
+    def test_frf_synth_refusal_names_option(self, capsys, options, message):
+        # the later of two equal options wins, so each case overrides a valid one
+        argv = ["frf", "synth", "--meff", "1e-9", "--damping", "2e-5", "--stiffness", "1.58e3",
+                "--start", "190kHz", "--stop", "210kHz", *options]
+        assert cli.run(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_frf_synth_response_out_of_float_range_exit1(self):
         # finite options whose response overflows: one error line, no numpy warning
         src = str(Path(cli.__file__).parents[1])

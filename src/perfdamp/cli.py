@@ -79,18 +79,13 @@ def _cmd_regime(args) -> int:
 def _cmd_damp(args) -> int:
     geom, _ = load_device(args.device)
     gas = _gas_from(args)
-    models = list(cm.MODELS) if args.model == "all" else [args.model]
+    results = cm.evaluate(geom, gas, tuple(cm.MODELS) if args.model == "all" else (args.model,))
     device = Path(args.device).stem
-    rows = []
-    breakdowns = []
-    for model in models:
-        res = cm.MODELS[model](geom, gas)
-        rows.append([device, model, res.c, res.series_terms, res.converged])
-        if args.breakdown and res.breakdown is not None:
-            breakdowns.append((model, res.breakdown))
+    rows = [[device, model, res.c, res.series_terms, res.converged]
+            for model, res in results.items()]
     text = _csv(rows, ["device", "model", "c_Ns_per_m", "series_terms", "converged"])
     if args.breakdown:
-        for model, br in breakdowns:
+        for model, br in ((m, r.breakdown) for m, r in results.items() if r.breakdown):
             text += f"# {model} cell resistance breakdown (Ns/m per cell, scaled)\n"
             for name, val, pct in zip(cmp.TABLE5_COLUMNS, br.scaled_components(),
                                       br.percentages()):
@@ -145,9 +140,6 @@ def _cmd_sweep(args) -> int:
     if args.steps < 2:
         raise ConfigError("sweep needs at least 2 steps")
     models = args.models.split(",")
-    for model in models:
-        if model not in cm.MODELS:
-            raise ConfigError(f"unknown model {model!r}")
     values = _linspace(start, stop, args.steps)
     rows = []
     for value in values:
@@ -156,9 +148,7 @@ def _cmd_sweep(args) -> int:
             gs = dataclasses.replace(gas, lam=value)
         else:
             g = dataclasses.replace(geom, **{args.parameter: value})
-        for model in models:
-            res = cm.MODELS[model](g, gs)
-            rows.append([value, model, res.c])
+        rows += [[value, model, res.c] for model, res in cm.evaluate(g, gs, models).items()]
     _emit(_csv(rows, ["param_value", "model", "c_Ns_per_m"]), args.out)
     return EXIT_OK
 

@@ -6,7 +6,8 @@ published, built on an attenuation-length solution of the modified Reynolds
 equation. M3-M6 share one path, `_cell_model`: the slip-corrected resistance
 R_p of one perforation cell, circular (M3, M5) or square (M4, M6), feeds a
 double-series border-flow solution (M3, M4) or the cell-only, closed-borders
-c = M*N*R_p (M5, M6). A rough supporting-beam drag estimate completes the set.
+c = M*N*R_p (M5, M6). `evaluate` runs several models on one (plate, gas), each
+through its MODELS entry. A rough supporting-beam drag estimate completes the set.
 
 All functions are pure. They take the validated inputs, PlateGeometry and
 GasProperties (frozen dataclasses), and return their results as immutable
@@ -33,7 +34,7 @@ overflow or division by zero, and on a c that is not finite and positive.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from perfdamp.geometry import PlateGeometry, BeamGeometry, require_positive
 from perfdamp.flow_regime import (
@@ -95,6 +96,8 @@ _new = tuple.__new__
 
 class ModelDomainError(ValueError):
     """The model's formulas are invalid for the given geometry."""
+
+    model: str | None = None  # set by evaluate: the name of the model that refused
 
 
 class CellResistanceBreakdown(NamedTuple):
@@ -424,6 +427,24 @@ MODELS = {
     "m5": damping_m5,
     "m6": damping_m6,
 }
+
+
+def evaluate(geom: PlateGeometry, gas: GasProperties,
+             models: Sequence[str] = tuple(MODELS)) -> dict[str, ModelResult]:
+    """{name: ModelResult} of the named models, in the order given, each from
+    MODELS[name]; an unknown or repeated name raises ValueError before any runs."""
+    if len(MODELS.keys() & models) < len(models):  # valid names cost one set intersection
+        for i, name in enumerate(models):
+            if name not in MODELS or name in models[:i]:
+                raise ValueError(f"{'repeated' if name in MODELS else 'unknown'} model {name!r}")
+    out = {}
+    for name in models:
+        try:
+            out[name] = MODELS[name](geom, gas)
+        except ModelDomainError as exc:
+            exc.model = name
+            raise
+    return out
 
 
 def beam_damping(beams: BeamGeometry, h: float, gas: GasProperties) -> float:

@@ -116,20 +116,16 @@ def relative_error(c_s: float, c_m: float) -> float:
 
 
 def _error_table(models: tuple[str, ...], gas: GasProperties) -> dict[str, tuple[float, ...]]:
-    # The model functions are looked up in cm.MODELS on each call, so a
-    # replaced entry (a wrapper, a test double) is the one that runs. Each
-    # cell is relative_error's expression; c_m was validated by MeasuredRecord.
-    fns = [(model, cm.MODELS[model]) for model in models]
+    # each cell is relative_error's expression; c_m was validated by MeasuredRecord
     out = {}
     for rec in _DATASET:
-        geom, c_m = rec.geom, rec.c_m
-        row = []
-        for model, fn in fns:
-            try:
-                c = fn(geom, gas).c
-            except cm.ModelDomainError as exc:
-                raise cm.ModelDomainError(f"device {rec.id}, model {model}: {exc}") from exc
-            row.append(100.0 * (c - c_m) / c_m)
+        try:
+            res = cm.evaluate(rec.geom, gas, models)
+        except cm.ModelDomainError as exc:
+            raise cm.ModelDomainError(f"device {rec.id}, model {exc.model}: {exc}") from exc
+        c_m, row = rec.c_m, []
+        for r in res.values():
+            row.append(100.0 * (r.c - c_m) / c_m)
         out[rec.id] = tuple(row)
     return out
 
@@ -145,11 +141,14 @@ def reproduce_table4(gas: GasProperties = GasProperties()) -> dict[str, tuple[fl
 
 
 def reproduce_table5(gas: GasProperties = GasProperties()) -> dict[str, tuple[float, ...]]:
-    """Relative contributions of the six M5 flow-resistance components, in
-    percent of the total cell resistance (each row sums to 100)."""
+    """Percent contributions of the six flow-resistance components of M5's own
+    cell per device (each row sums to 100); a device whose M5 is refused is refused."""
     out = {}
     for rec in _DATASET:
-        out[rec.id] = cm.cell_resistance_circular(rec.geom, gas).percentages()
+        try:
+            out[rec.id] = cm.damping_m5(rec.geom, gas).breakdown.percentages()
+        except cm.ModelDomainError as exc:
+            raise cm.ModelDomainError(f"device {rec.id}, model m5: {exc}") from exc
     return out
 
 

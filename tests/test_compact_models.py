@@ -9,6 +9,7 @@ from perfdamp.flow_regime import GasProperties
 from perfdamp.geometry import BeamGeometry, PlateGeometry
 
 import oracles
+from test_models_golden import design_points
 
 # Published relative errors define the expected damping through
 # c = c_m * (1 + delta/100); models must land within 3 percentage points.
@@ -257,6 +258,66 @@ class TestCellModelErrors:
         monkeypatch.setattr(cm, cell, lambda geom, gas: real(geom, gas)._replace(R_p=R_p))
         with pytest.raises(cm.ModelDomainError):
             cm.MODELS[model](dataset["A"].geom, gas)
+
+
+class TestEvaluate:
+    """`evaluate` runs each named model through its MODELS entry, once, in the
+    order given, after checking every name."""
+
+    def test_runs_each_models_entry_once(self, monkeypatch, dataset, gas):
+        calls = []
+        for name, fn in list(cm.MODELS.items()):
+            def recording(geom, gas, name=name, fn=fn):
+                calls.append(name)
+                return fn(geom, gas)
+
+            monkeypatch.setitem(cm.MODELS, name, recording)
+        order = ("m4", "m1", "m6")
+        assert tuple(cm.evaluate(dataset["A"].geom, gas, order)) == order
+        assert tuple(calls) == order
+
+    def test_equals_model_functions_on_devices(self, dataset, gas):
+        for rec in dataset.values():
+            res = cm.evaluate(rec.geom, gas)
+            assert list(res) == list(cm.MODELS)
+            for name, fn in cm.MODELS.items():
+                assert res[name] == fn(rec.geom, gas)
+
+    def test_equals_model_functions_on_design_points(self):
+        for _, geom, gas in design_points():
+            res = cm.evaluate(geom, gas)
+            for name, fn in cm.MODELS.items():
+                assert res[name] == fn(geom, gas), name
+
+    def test_keeps_the_given_order(self, dataset, gas):
+        order = ("m6", "m1", "m4", "m5", "m2", "m3")
+        assert tuple(cm.evaluate(dataset["B"].geom, gas, order)) == order
+        assert tuple(cm.evaluate(dataset["B"].geom, gas, ("m5",))) == ("m5",)
+
+    @pytest.mark.parametrize("models, message", [
+        (("m3", "m9"), "unknown model 'm9'"),
+        (("m3", "m5", "m3"), "repeated model 'm3'"),
+    ])
+    def test_refuses_unknown_or_repeated_name(self, monkeypatch, dataset, gas, models, message):
+        # every name is checked before any model runs, so m3 never refuses
+        def refuse(geom, gas):
+            raise cm.ModelDomainError("M3 refused")
+
+        monkeypatch.setitem(cm.MODELS, "m3", refuse)
+        with pytest.raises(ValueError, match=f"^{message}$") as info:
+            cm.evaluate(dataset["A"].geom, gas, models)
+        assert type(info.value) is ValueError
+
+    @pytest.mark.parametrize("model, cell", CELL_MODELS)
+    def test_patched_cell_names_model(self, monkeypatch, dataset, gas, model, cell):
+        def overflow(geom, gas):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(cm, cell, overflow)
+        with pytest.raises(cm.ModelDomainError, match=f"^{model.upper()} is out of "
+                           "floating-point range") as info:
+            cm.evaluate(dataset["A"].geom, gas, ("m1", "m2", model))
+        assert info.value.model == model
 
 
 class TestBeamDamping:

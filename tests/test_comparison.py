@@ -144,3 +144,14 @@ class TestTableReproduction:
         with pytest.raises(cm.ModelDomainError, match=r"^device A, model m2: M2 refused$") as info:
             cmp.reproduce_table3(gas)
         assert type(info.value.__cause__) is cm.ModelDomainError
+
+    @pytest.mark.parametrize("model", list(cm.MODELS))
+    def test_tables_run_the_models_entry(self, gas, monkeypatch, model):
+        # a replaced MODELS entry (a wrapper, a test double) is the one that runs
+        monkeypatch.setitem(cm.MODELS, model, lambda geom, gas: cm.ModelResult(model, 1e-6))
+        if model in cmp.TABLE3_MODELS:
+            table, col = cmp.reproduce_table3(gas), cmp.TABLE3_MODELS.index(model)
+        else:
+            table, col = cmp.reproduce_table4(gas), cmp.TABLE4_MODELS.index(model)
+        for rec in cmp.builtin_dataset():
+            assert table[rec.id][col] == 100.0 * (1e-6 - rec.c_m) / rec.c_m

@@ -12,6 +12,7 @@ import pytest
 
 import perfdamp
 from perfdamp import cli
+from perfdamp import compact_models as cm
 from perfdamp import comparison as cmp
 from perfdamp.config import (
     ConfigError,
@@ -317,6 +318,21 @@ class TestCli:
         for value, _, c in rows:
             assert float(value) > 0 and float(c) > 0
 
+    @pytest.mark.parametrize("models, message", [
+        ("m3,m9", "unknown model 'm9'"),
+        ("m3,m5,m3", "repeated model 'm3'"),
+    ], ids=["unknown", "repeated"])
+    def test_sweep_refuses_model_list(self, monkeypatch, capsys, models, message):
+        # the names are checked before m3, which refuses every point, runs
+        def refuse(geom, gas):
+            raise cm.ModelDomainError("M3 refused")
+
+        monkeypatch.setitem(cm.MODELS, "m3", refuse)
+        assert cli.run(["sweep", "--device", str(DEVICES / "A.json"),
+                        "--parameter", "h", "--start", "0.8um",
+                        "--stop", "3.2um", "--steps", "3", "--models", models]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_sweep_rejects_freq_parameter(self, capsys):
         # no model depends on the drive frequency
         assert cli.run(["sweep", "--device", str(DEVICES / "A.json"),
@@ -498,6 +514,21 @@ class TestCli:
         gas.write_text(json.dumps({"lambda_nm": math.nan}))
         assert cli.run(["compare", "--gas", str(gas)]) == 1
         assert "lambda_nm" in capsys.readouterr().err
+
+    # mu = 5e-324 makes every cell resistance 0; table 5 divided by it
+    @pytest.mark.parametrize("table, model", [("3", "m1"), ("4", "m5"), ("5", "m5")])
+    def test_compare_vanishing_viscosity_exit3(self, tmp_path, capsys, table, model):
+        gas = _write(tmp_path, {"mu_Ns_m2": 5e-324}, "gas.json")
+        assert cli.run(["compare", "--table", table, "--gas", gas]) == cli.EXIT_MODEL
+        assert capsys.readouterr() == ("", f"error: device A, model {model}: {model.upper()} "
+                                       "produced a non-physical damping coefficient\n")
+
+    def test_damp_vanishing_viscosity_exit3(self, tmp_path, capsys):
+        gas = _write(tmp_path, {"mu_Ns_m2": 5e-324}, "gas.json")
+        argv = ["damp", "--device", str(DEVICES / "A.json"), "--model", "all", "--gas", gas]
+        assert cli.run(argv) == cli.EXIT_MODEL
+        assert capsys.readouterr() == (
+            "", "error: M1 produced a non-physical damping coefficient\n")
 
     def test_compare_uses_gas_file(self, tmp_path):
         gas = tmp_path / "gas.json"

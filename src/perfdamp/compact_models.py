@@ -191,18 +191,18 @@ def _shape_bracket(al: float) -> float:
 def damping_m1(geom: PlateGeometry, gas: GasProperties) -> ModelResult:
     """Model M1: continuum compact model for a plate much longer than wide.
 
-    c = 2*a*L * 8*mu*H_eff/(beta^2*r_0^2) * eta * (1 - (l/a)*tanh(a/l)) with
-    a = W/2 and the attenuation length l, effective hole length
-    H_eff = h_c + 3*pi*r_0/8 and loading factor eta of `DerivedGeometry`.
+    c = 2*a*long * 8*mu*H_eff/(beta^2*r_0^2) * eta * (1 - (l/a)*tanh(a/l)) with
+    a = short/2 and the plate's sides short, long, attenuation length l, effective
+    hole length H_eff = h_c + 3*pi*r_0/8 and loading factor eta of `DerivedGeometry`.
 
     Note: the damping prefactor uses H_eff, not the bare plate height; with
     the bare height the model misses the published comparison by 10-18 points.
     """
     d = geom.derived
-    a = geom.W / 2
+    a = d.short / 2
     try:
         c = (
-            2 * a * geom.L
+            2 * a * d.long
             * (8 * gas.mu * d.H_eff / (d.beta**2 * d.r_0**2))
             * d.eta
             * _edge_leak_bracket(d.l / a)
@@ -215,24 +215,20 @@ def damping_m1(geom: PlateGeometry, gas: GasProperties) -> ModelResult:
 def damping_m2(geom: PlateGeometry, gas: GasProperties) -> ModelResult:
     """Model M2: continuum compact model for an arbitrary rectangular plate.
 
-    c = gamma * mu * (2a)^3 * (2b) / h^3 with a = min(W, L)/2, b = max(W, L)/2,
-    kappa = a/b, al = l/a (l the attenuation length of `DerivedGeometry`) and
+    c = gamma * mu * (2a)^3 * (2b) / h^3 with a = short/2, b = long/2,
+    kappa = a/b, al = l/a (short, long, l of `DerivedGeometry`) and
     gamma = 3*al^2 - 3*al^3*tanh(1/al)
             - (24*al^3*kappa/pi^2) * sum_{n odd} tanh(x_n)/(n^2 t_n^2),
     t_n = 1 + (n*pi*al/2)^2, x_n = sqrt(t_n)/(al*kappa).
 
-    The formula is symmetric in W <-> L only approximately, so it is always
-    evaluated in the orientation of the published devices, L >= W: a plate
-    wider than long is evaluated with its axes swapped. Then kappa <= 1 and
-    the series is the closed form of the series with tanh = 1, less at most
-    about 6 terms 1 - tanh(x_n) that are not negligible; `series_terms`
-    counts those.
+    As kappa <= 1, the series is the closed form of the series with tanh = 1,
+    less at most about 6 terms 1 - tanh(x_n) that are not negligible;
+    `series_terms` counts those.
     """
-    a, b = geom.W / 2, geom.L / 2
-    if a > b:
-        a, b = b, a
+    d = geom.derived
+    a, b = d.short / 2, d.long / 2
     kappa = a / b
-    al = geom.derived.l / a
+    al = d.l / a
     if not 0 < al < math.inf:
         raise ModelDomainError("M2 attenuation length is not a positive finite number")
 
@@ -338,7 +334,7 @@ def damping_border_coupled(geom: PlateGeometry, gas: GasProperties, R_p: float) 
 
     The series is sum_{m,n odd} 1/(m^2 n^2 (alpha_m + beta n^2)) with
     alpha_m = g m^2/a^2 + 1/r and beta = g/b^2. It is symmetric in
-    (a, m) <-> (b, n) and is summed with b >= a, which keeps every inner
+    (a, m) <-> (b, n); a is the short side, so b >= a keeps every inner
     bracket pi^2/8 - pi*tanh(pi c_m/2)/(4 c_m), c_m = sqrt(alpha_m/beta) >= 1,
     clear of cancellation. The module comment gives the outer sum.
     """
@@ -347,9 +343,7 @@ def damping_border_coupled(geom: PlateGeometry, gas: GasProperties, R_p: float) 
     h, mu = geom.h, gas.mu
     K_ch = gas.lam / h
     edge = 1.3 * (1 + 3.3 * K_ch) * h
-    a, b = geom.W + edge, geom.L + edge
-    if a > b:
-        a, b = b, a
+    a, b = geom.derived.short + edge, geom.derived.long + edge
     g = _PI6 * h**3 * (1 + CHANNEL_SLIP_SLOPE * K_ch) / (768 * mu * a * b)
     inv_r = _PI4 / (64 * geom.M * geom.N * R_p)
     d2 = a**2 * inv_r / g
@@ -396,6 +390,8 @@ def _cell_model(model: str, cell: Callable[..., CellResistanceBreakdown], geom: 
         c = geom.M * geom.N * br.R_p
     except ArithmeticError as exc:
         raise _out_of_range(model.upper(), exc) from exc
+    except ModelDomainError as exc:
+        raise ModelDomainError(f"{model.upper()} {exc}") from exc
     return _new(ModelResult, (model, _checked(model.upper(), c), br, 0, True))
 
 
@@ -432,8 +428,11 @@ MODELS = {
 def evaluate(geom: PlateGeometry, gas: GasProperties,
              models: Sequence[str] = tuple(MODELS)) -> dict[str, ModelResult]:
     """{name: ModelResult} of the named models, in the order given, each from
-    MODELS[name]; an unknown or repeated name raises ValueError before any runs."""
+    MODELS[name]; an unknown or repeated name, or a bare string, raises
+    ValueError before any runs."""
     if len(MODELS.keys() & models) < len(models):  # valid names cost one set intersection
+        if isinstance(models, str):
+            raise ValueError(f"models must be a sequence of names, not the string {models!r}")
         for i, name in enumerate(models):
             if name not in MODELS or name in models[:i]:
                 raise ValueError(f"{'repeated' if name in MODELS else 'unknown'} model {name!r}")

@@ -15,7 +15,6 @@ from perfdamp.geometry import PlateGeometry, BeamGeometry, require_positive
 from perfdamp.flow_regime import GasProperties
 from perfdamp import compact_models as cm
 
-DEVICE_IDS = ("A", "B", "C", "D", "E", "F")
 TABLE3_MODELS = ("m1", "m2", "m3", "m4")
 TABLE4_MODELS = ("m5", "m6")
 TABLE5_COLUMNS = ("R_S", "R_IS", "R_IB", "R_IC", "R_C", "R_E")

@@ -69,10 +69,10 @@ class RegimeReport(NamedTuple):
 def regime_report(geom: PlateGeometry, gas: GasProperties, f: float) -> RegimeReport:
     """Full characteristic-number screen of one device at drive frequency f (Hz).
 
-    Conventions: the plate squeeze number uses the smaller of L and W, the
+    Conventions: the plate squeeze number uses the plate's short side, the
     cell squeeze number uses the wall width s1, and the channel Reynolds
-    number uses r = s0/2. Kn = lam/length, sigma = 12*mu*W^2*omega/(P_A*h^2)
-    for the dominating dimension W, and Re = rho*r^2*omega/mu. The plate and
+    number uses r = s0/2. Kn = lam/length, sigma = 12*mu*w^2*omega/(P_A*h^2)
+    for the dominating dimension w, and Re = rho*r^2*omega/mu. The plate and
     the gas are validated when they are built, so only f is checked here.
     """
     require_positive(("frequency", f))
@@ -82,7 +82,7 @@ def regime_report(geom: PlateGeometry, gas: GasProperties, f: float) -> RegimeRe
     K_hole = lam / s0
     mu12 = 12.0 * mu
     P_Ah2 = gas.P_A * h**2
-    sigma_plate = mu12 * min(geom.L, geom.W) ** 2 * omega / P_Ah2
+    sigma_plate = mu12 * geom.derived.short ** 2 * omega / P_Ah2
     sigma_cell = mu12 * geom.s1**2 * omega / P_Ah2
     Re = gas.rho * (s0 / 2.0) ** 2 * omega / mu
     return _new(RegimeReport, (

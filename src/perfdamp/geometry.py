@@ -154,8 +154,9 @@ class DerivedGeometry(NamedTuple):
     3*r_0^4*K/(16*H_eff*h^3) with K = 4*beta^2 - beta^4 - 4*ln(beta) - 3: the
     perforation-loading factor; l = sqrt(2*h^3*H_eff*eta/(3*beta^2*r_0^2)):
     the attenuation length of the perforated-plate Reynolds solution. M1 and
-    M2 share them. circular, square: the plate-only factors of the two cell
-    resistances.
+    M2 share them. short, long: the plate's sides, W and L unless W > L; the
+    models and the regime screen read the orientation only from them.
+    circular, square: the plate-only factors of the two cell resistances.
     """
 
     s_X: float
@@ -168,6 +169,8 @@ class DerivedGeometry(NamedTuple):
     H_eff: float
     eta: float
     l: float
+    short: float
+    long: float
     circular: CircularCellFactors
     square: SquareCellFactors
 
@@ -200,6 +203,7 @@ def derive_geometry(geom: PlateGeometry) -> DerivedGeometry:
     # open-area fraction from the dimensions; the published per-device
     # percentages disagree with it by 2-3 points and are not used
     q = geom.M * geom.N * s_0**2 / (geom.L * geom.W)
+    short, long = (geom.W, geom.L) if geom.W <= geom.L else (geom.L, geom.W)
     r_02 = r_0**2
     l = math.sqrt(2 * h3 * H_eff * eta / (3 * beta2 * r_02))
     x, h2, y3 = r_0 / h, h**2, (h_c / h) ** 3
@@ -227,4 +231,5 @@ def derive_geometry(geom: PlateGeometry) -> DerivedGeometry:
         1 + 0.019 * (s_0 / h) ** 2.83,
         (s_X / s_0) ** 4,
     )
-    return DerivedGeometry(s_X, r_X, r_0, r_0E, xi, beta, q, H_eff, eta, l, circular, square)
+    return DerivedGeometry(s_X, r_X, r_0, r_0E, xi, beta, q, H_eff, eta, l, short, long,
+                           circular, square)

@@ -5,7 +5,7 @@ import pytest
 
 from perfdamp import compact_models as cm
 from perfdamp.comparison import relative_error
-from perfdamp.flow_regime import GasProperties
+from perfdamp.flow_regime import GasProperties, regime_report
 from perfdamp.geometry import BeamGeometry, PlateGeometry
 
 import oracles
@@ -197,11 +197,14 @@ class TestM3M4:
         _assert_delta(cm.damping_m4, dataset["B"], gas, -21.96)
 
     def test_length_width_symmetry(self, dataset, gas):
+        # the plate's short and long sides are ordered once, by derive_geometry,
+        # so the plate with L <-> W and M <-> N exchanged is the same plate
         for rec in dataset.values():
             geom = rec.geom
             swapped = dataclasses.replace(geom, L=geom.W, W=geom.L, M=geom.N, N=geom.M)
-            for model in (cm.damping_m3, cm.damping_m4):
-                assert model(swapped, gas).c == model(geom, gas).c
+            for name, model in cm.MODELS.items():
+                assert model(swapped, gas) == model(geom, gas), name
+            assert regime_report(swapped, gas, 200e3) == regime_report(geom, gas, 200e3)
             assert cm.damping_border_coupled(swapped, gas, 1e12).c \
                 == cm.damping_border_coupled(geom, gas, 1e12).c
 
@@ -249,6 +252,19 @@ class TestCellModelErrors:
         with pytest.raises(cm.ModelDomainError, match=f"^{model.upper()} is out of "
                            "floating-point range"):
             cm.MODELS[model](dataset["A"].geom, gas)
+
+    @pytest.mark.parametrize("model, cell", CELL_MODELS[:2])
+    @pytest.mark.parametrize("R_p, message", [
+        (0.0, "cell resistance must be positive"),
+        (math.nan, "border-coupled series produced a non-physical damping coefficient"),
+    ], ids=["zero", "nan"])
+    def test_border_refusal_names_model(self, monkeypatch, dataset, gas, model, cell, R_p,
+                                        message):
+        real = getattr(cm, cell)
+        monkeypatch.setattr(cm, cell, lambda geom, gas: real(geom, gas)._replace(R_p=R_p))
+        with pytest.raises(cm.ModelDomainError, match=f"^{model.upper()} {message}$") as info:
+            cm.evaluate(dataset["A"].geom, gas, (model,))
+        assert info.value.model == model
 
     @pytest.mark.parametrize("model, cell", CELL_MODELS[2:])
     @pytest.mark.parametrize("R_p", [1e308, math.inf, math.nan])
@@ -307,6 +323,12 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=f"^{message}$") as info:
             cm.evaluate(dataset["A"].geom, gas, models)
         assert type(info.value) is ValueError
+
+    def test_refuses_bare_string(self, dataset, gas):
+        # a string is a sequence of characters, none of them a model's name
+        with pytest.raises(ValueError, match="^models must be a sequence of names, "
+                           "not the string 'm3'$"):
+            cm.evaluate(dataset["A"].geom, gas, "m3")
 
     @pytest.mark.parametrize("model, cell", CELL_MODELS)
     def test_patched_cell_names_model(self, monkeypatch, dataset, gas, model, cell):

@@ -22,7 +22,7 @@ from perfdamp.config import (
     parse_frequency,
     parse_length,
 )
-from perfdamp.flow_regime import GasProperties
+from perfdamp.flow_regime import GasProperties, regime_report
 from perfdamp.geometry import BeamGeometry, PlateGeometry
 
 DEVICES = Path(__file__).parent.parent / "devices"
@@ -127,6 +127,20 @@ class TestUnknownAndInvalidBlocks:
     def test_device_unknown_field_named(self, tmp_path, data, field):
         with pytest.raises(ConfigError, match=f"unknown field '{field}'"):
             load_device(_write(tmp_path, data))
+
+    @pytest.mark.parametrize("text, message", [
+        ("{", "is not valid JSON"),
+        ("[372.4, 66.4]", "must contain a JSON object$"),
+    ], ids=["invalid", "array"])
+    def test_device_file_not_a_json_object(self, tmp_path, text, message):
+        path = tmp_path / "dev.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            load_device(path)
+
+    def test_beams_block_not_an_object(self, tmp_path):
+        with pytest.raises(ConfigError, match="^block 'beams' must be a JSON object$"):
+            load_device(_write(tmp_path, {**VALID, "beams": [122, 4, 4]}))
 
     def test_gas_unknown_field_named(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown field 'lamda_nm' in gas file"):
@@ -277,6 +291,14 @@ class TestCli:
         assert report["compressible"] is False
         assert report["sigma_plate"] == pytest.approx(4.76, abs=0.05)
 
+    def test_regime_text_lines_match_report(self, capsys):
+        assert cli.run(["regime", "--device", str(DEVICES / "A.json"), "--freq", "200kHz"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        report = regime_report(load_device(DEVICES / "A.json")[0], GasProperties(), 200e3)
+        assert len(lines) == 9
+        assert [line.split() for line in lines] == [[k, str(v)] for k, v
+                                                    in report.to_dict().items()]
+
     def test_damp_m5_breakdown(self, tmp_path, capsys):
         assert cli.run(["damp", "--device", str(DEVICES / "C.json"),
                         "--model", "m5", "--breakdown"]) == 0
@@ -307,6 +329,26 @@ class TestCli:
         cs = [float(line.split(",")[2]) for line in lines[1:]]
         assert len(cs) == 5
         assert cs == sorted(cs, reverse=True)
+
+    def test_sweep_lambda_rows_equal_evaluate(self, capsys):
+        # each point runs evaluate on the gas with its mean free path replaced
+        assert cli.run(["sweep", "--device", str(DEVICES / "A.json"),
+                        "--parameter", "lambda", "--start", "30nm",
+                        "--stop", "90nm", "--steps", "3", "--models", "m1,m3"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        geom, _ = load_device(DEVICES / "A.json")
+        expected = []
+        for lam in cli._linspace(parse_length("30nm"), parse_length("90nm"), 3):
+            gas = dataclasses.replace(GasProperties(), lam=lam)
+            expected += [[repr(lam), name, repr(res.c)]
+                         for name, res in cm.evaluate(geom, gas, ("m1", "m3")).items()]
+        assert rows == expected
+
+    def test_sweep_refuses_one_step(self, capsys):
+        assert cli.run(["sweep", "--device", str(DEVICES / "A.json"),
+                        "--parameter", "h", "--start", "0.8um",
+                        "--stop", "3.2um", "--steps", "1"]) == 1
+        assert capsys.readouterr() == ("", "error: sweep needs at least 2 steps\n")
 
     def test_sweep_readme_example_parses(self, capsys):
         # the README's example: every model's c prints as a plain float
@@ -529,6 +571,19 @@ class TestCli:
         assert cli.run(argv) == cli.EXIT_MODEL
         assert capsys.readouterr() == (
             "", "error: M1 produced a non-physical damping coefficient\n")
+
+    # every cell model's refusal starts with its label; M3/M4 refuse R_p = 0
+    @pytest.mark.parametrize("model, message", [
+        ("m3", "M3 cell resistance must be positive"),
+        ("m4", "M4 cell resistance must be positive"),
+        ("m5", "M5 produced a non-physical damping coefficient"),
+        ("m6", "M6 produced a non-physical damping coefficient"),
+    ])
+    def test_damp_cell_model_refusal_names_model(self, tmp_path, capsys, model, message):
+        gas = _write(tmp_path, {"mu_Ns_m2": 5e-324}, "gas.json")
+        argv = ["damp", "--device", str(DEVICES / "A.json"), "--model", model, "--gas", gas]
+        assert cli.run(argv) == cli.EXIT_MODEL
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_compare_uses_gas_file(self, tmp_path):
         gas = tmp_path / "gas.json"

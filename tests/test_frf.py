@@ -93,6 +93,11 @@ class TestCurveValidation:
         with pytest.raises(ValueError):
             FrfCurve(freqs=np.arange(5.0), amps=np.ones(5))
 
+    def test_unequal_lengths(self):
+        with pytest.raises(ValueError, match="^freqs and amps must be 1-D arrays of equal "
+                           "length$"):
+            FrfCurve(freqs=np.arange(1.0, 11.0), amps=np.ones(9))
+
     def test_non_monotone(self):
         f = np.ones(10)
         with pytest.raises(ValueError):

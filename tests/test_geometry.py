@@ -32,6 +32,11 @@ class TestConstruction:
         with pytest.raises(ValueError, match=field):
             _plate(**{field: -1e-6})
 
+    @pytest.mark.parametrize("field", ["M", "N"])
+    def test_hole_count_at_least_one(self, field):
+        with pytest.raises(ValueError, match="^hole counts M, N must be >= 1$"):
+            _plate(**{field: 0})
+
     def test_grid_must_fit_on_plate(self):
         with pytest.raises(ValueError):
             _plate(M=100)
@@ -149,6 +154,12 @@ class TestDerivedGeometry:
         wider = dataclasses.replace(geom, s0=1.2 * geom.s0)
         assert wider.derived == derive_geometry(wider)
         assert wider.derived.xi > geom.derived.xi
+
+    @pytest.mark.parametrize("L, W", [(372.4e-6, 66.4e-6), (66.4e-6, 372.4e-6),
+                                      (66.4e-6, 66.4e-6)], ids=["long", "wide", "square"])
+    def test_short_and_long_sides(self, L, W):
+        d = _plate(L=L, W=W, M=6, N=6).derived
+        assert (d.short, d.long) == (min(L, W), max(L, W))
 
     def test_derived_outside_equality_hash_and_repr(self):
         a, b = _plate(), _plate()

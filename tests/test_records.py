@@ -16,7 +16,7 @@ FIELDS = {
     RegimeReport: ("K_ch", "K_hole", "sigma_plate", "sigma_cell", "Re",
                    "rarefaction_gap_pct", "rarefaction_hole_pct", "compressible", "inertial"),
     DerivedGeometry: ("s_X", "r_X", "r_0", "r_0E", "xi", "beta", "q",
-                      "H_eff", "eta", "l", "circular", "square"),
+                      "H_eff", "eta", "l", "short", "long", "circular", "square"),
     CircularCellFactors: ("r_X4", "h3", "g_S", "g_IS", "r0h2", "dS_num", "f_B", "dB", "dC",
                           "x35", "dE", "scale"),
     SquareCellFactors: ("r_X4", "h3", "g_S", "g_IS", "s0h2", "delta_S", "dE_xi", "dE_h",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -58,8 +59,6 @@ def _csv(rows: list[list], header: list[str]) -> str:
 def _cell(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(float(v))
     return str(v)
 
 
@@ -87,27 +86,20 @@ def _cmd_damp(args) -> int:
     if args.breakdown:
         for model, br in ((m, r.breakdown) for m, r in results.items() if r.breakdown):
             text += f"# {model} cell resistance breakdown (Ns/m per cell, scaled)\n"
-            for name, val, pct in zip(cmp.TABLE5_COLUMNS, br.scaled_components(),
-                                      br.percentages()):
+            # the first six fields name the six scaled components
+            for name, val, pct in zip(br._fields, br.scaled_components(), br.percentages()):
                 text += f"# {name:5s} {val:.6e}  {pct:6.2f}%\n"
     _emit(text, args.out)
     return EXIT_OK
 
 
-_TABLES = {
-    "3": (cmp.reproduce_table3, cmp.PUBLISHED_TABLE3, cmp.TABLE3_TOL_PP, cmp.TABLE3_MODELS),
-    "4": (cmp.reproduce_table4, cmp.PUBLISHED_TABLE4, cmp.TABLE4_TOL_PP, cmp.TABLE4_MODELS),
-    "5": (cmp.reproduce_table5, cmp.PUBLISHED_TABLE5, cmp.TABLE5_TOL_PP, cmp.TABLE5_COLUMNS),
-}
-
-
 def _cmd_compare(args) -> int:
-    wanted = list(_TABLES) if args.table == "all" else [args.table]
+    wanted = list(cmp.TABLES) if args.table == "all" else [args.table]
     gas = _gas_from(args)
     chunks = []
     ok = True
     for key in wanted:
-        reproduce, published, tol, columns = _TABLES[key]
+        reproduce, published, tol, columns = cmp.TABLES[key]
         repro = reproduce(gas)
         table_ok = cmp.within_tolerance(repro, published, tol)
         ok = ok and table_ok
@@ -160,16 +152,16 @@ def _linspace(start: float, stop: float, n: int) -> list[float]:
 
 
 def _cmd_frf_synth(args) -> int:
+    from perfdamp import frf
     start, stop = parse_frequency(args.start), parse_frequency(args.stop)
     require_positive(("--start", start), ("--stop", stop))
     if not start < stop:
         raise ConfigError("frf synth start must be below stop")
-    if args.points < 8:  # the fewest samples an FrfCurve takes
-        raise ConfigError("frf synth needs at least 8 points")
-    from perfdamp import frf
+    if args.points < frf.MIN_SAMPLES:
+        raise ConfigError(f"frf synth needs at least {frf.MIN_SAMPLES} points")
     freqs = _linspace(start, stop, args.points)
     curve = frf.synth_frf(args.meff, args.damping, args.stiffness, args.force, freqs)
-    rows = [[float(f), float(a)] for f, a in zip(curve.freqs, curve.amps)]
+    rows = list(zip(curve.freqs.tolist(), curve.amps.tolist()))
     _emit(_csv(rows, ["freq_hz", "amp_m"]), args.out)
     return EXIT_OK
 
@@ -215,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_damp)
 
     p = sub.add_parser("compare", parents=[gas], help="reproduce the measured-vs-modeled tables")
-    p.add_argument("--table", default="all", choices=["3", "4", "5", "all"])
+    p.add_argument("--table", default="all", choices=[*cmp.TABLES, "all"])
     p.add_argument("--format", default="text", choices=["csv", "text"])
     p.set_defaults(fn=_cmd_compare)
 
@@ -253,29 +245,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _model_errors() -> tuple[type[Exception], ...]:
-    """Errors that exit 3. frf's are looked up only if a subcommand loaded it."""
-    frf = sys.modules.get("perfdamp.frf")
-    if frf is None:
-        return (cm.ModelDomainError,)
-    return (cm.ModelDomainError, frf.BandwidthError, frf.FitError)
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """``--opt -5kHz`` as ``--opt=-5kHz``: argparse reads a token that starts with '-'
+    and is not a plain number as an option, so the value would never reach its check."""
+    joined = []
+    for token in argv:
+        if joined and re.match(r"-[0-9.]", token) and re.fullmatch(r"--[^=]+", joined[-1]):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
 
 
 def run(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except _model_errors() as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MODEL
     except (ConfigError, ValueError, OSError) as exc:
         # OSError: an --input that cannot be read or an --out that cannot be written
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_MODEL if isinstance(exc, cm.ModelDomainError) else EXIT_USAGE
 
 
 main = run

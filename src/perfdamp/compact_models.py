@@ -95,7 +95,8 @@ _new = tuple.__new__
 
 
 class ModelDomainError(ValueError):
-    """The model's formulas are invalid for the given geometry."""
+    """The model's formulas are invalid for the given geometry, or a frequency
+    response has no peak, bandwidth or fit that Q can be extracted from."""
 
     model: str | None = None  # set by evaluate: the name of the model that refused
 

@@ -4,7 +4,7 @@ comparison tables that validate the compact models.
 Table "3" holds the relative errors of the full models M1-M4, table "4" those
 of the cell-only models M5-M6, and table "5" the relative contributions of
 the six flow-resistance components in M5. Published values are embedded so
-reproduction can be tolerance-gated.
+reproduction can be tolerance-gated; ``TABLES`` holds each table's full spec.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from perfdamp import compact_models as cm
 
 TABLE3_MODELS = ("m1", "m2", "m3", "m4")
 TABLE4_MODELS = ("m5", "m6")
-TABLE5_COLUMNS = ("R_S", "R_IS", "R_IB", "R_IC", "R_C", "R_E")
+TABLE5_COLUMNS = cm.CellResistanceBreakdown._fields[:6]  # the six resistances, not scale, R_p
 
 # Reproduction tolerances in percentage points.
 TABLE3_TOL_PP = 3.0
@@ -149,6 +149,16 @@ def reproduce_table5(gas: GasProperties = GasProperties()) -> dict[str, tuple[fl
         except cm.ModelDomainError as exc:
             raise cm.ModelDomainError(f"device {rec.id}, model m5: {exc}") from exc
     return out
+
+
+# What makes up each table: key -> (reproduce function, published values, tolerance in
+# percentage points, column names). Plain tuples, so perfbench's tracer can rebind the
+# reproduce functions in them.
+TABLES = {
+    "3": (reproduce_table3, PUBLISHED_TABLE3, TABLE3_TOL_PP, TABLE3_MODELS),
+    "4": (reproduce_table4, PUBLISHED_TABLE4, TABLE4_TOL_PP, TABLE4_MODELS),
+    "5": (reproduce_table5, PUBLISHED_TABLE5, TABLE5_TOL_PP, TABLE5_COLUMNS),
+}
 
 
 def within_tolerance(reproduced: dict, published: dict, tol_pp: float) -> bool:

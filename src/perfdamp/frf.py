@@ -15,10 +15,12 @@ from typing import NamedTuple
 
 import numpy as np
 
+from perfdamp.compact_models import ModelDomainError
 from perfdamp.geometry import require_non_negative, require_positive
 
 POLY_DEGREE = 6
 MIN_WINDOW = 9
+MIN_SAMPLES = 8  # the fewest samples an FrfCurve takes
 HALF_POWER = 1.0 / math.sqrt(2.0)
 FIT_WINDOW_LEVEL = 0.9
 # Largest sum of G_ii * (G^-1)_ii of a fit's normal matrix G: the trace of the inverse of G
@@ -26,12 +28,12 @@ FIT_WINDOW_LEVEL = 0.9
 MAX_FIT_COND = 1e8
 
 
-class BandwidthError(ValueError):
-    """No half-power crossing exists on one side of the peak."""
+class BandwidthError(ModelDomainError):
+    """The curve has no peak, or its half-power crossings are missing or do not bracket it."""
 
 
-class FitError(RuntimeError):
-    """Polynomial fit around the peak is ill-conditioned."""
+class FitError(ModelDomainError, RuntimeError):
+    """The polynomial fit around the peak has too few samples or is ill-conditioned."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,8 +55,8 @@ class FrfCurve:
             if not finite.all():
                 i = int(finite.argmin())
                 raise ValueError(f"{name}[{i}] is not finite ({values[i]})")
-        if len(freqs) < 8:
-            raise ValueError("need at least 8 samples")
+        if len(freqs) < MIN_SAMPLES:
+            raise ValueError(f"need at least {MIN_SAMPLES} samples")
         if not (freqs[1:] > freqs[:-1]).all():
             raise ValueError("freqs must be strictly increasing")
         # increasing, so the first frequency is the smallest

@@ -26,6 +26,9 @@ from perfdamp.flow_regime import GasProperties, regime_report
 from perfdamp.geometry import BeamGeometry, PlateGeometry
 
 DEVICES = Path(__file__).parent.parent / "devices"
+# the options of a valid frf synth run
+FRF_SYNTH = ["--meff", "1e-9", "--damping", "2e-5", "--stiffness", "1.58e3",
+             "--start", "190kHz", "--stop", "210kHz"]
 
 VALID = {
     "L_um": 372.4, "W_um": 66.4, "M": 36, "N": 6,
@@ -454,8 +457,7 @@ class TestCli:
     ], ids=["start-zero", "start-negative", "stop-infinite", "reversed", "few-points"])
     def test_frf_synth_refusal_names_option(self, capsys, options, message):
         # the later of two equal options wins, so each case overrides a valid one
-        argv = ["frf", "synth", "--meff", "1e-9", "--damping", "2e-5", "--stiffness", "1.58e3",
-                "--start", "190kHz", "--stop", "210kHz", *options]
+        argv = ["frf", "synth", *FRF_SYNTH, *options]
         assert cli.run(argv) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
@@ -614,18 +616,13 @@ class TestCli:
         gas_file = _write(tmp_path, gas_data, "gas.json")
         assert cli.run(["compare", "--format", "text", "--gas", gas_file]) == code
         gas = load_gas(gas_file)
-        tables = [
-            (cmp.reproduce_table3(gas), cmp.PUBLISHED_TABLE3, cmp.TABLE3_TOL_PP,
-             cmp.TABLE3_MODELS),
-            (cmp.reproduce_table4(gas), cmp.PUBLISHED_TABLE4, cmp.TABLE4_TOL_PP,
-             cmp.TABLE4_MODELS),
-            (cmp.reproduce_table5(gas), cmp.PUBLISHED_TABLE5, cmp.TABLE5_TOL_PP,
-             cmp.TABLE5_COLUMNS),
-        ]
         blocks = capsys.readouterr().out.strip().split("\n\n")
-        assert len(blocks) == len(tables)
-        for block, verdict, (repro, published, tol, columns) in zip(blocks, verdicts, tables):
+        assert len(blocks) == len(cmp.TABLES)
+        for block, verdict, (key, (reproduce, published, tol, columns)) in zip(
+                blocks, verdicts, cmp.TABLES.items()):
+            repro = reproduce(gas)
             title, head, *rows = block.splitlines()
+            assert title.startswith(f"table {key} ")
             worst = max(abs(r - p) for dev in published
                         for r, p in zip(repro[dev], published[dev]))
             assert title.endswith(f": worst |Δ| {worst:.2f} pp, tolerance {tol} pp, {verdict}")
@@ -637,8 +634,7 @@ class TestCli:
                                   for f in (f"{r:.2f}", f"{r - p:+.2f}")]
 
     @pytest.mark.parametrize("argv", [
-        ["frf", "synth", "--meff", "1e-9", "--damping", "2e-5", "--stiffness", "1.58e3",
-         "--start", "190kHz", "--stop", "210kHz"],
+        ["frf", "synth", *FRF_SYNTH],
         ["frf", "extract", "--input", "curve.csv"],
         ["dump-config", "--device", str(DEVICES / "A.json")],
     ], ids=["frf-synth", "frf-extract", "dump-config"])
@@ -663,6 +659,44 @@ class TestCli:
                         "".join(f"{100 + 10 * i},{8 - i}\n" for i in range(8)))
         assert cli.run(["frf", "extract", "--input", str(path)]) == 3
         assert "fit window" in capsys.readouterr().err
+
+    def test_frf_extract_bandwidth_error_exit3(self, tmp_path, capsys):
+        # a peak whose amplitude stays above 0.7 of its maximum on both sides
+        path = tmp_path / "wide.csv"
+        path.write_text("freq_hz,amp_m\n" + "".join(
+            f"{100 + 10 * i},{1.0 - 0.001 * (i - 15) ** 2}\n" for i in range(31)))
+        assert cli.run(["frf", "extract", "--input", str(path)]) == 3
+        assert capsys.readouterr() == (
+            "", "error: amplitude never falls below the half-power level\n")
+
+    @pytest.mark.parametrize("base,option,value,message", [
+        (["regime", "--device", "A"], "--freq", "-5kHz",
+         "frequency must be positive and finite"),
+        (["sweep", "--device", "A", "--parameter", "h", "--stop", "3um", "--steps", "3"],
+         "--start", "-1um", "h must be positive and finite"),
+        (["sweep", "--device", "A", "--parameter", "h", "--start", "1um", "--stop", "3um"],
+         "--steps", "-3", "sweep needs at least 2 steps"),
+        (["frf", "synth", *FRF_SYNTH], "--start", "-5kHz", "--start must be positive and finite"),
+        (["frf", "synth", *FRF_SYNTH], "--start", "-.5kHz", "--start must be positive and finite"),
+        (["frf", "synth", *FRF_SYNTH], "--meff", "-1e-9",
+         "m_eff (effective mass) must be positive and finite"),
+        (["frf", "synth", *FRF_SYNTH], "--damping", "-2e-5",
+         "c (damping) must be non-negative and finite"),
+        (["frf", "synth", *FRF_SYNTH], "--points", "-5", "frf synth needs at least 8 points"),
+        (["frf", "extract", "--input", "{curve}"], "--meff", "-1e-9",
+         "m_eff (effective mass) must be positive and finite"),
+    ], ids=["regime-freq", "sweep-start", "sweep-steps", "synth-start", "synth-start-dot",
+            "synth-meff", "synth-damping", "synth-points", "extract-meff"])
+    @pytest.mark.parametrize("joined", [False, True], ids=["spaced", "joined"])
+    def test_negative_value_reaches_its_check(self, tmp_path, capsys, base, option, value,
+                                              message, joined):
+        # argparse alone reads "--start -5kHz" as two options; both spellings are refused alike
+        curve = tmp_path / "curve.csv"
+        assert cli.run(["frf", "synth", *FRF_SYNTH, "--out", str(curve)]) == 0
+        base = [str(DEVICES / "A.json") if a == "A" else a.format(curve=curve) for a in base]
+        argv = [*base, f"{option}={value}"] if joined else [*base, option, value]
+        assert cli.run(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class TestNumpyFree:

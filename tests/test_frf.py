@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
+from perfdamp.compact_models import ModelDomainError
 from perfdamp.frf import (
     FIT_WINDOW_LEVEL,
     HALF_POWER,
+    MIN_SAMPLES,
     BandwidthError,
     FitError,
     FrfCurve,
@@ -90,8 +92,9 @@ class TestSynth:
 
 class TestCurveValidation:
     def test_too_short(self):
-        with pytest.raises(ValueError):
-            FrfCurve(freqs=np.arange(5.0), amps=np.ones(5))
+        FrfCurve(freqs=np.arange(1.0, MIN_SAMPLES + 1), amps=np.ones(MIN_SAMPLES))
+        with pytest.raises(ValueError, match=f"^need at least {MIN_SAMPLES} samples$"):
+            FrfCurve(freqs=np.arange(1.0, MIN_SAMPLES), amps=np.ones(MIN_SAMPLES - 1))
 
     def test_unequal_lengths(self):
         with pytest.raises(ValueError, match="^freqs and amps must be 1-D arrays of equal "
@@ -124,6 +127,12 @@ class TestCurveValidation:
 
 
 class TestExtract:
+    def test_errors_are_model_domain_errors(self):
+        # the CLI maps a ModelDomainError to exit 3 by its type alone
+        assert issubclass(BandwidthError, ModelDomainError)
+        assert issubclass(FitError, ModelDomainError)
+        assert issubclass(FitError, RuntimeError)
+
     @pytest.mark.parametrize("Q", [50, 500, 5000])
     @pytest.mark.parametrize("f0", [100e3, 200e3, 300e3])
     def test_round_trip(self, Q, f0):

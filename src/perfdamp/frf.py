@@ -9,6 +9,7 @@ resonator response is provided so the extraction can be tested closed-loop.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -26,6 +27,12 @@ FIT_WINDOW_LEVEL = 0.9
 # Largest sum of G_ii * (G^-1)_ii of a fit's normal matrix G: the trace of the inverse of G
 # scaled to unit diagonal, within 7x of its condition number (even windows: 1150 to 2640).
 MAX_FIT_COND = 1e8
+_DEGREES = np.arange(1.0, POLY_DEGREE + 1)  # p' = (coef[1:] * _DEGREES) @ (1, t, ..., t^5)
+
+# The reductions themselves: ndarray.min/max/all reach them through Python-level wrappers.
+_min, _max, _all = np.minimum.reduce, np.maximum.reduce, np.logical_and.reduce
+# Builds an ExtractionResult from all six fields, without its Python-level __new__.
+_new = tuple.__new__
 
 
 class BandwidthError(ModelDomainError):
@@ -46,23 +53,34 @@ class FrfCurve:
     def __post_init__(self):
         freqs = np.asarray(self.freqs, dtype=float)
         amps = np.asarray(self.amps, dtype=float)
-        object.__setattr__(self, "freqs", freqs)
-        object.__setattr__(self, "amps", amps)
+        if freqs is not self.freqs:
+            object.__setattr__(self, "freqs", freqs)
+        if amps is not self.amps:
+            object.__setattr__(self, "amps", amps)
         if freqs.ndim != 1 or freqs.shape != amps.shape:
             raise ValueError("freqs and amps must be 1-D arrays of equal length")
-        for name, values in (("freqs", freqs), ("amps", amps)):
-            finite = np.isfinite(values)
-            if not finite.all():
-                i = int(finite.argmin())
-                raise ValueError(f"{name}[{i}] is not finite ({values[i]})")
-        if len(freqs) < MIN_SAMPLES:
-            raise ValueError(f"need at least {MIN_SAMPLES} samples")
-        if not (freqs[1:] > freqs[:-1]).all():
-            raise ValueError("freqs must be strictly increasing")
-        # increasing, so the first frequency is the smallest
-        require_positive(("freqs", freqs.item(0)))
-        if (amps < 0).any():
-            raise ValueError("amplitudes must be non-negative")
+        # One pass: increasing freqs in (0, inf) and amps in [0, inf) are all finite, and
+        # a NaN fails every comparison. Only a refused curve runs the ordered checks.
+        if not (len(freqs) >= MIN_SAMPLES and 0 < freqs.item(0) and freqs.item(-1) < math.inf
+                and _all(freqs[1:] > freqs[:-1]) and 0 <= _min(amps) and _max(amps) < math.inf):
+            _refuse(freqs, amps)
+
+
+def _refuse(freqs: np.ndarray, amps: np.ndarray) -> None:
+    """Raise ValueError for the first check, in this order, that the curve fails."""
+    for name, values in (("freqs", freqs), ("amps", amps)):
+        finite = np.isfinite(values)
+        if not finite.all():
+            i = int(finite.argmin())
+            raise ValueError(f"{name}[{i}] is not finite ({values[i]})")
+    if len(freqs) < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples")
+    if not (freqs[1:] > freqs[:-1]).all():
+        raise ValueError("freqs must be strictly increasing")
+    # increasing, so the first frequency is the smallest
+    require_positive(("freqs", freqs.item(0)))
+    if (amps < 0).any():
+        raise ValueError("amplitudes must be non-negative")
 
 
 class ExtractionResult(NamedTuple):
@@ -88,9 +106,18 @@ def synth_frf(m_eff: float, c: float, k: float, F0: float, freqs: np.ndarray) ->
     freqs = np.asarray(freqs, dtype=float)
     w = 2 * np.pi * freqs
     with np.errstate(over="ignore", divide="ignore"):
-        amps = F0 / np.sqrt((k - m_eff * w**2) ** 2 + (c * w) ** 2)
+        # the operations of the formula, in its order, in place
+        amps = np.multiply(w, w)
+        amps *= m_eff
+        np.subtract(k, amps, out=amps)
+        np.multiply(amps, amps, out=amps)
+        w *= c
+        w *= w
+        amps += w
+        np.sqrt(amps, out=amps)
+        np.divide(F0, amps, out=amps)
     curve = FrfCurve(freqs=freqs, amps=amps)
-    if not amps.min() > 0:
+    if not _min(amps) > 0:
         i = int(amps.argmin())
         raise ValueError(f"response at {freqs[i]} Hz is out of floating-point range "
                          f"(amplitude {amps[i]})")
@@ -98,11 +125,47 @@ def synth_frf(m_eff: float, c: float, k: float, F0: float, freqs: np.ndarray) ->
 
 
 def read_curve(path) -> FrfCurve:
-    """Read a curve CSV whose header names the columns freq_hz and amp_m."""
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    if data.dtype.names is None or set(data.dtype.names) != {"freq_hz", "amp_m"}:
+    """Read a curve CSV whose header names the columns freq_hz and amp_m, in either order.
+
+    The header may start with '#'; '#' comments, blank lines and spaces around a cell are
+    skipped. An empty file, a wrong header, or a row with a missing or extra cell or a cell
+    that is not a number raises ValueError, a row's naming its line."""
+    with open(path) as fh:
+        reader = csv.reader(_uncommented(fh))
+        try:
+            rows = [(reader.line_num, row) for row in reader if row]
+        except csv.Error as exc:
+            raise ValueError(f"input CSV line {reader.line_num}: {exc}") from None
+    if not rows:
+        raise ValueError("input CSV is empty; it must have header 'freq_hz,amp_m'")
+    names = [name.strip() for name in rows[0][1]]
+    if sorted(names) != ["amp_m", "freq_hz"]:
         raise ValueError("input CSV must have header 'freq_hz,amp_m'")
-    return FrfCurve(freqs=np.atleast_1d(data["freq_hz"]), amps=np.atleast_1d(data["amp_m"]))
+    values = []
+    for line, row in rows[1:]:
+        if len(row) != 2:
+            raise ValueError(f"input CSV line {line}: expected 2 cells, found {len(row)}")
+        for cell in row:
+            try:
+                values.append(float(cell))
+            except ValueError:
+                raise ValueError(
+                    f"input CSV line {line}: cell {cell.strip()!r} is not a number") from None
+    columns = np.array(values).reshape(-1, 2).T.copy()
+    i_freq = names.index("freq_hz")
+    return FrfCurve(freqs=columns[i_freq], amps=columns[1 - i_freq])
+
+
+def _uncommented(lines):
+    """Each line stripped, without its '#' comment; a '#' that opens the header is dropped."""
+    header = True
+    for line in lines:
+        line = line.strip()
+        if header:
+            line = line.removeprefix("#")
+        line = line.split("#", 1)[0].strip()
+        header = header and not line
+        yield line
 
 
 def damping_from_q(f0: float, Q: float, m_eff: float) -> float:
@@ -132,9 +195,9 @@ def _fit_window(amps: np.ndarray, i_peak: int) -> tuple[int, int]:
 
 
 def _peak_between(coef, a: float, b: float) -> tuple[float, float]:
-    """(p(t), t) at the root t in [a, b] of p' (or t = a = b), given p'(a) > 0 >= p'(b) and
+    """(p(t), t) at the root t in [a, b] of p', given p'(a) > 0 >= p'(b) and
     coef, p lowest degree first: Newton, or bisection where a step leaves [a, b] or p'' >= 0."""
-    c0, c1, c2, c3, c4, c5, c6 = coef
+    _, c1, c2, c3, c4, c5, c6 = coef
     d2, d3, d4, d5, d6 = 2 * c2, 3 * c3, 4 * c4, 5 * c5, 6 * c6
     u = 0.5 * (a + b)
     for _ in range(100):  # bisection halves the bracket: 52 steps reach 1e-15
@@ -146,7 +209,13 @@ def _peak_between(coef, a: float, b: float) -> tuple[float, float]:
         u = u if a < u <= b else 0.5 * (a + b)
         if abs(u - t) <= 1e-15:  # floats near |t| = 1 lie 1.1e-16 to 2.2e-16 apart
             break
-    return (((((c6 * u + c5) * u + c4) * u + c3) * u + c2) * u + c1) * u + c0, u
+    return _horner(coef, u), u
+
+
+def _horner(coef, u: float) -> float:
+    """p(u), coef lowest degree first."""
+    c0, c1, c2, c3, c4, c5, c6 = coef
+    return (((((c6 * u + c5) * u + c4) * u + c3) * u + c2) * u + c1) * u + c0
 
 
 def _poly_peak(freqs, amps, lo, hi):
@@ -160,8 +229,13 @@ def _poly_peak(freqs, amps, lo, hi):
         raise FitError("fit window too small for a 6th-degree polynomial")
     x_lo, x_hi = x.item(0), x.item(-1)
     span = x_hi - x_lo
-    t = (-x_hi - x_lo) / span + 2.0 / span * x  # map [x_lo, x_hi] to [-1, 1]
-    van_t = np.vander(t, POLY_DEGREE + 1, increasing=True).T
+    # rows 1, t, ..., t^6 of V; t maps [x_lo, x_hi] to [-1, 1]
+    van_t = np.empty((POLY_DEGREE + 1, len(x)))
+    van_t[0] = 1.0
+    t = np.multiply(x, 2.0 / span, out=van_t[1])
+    t += (-x_hi - x_lo) / span
+    van_t[2:] = t
+    np.multiply.accumulate(van_t[1:], out=van_t[1:])
     gram = van_t @ van_t.T
     try:
         inv = np.linalg.inv(gram)
@@ -169,12 +243,14 @@ def _poly_peak(freqs, amps, lo, hi):
         raise FitError("polynomial fit is ill-conditioned") from exc
     if not gram.diagonal() @ inv.diagonal() <= MAX_FIT_COND:
         raise FitError("polynomial fit is ill-conditioned")
-    scale = 2.0 ** (math.frexp(y.max())[1] - 1)  # exact, and keeps V y finite
+    scale = 2.0 ** (math.frexp(_max(y))[1] - 1)  # exact, and keeps V y finite
     coef = inv @ (van_t @ (y / scale))
-    rising = coef[1:] * np.arange(1, POLY_DEGREE + 1) @ van_t[:-1] > 0  # p' > 0 at the samples
+    rising = coef[1:] * _DEGREES @ van_t[:-1] > 0  # p' > 0 at the samples
     ts, cl = t.tolist(), coef.tolist()
-    pairs = [(ts[k], ts[k + 1]) for k in np.flatnonzero(rising[:-1] > rising[1:]).tolist()]
-    A_peak, t0 = max(_peak_between(cl, a, b) for a, b in pairs + [(ts[0],) * 2, (ts[-1],) * 2])
+    ends = [(_horner(cl, u), u) for u in (ts[0], ts[-1])]
+    peaks = [_peak_between(cl, ts[k], ts[k + 1])
+             for k in (rising[:-1] > rising[1:]).nonzero()[0].tolist()]
+    A_peak, t0 = max(ends + peaks)
     return (x_hi + x_lo) / 2 + span / 2 * t0, A_peak * scale
 
 
@@ -185,10 +261,17 @@ def _crossing(freqs, amps, thr, i_start, step):
     numpy finds the first sample pair i, j = i + step with
     amps[j] < thr <= amps[i]; the crossing is interpolated linearly on it."""
     walk = amps[i_start:] if step > 0 else amps[i_start::-1]
-    above = walk >= thr
-    falls = above[:-1] > above[1:]  # above at i, below at j
-    k = int(falls.argmax()) if falls.size else 0
-    if not (falls.size and falls[k]):
+    if amps.item(i_start) >= thr:
+        # the walk starts above thr, so its first falling pair ends at its first sample below
+        below = walk < thr
+        k = int(below.argmax()) - 1
+        found = below[k + 1]
+    else:
+        above = walk >= thr
+        falls = above[:-1] > above[1:]  # above at i, below at j
+        k = int(falls.argmax()) if falls.size else 0
+        found = falls.size and falls[k]
+    if not found:
         raise BandwidthError("amplitude never falls below the half-power level")
     i = i_start + k * step
     j = i + step
@@ -207,8 +290,9 @@ def extract(curve: FrfCurve, m_eff: float | None = None) -> ExtractionResult:
     freqs, amps = curve.freqs, curve.amps
     i_peak = int(amps.argmax())
     peak = amps.item(i_peak)
-    # amplitudes are finite, so a flat curve is one whose minimum is its peak
-    if peak <= 0 or peak == amps.min():
+    # amplitudes are finite, so a flat curve is one whose minimum is its peak; a curve
+    # whose end samples differ from its peak is not flat
+    if peak <= 0 or amps.item(0) == peak == amps.item(-1) == _min(amps):
         raise BandwidthError("curve has no peak")
     lo, hi = _fit_window(amps, i_peak)
     f0, A_peak = _poly_peak(freqs, amps, lo, hi)
@@ -219,4 +303,4 @@ def extract(curve: FrfCurve, m_eff: float | None = None) -> ExtractionResult:
         raise BandwidthError("half-power frequencies do not bracket the peak")
     Q = f0 / (f2 - f1)
     c = damping_from_q(f0, Q, m_eff) if m_eff is not None else None
-    return ExtractionResult(f0=f0, A_peak=A_peak, f1=f1, f2=f2, Q=Q, c=c)
+    return _new(ExtractionResult, (f0, A_peak, f1, f2, Q, c))

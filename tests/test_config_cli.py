@@ -421,7 +421,20 @@ class TestCli:
         lines[31] = lines[31].split(",")[0] + ","
         curve_csv.write_text("\n".join(lines) + "\n")
         assert cli.run(["frf", "extract", "--input", str(curve_csv)]) == 1
-        assert "amps[30] is not finite" in capsys.readouterr().err
+        # the empty cell is refused with the file line it is on
+        assert capsys.readouterr() == ("", "error: input CSV line 32: cell '' is not a number\n")
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "input CSV is empty; it must have header 'freq_hz,amp_m'"),
+        ("freq_hz,amp_m\n1.0,2.0\n3.0,4.0,5.0\n", "input CSV line 3: expected 2 cells, found 3"),
+        ("freq_hz,amp_m\n1.0,2.0\nx,4.0\n", "input CSV line 3: cell 'x' is not a number"),
+    ], ids=["empty", "ragged", "not-a-number"])
+    def test_frf_extract_malformed_file_exit1(self, tmp_path, capsys, text, message):
+        # one error line naming the file line, not a numpy warning or traceback
+        path = tmp_path / "curve.csv"
+        path.write_text(text)
+        assert cli.run(["frf", "extract", "--input", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize("argv,name", [
         (["frf", "extract", "--input", "{curve}", "--meff", "nan"], "m_eff"),

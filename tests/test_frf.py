@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
+from perfdamp import cli
 from perfdamp.compact_models import ModelDomainError
 from perfdamp.frf import (
     FIT_WINDOW_LEVEL,
@@ -18,6 +19,7 @@ from perfdamp.frf import (
     _poly_peak,
     damping_from_q,
     extract,
+    read_curve,
     synth_frf,
 )
 
@@ -81,6 +83,33 @@ class TestSynth:
             with pytest.raises(ValueError, match="out of floating-point range"):
                 synth_frf(m_eff, 2e-5, k, F0, np.linspace(190e3, 210e3, 9))
 
+    @pytest.mark.parametrize("f0, Q, m_eff, F0", [
+        (200e3, 5.0, 1e-9, 1e-6), (130e3, 500.0, 3e-9, 1e-6), (6366.2, 3.5, 1e-9, 2e-6),
+        (211.011e3, 134.4, 1e-12, 1e-3),
+    ])
+    def test_amplitudes_equal_the_formula_bit_for_bit(self, f0, Q, m_eff, F0):
+        # synth_frf computes in place; its amplitudes are those of the formula as written
+        w0 = 2 * math.pi * f0
+        k, c = m_eff * w0**2, m_eff * w0 / Q
+        freqs = np.linspace(f0 * (1 - 3 / Q), f0 * (1 + 3 / Q), 801)
+        w = 2 * np.pi * freqs
+        expected = F0 / np.sqrt((k - m_eff * w**2) ** 2 + (c * w) ** 2)
+        curve = synth_frf(m_eff, c, k, F0, freqs)
+        assert curve.amps.tobytes() == expected.tobytes()
+        assert curve.freqs.tobytes() == freqs.tobytes()
+
+    def test_squares_that_overflow_are_refused(self):
+        # (c*w)^2 overflows to inf at every sample, so the formula reads 0 there
+        freqs = np.linspace(190e3, 210e3, 9)
+        w = 2 * np.pi * freqs
+        with np.errstate(over="ignore"):
+            assert (1e-6 / np.sqrt((1.0 - 1e-9 * w**2) ** 2 + (1e160 * w) ** 2) == 0).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^response at 190000\.0 Hz is out of "
+                               r"floating-point range \(amplitude 0\.0\)$"):
+                synth_frf(1e-9, 1e160, 1.0, 1e-6, freqs)
+
     def test_rejects_infinite_amplitude_at_undamped_resonance(self):
         freqs = np.linspace(5e3, 8e3, 9)
         w = 2 * np.pi * freqs[3]
@@ -119,11 +148,117 @@ class TestCurveValidation:
         with pytest.raises(ValueError, match="^amplitudes must be non-negative$"):
             FrfCurve(freqs=np.arange(1.0, 11.0), amps=np.full(10, -1.0))
 
+    @pytest.mark.parametrize("n, freqs_at, amps_at, message", [
+        # one fault
+        (10, {}, {2: math.nan}, "amps[2] is not finite (nan)"),
+        (10, {9: math.inf}, {}, "freqs[9] is not finite (inf)"),
+        (10, {}, {0: -math.inf}, "amps[0] is not finite (-inf)"),
+        (MIN_SAMPLES - 1, {}, {}, f"need at least {MIN_SAMPLES} samples"),
+        (10, {4: 3.0}, {}, "freqs must be strictly increasing"),
+        (10, {5: 5.0}, {}, "freqs must be strictly increasing"),
+        (10, {0: 0.0}, {}, "freqs must be positive and finite"),
+        (10, {}, {7: -1e-300}, "amplitudes must be non-negative"),
+        # two faults: the first check in order wins
+        (5, {}, {2: math.nan}, "amps[2] is not finite (nan)"),
+        (10, {3: math.nan}, {1: math.nan}, "freqs[3] is not finite (nan)"),
+        (10, {}, {6: math.inf, 2: math.nan}, "amps[2] is not finite (nan)"),
+        (10, {4: 3.0}, {1: -1.0}, "freqs must be strictly increasing"),
+        (10, {0: -1.0}, {4: math.inf}, "amps[4] is not finite (inf)"),
+        (10, {0: 0.0}, {4: -1.0}, "freqs must be positive and finite"),
+        (MIN_SAMPLES - 1, {3: 2.0}, {}, f"need at least {MIN_SAMPLES} samples"),
+        (MIN_SAMPLES - 1, {0: -5.0}, {0: -1.0}, f"need at least {MIN_SAMPLES} samples"),
+    ])
+    def test_refusal_order(self, n, freqs_at, amps_at, message):
+        # freqs 1, 2, ..., n and unit amps, with the given samples replaced
+        freqs, amps = np.arange(1.0, n + 1), np.ones(n)
+        for values, at in ((freqs, freqs_at), (amps, amps_at)):
+            for i, value in at.items():
+                values[i] = value
+        with pytest.raises(ValueError) as info:
+            FrfCurve(freqs=freqs, amps=amps)
+        assert str(info.value) == message
+
+    def test_shape_refused_before_samples(self):
+        with pytest.raises(ValueError, match="^freqs and amps must be 1-D arrays of equal "
+                           "length$"):
+            FrfCurve(freqs=np.full((2, 10), math.nan), amps=np.ones((2, 10)))
+
+    def test_arrays_kept_or_converted(self):
+        freqs, amps = np.arange(1.0, 11.0), np.ones(10)
+        curve = FrfCurve(freqs=freqs, amps=amps)
+        assert curve.freqs is freqs and curve.amps is amps
+        listed = FrfCurve(freqs=freqs.tolist(), amps=[1] * 10)
+        assert listed.freqs.dtype == listed.amps.dtype == np.float64
+        assert np.array_equal(listed.freqs, freqs) and np.array_equal(listed.amps, amps)
+
     def test_first_frequency_must_be_positive(self):
         # a Q = 0.75 resonance at 200 kHz sampled from -400 to 800 kHz: its
         # left half-power crossing lies below 0 Hz, where no response exists
         with pytest.raises(ValueError, match="^freqs must be positive and finite$"):
             _resonator_curve(200e3, 0.75, span_bw=2.25)
+
+
+class TestReadCurve:
+    @pytest.fixture
+    def synth_csv(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        assert cli.run(["frf", "synth", "--meff", "1e-9", "--damping", "2e-5",
+                        "--stiffness", "1.58e3", "--start", "190kHz", "--stop", "210kHz",
+                        "--points", "101", "--out", str(path)]) == 0
+        return path
+
+    def test_synth_output_round_trips_bit_for_bit(self, synth_csv):
+        curve = read_curve(synth_csv)
+        expected = synth_frf(1e-9, 2e-5, 1.58e3, 1e-6, np.linspace(190e3, 210e3, 101))
+        assert curve.freqs.tobytes() == expected.freqs.tobytes()
+        assert curve.amps.tobytes() == expected.amps.tobytes()
+
+    def test_columns_in_either_order(self, synth_csv, tmp_path):
+        curve = read_curve(synth_csv)
+        path = tmp_path / "swapped.csv"
+        path.write_text("amp_m,freq_hz\n" + "".join(
+            f"{a!r},{f!r}\n" for a, f in zip(curve.amps.tolist(), curve.freqs.tolist())))
+        swapped = read_curve(path)
+        assert np.array_equal(swapped.freqs, curve.freqs)
+        assert np.array_equal(swapped.amps, curve.amps)
+
+    @pytest.mark.parametrize("layout", ["blank-end", "comment-header", "spaces", "comments"])
+    def test_layouts_read_as_plain(self, synth_csv, tmp_path, layout):
+        lines = synth_csv.read_text().splitlines()
+        if layout == "blank-end":
+            lines += ["", ""]
+        elif layout == "comment-header":
+            lines = ["", "# freq_hz,amp_m"] + lines[1:]
+        elif layout == "spaces":
+            lines = [" , ".join(line.split(",")) + "  " for line in lines]
+        else:
+            lines = [lines[0], "# sampled on a grid", *lines[1:3], "   ", lines[3] + " # sample 3",
+                     *lines[4:]]
+        path = tmp_path / "layout.csv"
+        path.write_text("\n".join(lines) + "\n")
+        curve, plain = read_curve(path), read_curve(synth_csv)
+        assert np.array_equal(curve.freqs, plain.freqs)
+        assert np.array_equal(curve.amps, plain.amps)
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "input CSV is empty; it must have header 'freq_hz,amp_m'"),
+        ("\n  \n", "input CSV is empty; it must have header 'freq_hz,amp_m'"),
+        ("freq_hz,amp_m\n", f"need at least {MIN_SAMPLES} samples"),
+        ("freq,amp\n1.0,2.0\n", "input CSV must have header 'freq_hz,amp_m'"),
+        ("freq_hz,amp_m,x\n1.0,2.0,3.0\n", "input CSV must have header 'freq_hz,amp_m'"),
+        ("freq_hz,amp_m\n1.0,2.0\n\n3.0,4.0,5.0\n", "input CSV line 4: expected 2 cells, "
+         "found 3"),
+        ("freq_hz,amp_m\n1.0,2.0\n3.0\n", "input CSV line 3: expected 2 cells, found 1"),
+        ("freq_hz,amp_m\n1.0,2.0\n3.0, x \n", "input CSV line 3: cell 'x' is not a number"),
+        ("freq_hz,amp_m\n1.0,\n", "input CSV line 2: cell '' is not a number"),
+    ], ids=["empty", "blank", "header-only", "wrong-header", "extra-column", "ragged",
+            "missing-cell", "not-a-number", "empty-cell"])
+    def test_malformed_file_refused_in_one_line(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            read_curve(path)
+        assert str(info.value) == message
 
 
 class TestExtract:

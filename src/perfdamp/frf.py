@@ -129,8 +129,8 @@ def read_curve(path) -> FrfCurve:
 
     The header may start with '#'; '#' comments, blank lines and spaces around a cell are
     skipped. An empty file, a wrong header, or a row with a missing or extra cell or a cell
-    that is not a number raises ValueError, a row's naming its line."""
-    with open(path) as fh:
+    that is not a finite number raises ValueError, a row's naming its line."""
+    with open(path, encoding="utf-8") as fh:
         reader = csv.reader(_uncommented(fh))
         try:
             rows = [(reader.line_num, row) for row in reader if row]
@@ -151,6 +151,9 @@ def read_curve(path) -> FrfCurve:
             except ValueError:
                 raise ValueError(
                     f"input CSV line {line}: cell {cell.strip()!r} is not a number") from None
+            if not math.isfinite(values[-1]):
+                raise ValueError(
+                    f"input CSV line {line}: cell {cell.strip()!r} is not a finite number")
     columns = np.array(values).reshape(-1, 2).T.copy()
     i_freq = names.index("freq_hz")
     return FrfCurve(freqs=columns[i_freq], amps=columns[1 - i_freq])
@@ -174,20 +177,25 @@ def damping_from_q(f0: float, Q: float, m_eff: float) -> float:
     return 2 * math.pi * f0 * m_eff / Q
 
 
+def _below_from_peak(amps: np.ndarray, i_peak: int, step: int, level: float) -> int:
+    """Steps from the raw maximum amps[i_peak] outward in direction step to the first sample
+    below level (one at level counts as above); 0 if there is none or the maximum is below."""
+    # argmax is 0 both for a walk with no sample below and for one that starts below
+    return int((amps[i_peak::step] < level).argmax())
+
+
 def _fit_window(amps: np.ndarray, i_peak: int) -> tuple[int, int]:
     """Widest symmetric index span around the raw peak whose amplitudes stay
     at or above FIT_WINDOW_LEVEL of it, at least MIN_WINDOW samples.
 
     Both sides widen together until a sample on either side falls below the
     level or the span reaches an end of the array."""
-    reach = min(i_peak, len(amps) - 1 - i_peak)
-    half = 0
-    if reach:
-        below = amps[i_peak - reach : i_peak + reach + 1] < amps[i_peak] * FIT_WINDOW_LEVEL
-        # stop[k]: a sample k + 1 places left or right of the peak is below the level
-        stop = below[reach + 1 :] | below[reach - 1 :: -1]
-        k = int(stop.argmax())
-        half = k if stop[k] else reach
+    level = amps.item(i_peak) * FIT_WINDOW_LEVEL
+    half = min(i_peak, len(amps) - 1 - i_peak)
+    for step in (-1, 1):
+        k = _below_from_peak(amps, i_peak, step, level)
+        if k:
+            half = min(half, k - 1)
     half = max(half, MIN_WINDOW // 2)
     lo = max(0, i_peak - half)
     hi = min(len(amps) - 1, i_peak + half)
@@ -254,27 +262,17 @@ def _poly_peak(freqs, amps, lo, hi):
     return (x_hi + x_lo) / 2 + span / 2 * t0, A_peak * scale
 
 
-def _crossing(freqs, amps, thr, i_start, step):
+def _crossing(freqs, amps, thr, i_peak, step):
     """Return the frequency where the amplitude first falls through thr going
-    outward from i_start in direction step.
+    outward from the raw maximum amps[i_peak] in direction step.
 
-    numpy finds the first sample pair i, j = i + step with
-    amps[j] < thr <= amps[i]; the crossing is interpolated linearly on it."""
-    walk = amps[i_start:] if step > 0 else amps[i_start::-1]
-    if amps.item(i_start) >= thr:
-        # the walk starts above thr, so its first falling pair ends at its first sample below
-        below = walk < thr
-        k = int(below.argmax()) - 1
-        found = below[k + 1]
-    else:
-        above = walk >= thr
-        falls = above[:-1] > above[1:]  # above at i, below at j
-        k = int(falls.argmax()) if falls.size else 0
-        found = falls.size and falls[k]
-    if not found:
+    The crossing is interpolated linearly between the last sample at or above
+    thr and the first sample below it."""
+    k = _below_from_peak(amps, i_peak, step, thr)
+    if not k:
         raise BandwidthError("amplitude never falls below the half-power level")
-    i = i_start + k * step
-    j = i + step
+    j = i_peak + k * step
+    i = j - step
     fi, aa, ab = freqs.item(i), amps.item(i), amps.item(j)
     return fi + (thr - aa) * (freqs.item(j) - fi) / (ab - aa)
 
@@ -290,9 +288,9 @@ def extract(curve: FrfCurve, m_eff: float | None = None) -> ExtractionResult:
     freqs, amps = curve.freqs, curve.amps
     i_peak = int(amps.argmax())
     peak = amps.item(i_peak)
-    # amplitudes are finite, so a flat curve is one whose minimum is its peak; a curve
-    # whose end samples differ from its peak is not flat
-    if peak <= 0 or amps.item(0) == peak == amps.item(-1) == _min(amps):
+    # amplitudes are finite and non-negative, so a flat curve (an all-zero one too) is
+    # one whose minimum is its peak; a curve whose end samples differ from its peak is not
+    if amps.item(0) == peak == amps.item(-1) == _min(amps):
         raise BandwidthError("curve has no peak")
     lo, hi = _fit_window(amps, i_peak)
     f0, A_peak = _poly_peak(freqs, amps, lo, hi)

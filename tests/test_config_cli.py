@@ -424,6 +424,19 @@ class TestCli:
         # the empty cell is refused with the file line it is on
         assert capsys.readouterr() == ("", "error: input CSV line 32: cell '' is not a number\n")
 
+    def test_frf_extract_non_finite_cell_exit1(self, tmp_path, capsys):
+        curve_csv = tmp_path / "curve.csv"
+        assert cli.run(["frf", "synth", "--meff", "1e-9", "--damping", "2e-5",
+                        "--stiffness", "1.6", "--start", "5kHz", "--stop", "8kHz",
+                        "--points", "101", "--out", str(curve_csv)]) == 0
+        lines = curve_csv.read_text().splitlines()
+        lines[31] = lines[31].split(",")[0] + ",nan"
+        curve_csv.write_text("\n".join(lines) + "\n")
+        assert cli.run(["frf", "extract", "--input", str(curve_csv)]) == 1
+        # named by its file line, not by its index among the samples
+        assert capsys.readouterr() == (
+            "", "error: input CSV line 32: cell 'nan' is not a finite number\n")
+
     @pytest.mark.parametrize("text,message", [
         ("", "input CSV is empty; it must have header 'freq_hz,amp_m'"),
         ("freq_hz,amp_m\n1.0,2.0\n3.0,4.0,5.0\n", "input CSV line 3: expected 2 cells, found 3"),

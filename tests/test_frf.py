@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.polynomial import Polynomial
 
 from perfdamp import cli
@@ -11,6 +12,7 @@ from perfdamp.frf import (
     FIT_WINDOW_LEVEL,
     HALF_POWER,
     MIN_SAMPLES,
+    MIN_WINDOW,
     BandwidthError,
     FitError,
     FrfCurve,
@@ -251,8 +253,14 @@ class TestReadCurve:
         ("freq_hz,amp_m\n1.0,2.0\n3.0\n", "input CSV line 3: expected 2 cells, found 1"),
         ("freq_hz,amp_m\n1.0,2.0\n3.0, x \n", "input CSV line 3: cell 'x' is not a number"),
         ("freq_hz,amp_m\n1.0,\n", "input CSV line 2: cell '' is not a number"),
+        ("freq_hz,amp_m\n1.0,2.0\n3.0, nan \n", "input CSV line 3: cell 'nan' is not a finite "
+         "number"),
+        ("freq_hz,amp_m\n1.0,2.0\n3.0,inf\n", "input CSV line 3: cell 'inf' is not a finite number"),
+        ("# freq_hz,amp_m\n\n1.0,-inf\n", "input CSV line 3: cell '-inf' is not a finite number"),
+        ("freq_hz,amp_m\n1.0,2.0\nnan,4.0\n", "input CSV line 3: cell 'nan' is not a finite number"),
     ], ids=["empty", "blank", "header-only", "wrong-header", "extra-column", "ragged",
-            "missing-cell", "not-a-number", "empty-cell"])
+            "missing-cell", "not-a-number", "empty-cell", "nan-amplitude", "inf-amplitude",
+            "minus-inf-amplitude", "nan-frequency"])
     def test_malformed_file_refused_in_one_line(self, tmp_path, text, message):
         path = tmp_path / "bad.csv"
         path.write_text(text)
@@ -391,6 +399,13 @@ def _assert_matches_reference(curve):
         assert out == pytest.approx(ref, rel=1e-12, abs=0)
 
 
+# One side of a peak, read outward: a run of samples at or above 0.9 of it, then any samples
+_side = st.builds(lambda run, rest: run + rest,
+                  st.integers(0, 12).flatmap(
+                      lambda n: st.lists(st.sampled_from([9, 10]), min_size=n, max_size=n)),
+                  st.lists(st.sampled_from([0, 8, 9, 10]), max_size=8))
+
+
 class TestIndexSearches:
     """The numpy searches of the fit window and of the crossings keep the
     semantics of a walk outward from the peak, one sample at a time."""
@@ -423,10 +438,27 @@ class TestIndexSearches:
         assert _crossing(freqs, amps, 0.5, 3, +1) == 6.0
         assert _crossing(freqs, amps, 0.5, 3, -1) == 1.0
 
-    def test_crossing_ignores_a_rise(self):
-        # the walk starts below thr; the first pair that falls through it wins
+    @pytest.mark.parametrize("step", [-1, +1])
+    def test_crossing_refuses_threshold_above_its_maximum(self, step):
+        # the walk starts below thr at the maximum, so no sample falls through it
         amps = np.array([0.1, 0.9, 0.9, 0.4, 1.0, 0.5, 0.1, 0.1])
-        assert _crossing(np.arange(8.0), amps, 0.75, 3, +1) == 4.5
+        with pytest.raises(BandwidthError):
+            _crossing(np.arange(8.0), amps, 1.0000001, 4, step)
+
+    @settings(max_examples=300, deadline=None)
+    @given(left=_side, right=_side)
+    def test_window_matches_a_walk_widening_both_sides(self, left, right):
+        # tenths of a peak of 1.0 between left and right: 0.9 lies at the level, 0.8 below
+        amps = np.array([*left[::-1], 10, *right], dtype=float) / 10
+        i_peak = len(left)
+        level = amps[i_peak] * FIT_WINDOW_LEVEL
+        half = 0
+        while (half < i_peak and i_peak + half + 1 < len(amps)
+               and amps[i_peak - half - 1] >= level and amps[i_peak + half + 1] >= level):
+            half += 1
+        half = max(half, MIN_WINDOW // 2)
+        assert _fit_window(amps, i_peak) == (max(0, i_peak - half),
+                                            min(len(amps) - 1, i_peak + half))
 
     def test_crossing_first_dip_wins(self):
         amps = np.array([0.1, 0.25, 0.5, 1.0, 1.0, 1.0, 0.5, 1.0, 0.25, 0.1])

@@ -29,9 +29,12 @@ class ConfigError(ValueError):
     """Malformed configuration file; message names the offending field."""
 
 
-_LENGTH_UNITS = {"m": 1.0, "mm": 1e-3, "um": 1e-6, "µm": 1e-6, "nm": 1e-9}
-_FREQ_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
-_QUANTITY_RE = re.compile(r"^\s*([-+]?[0-9.eE+-]+?)\s*([a-zA-Zµ]*)\s*$")
+# Keys as _parse_quantity normalises a suffix: a leading m or M keeps its
+# case, which tells milli from mega; every other letter is lower case. Micro
+# is spelt u, the micro sign U+00B5 or the Greek mu U+03BC.
+_LENGTH_UNITS = {"m": 1.0, "mm": 1e-3, "um": 1e-6, "µm": 1e-6, "μm": 1e-6, "nm": 1e-9}
+_FREQ_UNITS = {"hz": 1.0, "khz": 1e3, "Mhz": 1e6, "ghz": 1e9}
+_QUANTITY_RE = re.compile(r"^\s*([-+]?[0-9.eE+-]+?)\s*([a-zA-Zµμ]*)\s*$")
 
 
 def _parse_quantity(text: str, units: dict[str, float], what: str) -> float:
@@ -46,7 +49,7 @@ def _parse_quantity(text: str, units: dict[str, float], what: str) -> float:
     suffix = m.group(2)
     if suffix == "":
         return value
-    key = suffix if suffix in units else suffix.lower()
+    key = suffix[0] + suffix[1:].lower() if suffix[0] in "mM" else suffix.lower()
     if key not in units:
         raise ConfigError(f"unknown unit suffix {suffix!r} in {what} value {text!r}")
     return value * units[key]

@@ -130,7 +130,8 @@ def read_curve(path) -> FrfCurve:
     The header may start with '#'; '#' comments, blank lines and spaces around a cell are
     skipped. An empty file, a wrong header, or a row with a missing or extra cell or a cell
     that is not a finite number raises ValueError, a row's naming its line."""
-    with open(path, encoding="utf-8") as fh:
+    # utf-8-sig: a byte-order mark, as spreadsheet programs write, is not part of the header
+    with open(path, encoding="utf-8-sig") as fh:
         reader = csv.reader(_uncommented(fh))
         try:
             rows = [(reader.line_num, row) for row in reader if row]

@@ -45,13 +45,16 @@ def _write(tmp_path, data, name="dev.json"):
 class TestQuantityParsing:
     @pytest.mark.parametrize("text,expected", [
         ("0.8um", 0.8e-6), ("65nm", 65e-9), ("1.5mm", 1.5e-3),
-        ("2m", 2.0), ("1.6e-6", 1.6e-6),
+        ("2m", 2.0), ("1.6e-6", 1.6e-6), ("0.8UM", 0.8e-6),
+        # micro as the micro sign U+00B5 and as the Greek mu U+03BC
+        ("1.2\u00b5m", 1.2e-6), ("1.2\u03bcm", 1.2e-6),
     ])
     def test_lengths(self, text, expected):
         assert parse_length(text) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("text,expected", [
         ("200kHz", 200e3), ("1.2MHz", 1.2e6), ("500", 500.0), ("50Hz", 50.0),
+        ("200khz", 200e3), ("200KHZ", 200e3), ("1.2MHZ", 1.2e6), ("1.5GHz", 1.5e9),
     ])
     def test_frequencies(self, text, expected):
         assert parse_frequency(text) == pytest.approx(expected, rel=1e-12)
@@ -59,6 +62,19 @@ class TestQuantityParsing:
     def test_bad_suffix(self):
         with pytest.raises(ConfigError, match="suffix"):
             parse_length("3parsec")
+
+    # m is milli and M mega in either case of the rest of the suffix: there is
+    # no millihertz and no megametre, so neither is read as the other
+    @pytest.mark.parametrize("parse,text,what", [
+        (parse_frequency, "200mHz", "frequency"), (parse_frequency, "200mhz", "frequency"),
+        (parse_length, "1.2Mm", "length"), (parse_length, "5MM", "length"),
+        (parse_length, "5M", "length"),
+    ])
+    def test_milli_and_mega_not_confused(self, parse, text, what):
+        suffix = text.lstrip("0123456789.")
+        with pytest.raises(ConfigError) as info:
+            parse(text)
+        assert str(info.value) == f"unknown unit suffix {suffix!r} in {what} value {text!r}"
 
     def test_garbage(self):
         with pytest.raises(ConfigError):

@@ -224,10 +224,14 @@ class TestReadCurve:
         assert np.array_equal(swapped.freqs, curve.freqs)
         assert np.array_equal(swapped.amps, curve.amps)
 
-    @pytest.mark.parametrize("layout", ["blank-end", "comment-header", "spaces", "comments"])
+    @pytest.mark.parametrize("layout", ["blank-end", "comment-header", "spaces", "comments",
+                                        "byte-order-mark"])
     def test_layouts_read_as_plain(self, synth_csv, tmp_path, layout):
         lines = synth_csv.read_text().splitlines()
-        if layout == "blank-end":
+        if layout == "byte-order-mark":
+            # a CSV re-saved as "CSV UTF-8" by a spreadsheet program
+            lines[0] = "\ufeff" + lines[0]
+        elif layout == "blank-end":
             lines += ["", ""]
         elif layout == "comment-header":
             lines = ["", "# freq_hz,amp_m"] + lines[1:]
@@ -237,7 +241,7 @@ class TestReadCurve:
             lines = [lines[0], "# sampled on a grid", *lines[1:3], "   ", lines[3] + " # sample 3",
                      *lines[4:]]
         path = tmp_path / "layout.csv"
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         curve, plain = read_curve(path), read_curve(synth_csv)
         assert np.array_equal(curve.freqs, plain.freqs)
         assert np.array_equal(curve.amps, plain.amps)

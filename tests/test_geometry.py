@@ -1,12 +1,15 @@
 import dataclasses
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from perfdamp import compact_models as cm
 from perfdamp import comparison as cmp
-from perfdamp.flow_regime import regime_report
+from perfdamp.flow_regime import GasProperties, regime_report
 from perfdamp.geometry import BeamGeometry, PlateGeometry, derive_geometry
 
 
@@ -169,6 +172,27 @@ class TestDerivedGeometry:
         assert hash(a) == hash(b)
         assert repr(a) == repr(b)
         assert "derived" not in repr(a)
+
+    @pytest.mark.parametrize("first", ["import perfdamp.compact_models",
+                                       "import perfdamp.flow_regime",
+                                       "from perfdamp.geometry import PlateGeometry"])
+    def test_each_module_can_be_imported_first(self, first):
+        # geometry binds compact_models' per-plate stage, and compact_models
+        # and flow_regime import geometry: each order must load all three
+        script = (
+            f"{first}\n"
+            "from perfdamp.compact_models import damping_m3\n"
+            "from perfdamp.flow_regime import GasProperties\n"
+            "from perfdamp.geometry import PlateGeometry\n"
+            "geom = PlateGeometry(L=372.4e-6, W=66.4e-6, M=36, N=6, s0=5.0e-6, s1=5.2e-6,\n"
+            "                     h=1.6e-6, h_c=15e-6)\n"
+            "print(repr(damping_m3(geom, GasProperties()).c))\n"
+        )
+        src = str(Path(cm.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) == cm.damping_m3(_plate(), GasProperties()).c
 
     def test_derived_once_per_plate(self, monkeypatch, gas):
         # counts every call, whichever perfdamp module it is reached through

@@ -6,7 +6,7 @@ from perfdamp import compact_models as cm
 from perfdamp.comparison import builtin_dataset
 from perfdamp.flow_regime import GasProperties, RegimeReport, regime_report
 from perfdamp.frf import ExtractionResult, extract, synth_frf
-from perfdamp.geometry import CircularCellFactors, DerivedGeometry, SquareCellFactors
+from perfdamp.geometry import DerivedGeometry
 
 from test_models_golden import design_points
 
@@ -17,10 +17,10 @@ FIELDS = {
                    "rarefaction_gap_pct", "rarefaction_hole_pct", "compressible", "inertial"),
     DerivedGeometry: ("s_X", "r_X", "r_0", "r_0E", "xi", "beta", "q",
                       "H_eff", "eta", "l", "short", "long", "circular", "square"),
-    CircularCellFactors: ("r_X4", "h3", "g_S", "g_IS", "r0h2", "dS_num", "f_B", "dB", "dC",
-                          "x35", "dE", "scale"),
-    SquareCellFactors: ("r_X4", "h3", "g_S", "g_IS", "s0h2", "delta_S", "dE_xi", "dE_h",
-                        "scale"),
+    cm.CircularCellFactors: ("r_X4", "h3", "g_S", "g_IS", "r0h2", "dS_num", "f_B", "dB",
+                             "dC", "x35", "dE", "scale"),
+    cm.SquareCellFactors: ("r_X4", "h3", "g_S", "g_IS", "s0h2", "delta_S", "dE_xi", "dE_h",
+                           "scale"),
     ExtractionResult: ("f0", "A_peak", "f1", "f2", "Q", "c"),
 }
 
@@ -34,8 +34,8 @@ def records(dataset, gas):
         cm.CellResistanceBreakdown: cm.cell_resistance_circular(rec.geom, gas),
         RegimeReport: regime_report(rec.geom, gas, rec.f0),
         DerivedGeometry: rec.geom.derived,
-        CircularCellFactors: rec.geom.derived.circular,
-        SquareCellFactors: rec.geom.derived.square,
+        cm.CircularCellFactors: rec.geom.derived.circular,
+        cm.SquareCellFactors: rec.geom.derived.square,
         ExtractionResult: extract(synth_frf(1e-9, 1e-6, 1.6, 1e-6, freqs), m_eff=1e-9),
     }
 

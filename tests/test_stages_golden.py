@@ -16,7 +16,7 @@ from pathlib import Path
 
 from perfdamp import compact_models as cm
 from perfdamp.flow_regime import RegimeReport, regime_report
-from perfdamp.geometry import CircularCellFactors, DerivedGeometry, SquareCellFactors
+from perfdamp.geometry import DerivedGeometry
 
 from test_models_golden import design_points
 
@@ -28,8 +28,8 @@ _COMPONENTS = ("S", "IS", "IB", "IC", "C", "E")
 HEADER = ",".join([
     "device",
     *DerivedGeometry._fields[:-2],
-    *(f"circular.{name}" for name in CircularCellFactors._fields),
-    *(f"square.{name}" for name in SquareCellFactors._fields),
+    *(f"circular.{name}" for name in cm.CircularCellFactors._fields),
+    *(f"square.{name}" for name in cm.SquareCellFactors._fields),
     *(f"{cell}.{kind}_{name}" for cell in ("circular", "square")
       for kind in ("scaled", "pct") for name in _COMPONENTS),
     "f",

@@ -7,14 +7,11 @@ access, so ``import perfdamp`` and the model modules stay numpy-free.
 
 import importlib
 
-from perfdamp.geometry import (
-    PlateGeometry,
-    BeamGeometry,
-    DerivedGeometry,
-    derive_geometry,
-)
+from perfdamp.geometry import PlateGeometry, BeamGeometry
 from perfdamp.flow_regime import GasProperties, RegimeReport, regime_report
 from perfdamp.compact_models import (
+    DerivedGeometry,
+    derive_geometry,
     CellResistanceBreakdown,
     ModelResult,
     ModelDomainError,

@@ -19,11 +19,14 @@ a record, and build an equal one. The M2 shape series and the M3/M4 border
 double series are evaluated in closed form plus a number of explicit terms
 fixed before summing, which each result reports as `series_terms`.
 
-Each model runs in two stages. The per-plate stage, `plate_factors`,
-computes every factor that depends on the plate alone (H_eff, eta, l of M1
-and M2, and the plate-only parts of both cell resistances); a PlateGeometry
-runs it once, when it is built, and keeps the factors in `geom.derived`. The
-model functions are the gas stage: they read those factors and do only the
+Each model runs in two stages. The per-plate stage, `derive_geometry`, is
+one function that computes everything that depends on the plate alone and
+returns it as a DerivedGeometry: the equivalent cell (s_X, r_X, the
+impedance-matched hole radius r_0, the square cell's effective radius r_0E),
+q, the plate's orientation, H_eff, eta and l of M1 and M2, and the
+plate-only parts of both cell resistances. A PlateGeometry runs it once,
+when it is built, and keeps the result in `geom.derived`. The model
+functions are the gas stage: they read those factors and do only the
 arithmetic that involves the gas (and, in M2 and the border series, the
 series themselves), with the constant powers of pi taken from module
 constants; M3/M4 return the border series' record with their cell
@@ -91,6 +94,11 @@ _6PI = 6 * math.pi
 _8PI = 8 * math.pi
 _DELTA_E0 = 0.944 * 3 * math.pi
 _3PI = 3 * math.pi
+
+# Square channels are mapped onto circular ones by matching acoustic
+# impedances; the coefficient below is the unrounded published value.
+HOLE_RADIUS_FACTOR = 1.096 / 2
+_SQRT_PI = math.sqrt(math.pi)
 
 # Builds a record from the tuple of all its field values in order, without
 # the Python-level __new__ of a NamedTuple class (which only fills in
@@ -184,6 +192,38 @@ class SquareCellFactors(NamedTuple):
     scale: float    # (s_X/s0)^4
 
 
+class DerivedGeometry(NamedTuple):
+    """The per-plate stage of a PlateGeometry, built by `derive_geometry`.
+
+    s_X = s0 + s1: cell pitch; r_X = s_X/sqrt(pi): area-matched cell radius;
+    r_0 = HOLE_RADIUS_FACTOR*s0: impedance-matched hole radius; r_0E =
+    0.58076*s0/(1 + 0.02108*xi^2 + 0.008*xi^4): the square-cell model's
+    effective hole radius; xi = s0/s_X; beta = r_0/r_X; q = M*N*s0^2/(L*W):
+    perforation ratio; short, long: the plate's sides, W and L unless W > L
+    (the only orientation the models and the regime screen read).
+    M1 and M2 share H_eff = h_c + 3*pi*r_0/8, the effective hole length,
+    eta = 1 + 3*r_0^4*K/(16*H_eff*h^3) with K = 4*beta^2 - beta^4 -
+    4*ln(beta) - 3, the perforation-loading factor, and the attenuation length
+    l = sqrt(2*h^3*H_eff*eta/(3*beta^2*r_0^2)). circular, square: the
+    plate-only factors of the two cell resistances (the circular rr is beta).
+    """
+
+    s_X: float
+    r_X: float
+    r_0: float
+    r_0E: float
+    xi: float
+    beta: float
+    q: float
+    H_eff: float
+    eta: float
+    l: float
+    short: float
+    long: float
+    circular: CircularCellFactors
+    square: SquareCellFactors
+
+
 def _out_of_range(label: str, exc: ArithmeticError) -> ModelDomainError:
     """A floating-point overflow or division by zero inside a model: the plate
     or gas lies outside the range its formulas can be evaluated in."""
@@ -226,24 +266,21 @@ def _shape_bracket(al: float) -> float:
     return 1.5 * _edge_leak_bracket(al) - 0.5 * t * t
 
 
-def plate_factors(
-    geom: PlateGeometry, s_X: float, r_X: float, r_0: float, r_0E: float, xi: float, beta: float,
-) -> tuple[float, float, float, CircularCellFactors, SquareCellFactors]:
-    """The per-plate stage of M1-M6: (H_eff, eta, l, circular, square) of a
-    plate with the equivalent-cell quantities of `DerivedGeometry`.
-
-    H_eff = h_c + 3*pi*r_0/8: effective hole length; eta = 1 +
-    3*r_0^4*K/(16*H_eff*h^3) with K = 4*beta^2 - beta^4 - 4*ln(beta) - 3: the
-    perforation-loading factor; l = sqrt(2*h^3*H_eff*eta/(3*beta^2*r_0^2)):
-    the attenuation length of the perforated-plate Reynolds solution. M1 and
-    M2 share them. circular, square: the plate-only factors of the two cell
-    resistances; the circular cell's rr = r_0/r_X is beta itself.
-
-    `derive_geometry` calls this once per plate. Each repeated power is
-    computed once, where it is first needed, and the steps keep their order:
-    on a plate outside the float range the first step that raises names the error.
-    """
+def derive_geometry(geom: PlateGeometry) -> DerivedGeometry:
+    """The DerivedGeometry of a plate, which PlateGeometry keeps as `derived`.
+    Each repeated power is computed once, where it is first needed, and the
+    steps keep their order: on a plate outside the float range the first step
+    that raises names the error."""
     s_0, h, h_c = geom.s0, geom.h, geom.h_c
+    s_X = s_0 + geom.s1
+    # area-matched: the circle with the area of the square cell
+    r_X = s_X / _SQRT_PI
+    # impedance-matched: the circular channel of the square hole's impedance
+    r_0 = HOLE_RADIUS_FACTOR * s_0
+    xi = s_0 / s_X
+    # effective square radius: the square hole in the square-cell model
+    r_0E = 0.58076 * s_0 / (1 + 0.02108 * xi**2 + 0.008 * xi**4)
+    beta = r_0 / r_X
     h3, r_X4 = h**3, r_X**4
     beta2, beta4 = beta**2, beta**4
     K = 4 * beta2 - beta4 - 4 * math.log(beta) - 3
@@ -279,7 +316,12 @@ def plate_factors(
         1 + 0.019 * (s_0 / h) ** 2.83,
         (s_X / s_0) ** 4,
     ))
-    return H_eff, eta, l, circular, square
+    # open-area fraction from the dimensions; the published per-device
+    # percentages disagree with it by 2-3 points and are not used
+    q = geom.M * geom.N * s_0**2 / (geom.L * geom.W)
+    short, long = (geom.W, geom.L) if geom.W <= geom.L else (geom.L, geom.W)
+    return _new(DerivedGeometry, (s_X, r_X, r_0, r_0E, xi, beta, q, H_eff, eta, l, short, long,
+                                  circular, square))
 
 
 def damping_m1(geom: PlateGeometry, gas: GasProperties) -> ModelResult:

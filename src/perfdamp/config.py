@@ -133,6 +133,10 @@ def load_device(path: str | Path) -> tuple[PlateGeometry, MeasuredRecord | None]
     """Load and validate a device file; returns SI geometry and, when the file
     carries a `measured` block, the corresponding MeasuredRecord."""
     data = _read_json(path)
+    ident = data.get("id", Path(path).stem)
+    if not isinstance(ident, str) or not ident:
+        got = repr(ident) if isinstance(ident, str) else type(ident).__name__
+        raise ConfigError(f"field 'id' must be a non-empty string, got {got}")
     beams = None
     if "beams" in data:
         beams = _build(BeamGeometry, data["beams"], _BEAM_FIELDS, "block 'beams'",
@@ -142,7 +146,7 @@ def load_device(path: str | Path) -> tuple[PlateGeometry, MeasuredRecord | None]
     if "measured" not in data:
         return geom, None
     return geom, _build(MeasuredRecord, data["measured"], _MEASURED_FIELDS, "block 'measured'",
-                        id=str(data.get("id", Path(path).stem)), geom=geom)
+                        id=ident, geom=geom)
 
 
 def _to_file(value: float, scale: float) -> float:

@@ -124,6 +124,9 @@ def synth_frf(m_eff: float, c: float, k: float, F0: float, freqs: np.ndarray) ->
     return curve
 
 
+_COLUMNS = ["amp_m", "freq_hz"]  # the header's names, sorted
+
+
 def read_curve(path) -> FrfCurve:
     """Read a curve CSV whose header names the columns freq_hz and amp_m, in either order.
 
@@ -140,7 +143,7 @@ def read_curve(path) -> FrfCurve:
     if not rows:
         raise ValueError("input CSV is empty; it must have header 'freq_hz,amp_m'")
     names = [name.strip() for name in rows[0][1]]
-    if sorted(names) != ["amp_m", "freq_hz"]:
+    if sorted(names) != _COLUMNS:
         raise ValueError("input CSV must have header 'freq_hz,amp_m'")
     values = []
     for line, row in rows[1:]:
@@ -161,12 +164,15 @@ def read_curve(path) -> FrfCurve:
 
 
 def _uncommented(lines):
-    """Each line stripped, without its '#' comment; a '#' that opens the header is dropped."""
+    """Each line stripped, without its '#' comment. Above the header, a line that opens
+    with '#' is the header if its cells name both columns, and a comment otherwise."""
     header = True
     for line in lines:
         line = line.strip()
-        if header:
-            line = line.removeprefix("#")
+        if header and line.startswith("#"):
+            line = line[1:].split("#", 1)[0]
+            if sorted(name.strip() for name in next(csv.reader([line]))) != _COLUMNS:
+                line = ""
         line = line.split("#", 1)[0].strip()
         header = header and not line
         yield line

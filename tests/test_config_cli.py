@@ -177,6 +177,18 @@ class TestUnknownAndInvalidBlocks:
         with pytest.raises(ConfigError, match=message):
             load_device(_write(tmp_path, data))
 
+    @pytest.mark.parametrize("ident,got", [
+        (5, "int"), (None, "NoneType"), (True, "bool"), ({"a": 1}, "dict"), ("", "''"),
+    ], ids=["number", "null", "true", "object", "empty"])
+    def test_device_id_must_be_a_non_empty_string(self, tmp_path, capsys, ident, got):
+        message = f"field 'id' must be a non-empty string, got {got}"
+        path = _write(tmp_path, {**VALID, "id": ident, "measured": self.MEASURED})
+        with pytest.raises(ConfigError) as info:
+            load_device(path)
+        assert str(info.value) == message
+        assert cli.run(["damp", "--device", path, "--model", "m5"]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     @pytest.mark.parametrize("device,gas,named", [
         (VALID, {"lamda_nm": 30}, "lamda_nm"),
         ({**VALID, "hc_uum": 15}, None, "hc_uum"),

@@ -225,7 +225,7 @@ class TestReadCurve:
         assert np.array_equal(swapped.amps, curve.amps)
 
     @pytest.mark.parametrize("layout", ["blank-end", "comment-header", "spaces", "comments",
-                                        "byte-order-mark"])
+                                        "byte-order-mark", "comment-above-header"])
     def test_layouts_read_as_plain(self, synth_csv, tmp_path, layout):
         lines = synth_csv.read_text().splitlines()
         if layout == "byte-order-mark":
@@ -235,6 +235,9 @@ class TestReadCurve:
             lines += ["", ""]
         elif layout == "comment-header":
             lines = ["", "# freq_hz,amp_m"] + lines[1:]
+        elif layout == "comment-above-header":
+            # a '#' line that does not name both columns is a comment, not the header
+            lines = ["# made by perfdamp frf synth", "#", "# amp_m, m", *lines]
         elif layout == "spaces":
             lines = [" , ".join(line.split(",")) + "  " for line in lines]
         else:
@@ -262,9 +265,14 @@ class TestReadCurve:
         ("freq_hz,amp_m\n1.0,2.0\n3.0,inf\n", "input CSV line 3: cell 'inf' is not a finite number"),
         ("# freq_hz,amp_m\n\n1.0,-inf\n", "input CSV line 3: cell '-inf' is not a finite number"),
         ("freq_hz,amp_m\n1.0,2.0\nnan,4.0\n", "input CSV line 3: cell 'nan' is not a finite number"),
+        ("# made by X\n", "input CSV is empty; it must have header 'freq_hz,amp_m'"),
+        ("# made by X\nfreq,amp\n1.0,2.0\n", "input CSV must have header 'freq_hz,amp_m'"),
+        ("# made by X\nfreq_hz,amp_m\n1.0,nan\n", "input CSV line 3: cell 'nan' is not a finite "
+         "number"),
     ], ids=["empty", "blank", "header-only", "wrong-header", "extra-column", "ragged",
             "missing-cell", "not-a-number", "empty-cell", "nan-amplitude", "inf-amplitude",
-            "minus-inf-amplitude", "nan-frequency"])
+            "minus-inf-amplitude", "nan-frequency", "comment-only", "comment-then-wrong-header",
+            "comment-then-nan"])
     def test_malformed_file_refused_in_one_line(self, tmp_path, text, message):
         path = tmp_path / "bad.csv"
         path.write_text(text)

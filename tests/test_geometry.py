@@ -40,6 +40,13 @@ class TestConstruction:
         with pytest.raises(ValueError, match="^hole counts M, N must be >= 1$"):
             _plate(**{field: 0})
 
+    @pytest.mark.parametrize("value", [2.5, 36.0, math.nan, True], ids=["2.5", "36.0", "nan", "true"])
+    @pytest.mark.parametrize("field", ["M", "N"])
+    def test_hole_count_must_be_an_int(self, field, value):
+        message = f"^{field} must be an integer, got {type(value).__name__}$"
+        with pytest.raises(ValueError, match=message):
+            _plate(**{field: value})
+
     def test_grid_must_fit_on_plate(self):
         with pytest.raises(ValueError):
             _plate(M=100)
@@ -47,6 +54,11 @@ class TestConstruction:
     def test_beam_count_positive(self):
         with pytest.raises(ValueError):
             BeamGeometry(L_b=1e-6, W_b=1e-6, count=0)
+
+    @pytest.mark.parametrize("value", [2.5, 4.0, math.nan, True], ids=["2.5", "4.0", "nan", "true"])
+    def test_beam_count_must_be_an_int(self, value):
+        with pytest.raises(ValueError, match=f"^count must be an integer, got {type(value).__name__}$"):
+            BeamGeometry(L_b=1e-6, W_b=1e-6, count=value)
 
     @pytest.mark.parametrize("field", ["L_b", "W_b"])
     @pytest.mark.parametrize("value", [-1e-6, math.nan, math.inf])
@@ -177,8 +189,9 @@ class TestDerivedGeometry:
                                        "import perfdamp.flow_regime",
                                        "from perfdamp.geometry import PlateGeometry"])
     def test_each_module_can_be_imported_first(self, first):
-        # geometry binds compact_models' per-plate stage, and compact_models
-        # and flow_regime import geometry: each order must load all three
+        # geometry binds derive_geometry and DerivedGeometry from compact_models,
+        # and compact_models and flow_regime import geometry: each order must
+        # load all three
         script = (
             f"{first}\n"
             "from perfdamp.compact_models import damping_m3\n"
@@ -196,6 +209,7 @@ class TestDerivedGeometry:
 
     def test_derived_once_per_plate(self, monkeypatch, gas):
         # counts every call, whichever perfdamp module it is reached through
+        # (a plate calls compact_models.derive_geometry through geometry's binding)
         calls = []
 
         def counting(geom):

@@ -10,11 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from perfdamp import compact_models as cm
 from perfdamp.flow_regime import GasProperties, regime_report
 from perfdamp.frf import FrfCurve, extract, synth_frf
-from perfdamp.geometry import (
-    HOLE_RADIUS_FACTOR,
-    PlateGeometry,
-    derive_geometry,
-)
+from perfdamp.compact_models import HOLE_RADIUS_FACTOR
+from perfdamp.geometry import PlateGeometry, derive_geometry
 
 lengths = st.floats(min_value=1e-7, max_value=1e-3, allow_nan=False)
 mean_free_paths = st.floats(min_value=1e-9, max_value=2e-7)

@@ -162,7 +162,7 @@ def _cmd_frf_synth(args) -> int:
     freqs = _linspace(start, stop, args.points)
     curve = frf.synth_frf(args.meff, args.damping, args.stiffness, args.force, freqs)
     rows = list(zip(curve.freqs.tolist(), curve.amps.tolist()))
-    _emit(_csv(rows, ["freq_hz", "amp_m"]), args.out)
+    _emit(_csv(rows, list(frf.CURVE_HEADER)), args.out)
     return EXIT_OK
 
 
@@ -265,8 +265,8 @@ def run(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ConfigError, ValueError, OSError) as exc:
-        # OSError: an --input that cannot be read or an --out that cannot be written
+    except (ValueError, OSError) as exc:
+        # ValueError includes ConfigError; OSError: an unreadable --input or unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODEL if isinstance(exc, cm.ModelDomainError) else EXIT_USAGE
 

@@ -108,9 +108,9 @@ _new = tuple.__new__
 
 class ModelDomainError(ValueError):
     """The model's formulas are invalid for the given geometry, or a frequency
-    response has no peak, bandwidth or fit that Q can be extracted from."""
-
-    model: str | None = None  # set by evaluate: the name of the model that refused
+    response has no peak, bandwidth or fit that Q can be extracted from. A
+    refusal of M1-M6 starts with the model's label (`M3 cell resistance must
+    be positive`), so a caller adds only the context it owns."""
 
 
 class CellResistanceBreakdown(NamedTuple):
@@ -565,7 +565,7 @@ def evaluate(geom: PlateGeometry, gas: GasProperties,
              models: Sequence[str] = tuple(MODELS)) -> dict[str, ModelResult]:
     """{name: ModelResult} of the named models, in the order given, each from
     MODELS[name]; an unknown or repeated name, or a bare string, raises
-    ValueError before any runs."""
+    ValueError before any runs, and a model's refusal passes through as worded."""
     if len(MODELS.keys() & models) < len(models):  # valid names cost one set intersection
         if isinstance(models, str):
             raise ValueError(f"models must be a sequence of names, not the string {models!r}")
@@ -574,11 +574,7 @@ def evaluate(geom: PlateGeometry, gas: GasProperties,
                 raise ValueError(f"{'repeated' if name in MODELS else 'unknown'} model {name!r}")
     out = {}
     for name in models:
-        try:
-            out[name] = MODELS[name](geom, gas)
-        except ModelDomainError as exc:
-            exc.model = name
-            raise
+        out[name] = MODELS[name](geom, gas)
     return out
 
 

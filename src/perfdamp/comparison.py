@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from perfdamp.geometry import PlateGeometry, BeamGeometry, require_positive
+from perfdamp.geometry import PlateGeometry, BeamGeometry, require_non_negative, require_positive
 from perfdamp.flow_regime import GasProperties
 from perfdamp import compact_models as cm
 
@@ -109,19 +109,20 @@ def builtin_dataset() -> list[MeasuredRecord]:
 
 
 def relative_error(c_s: float, c_m: float) -> float:
-    """Relative model error 100*(c_s - c_m)/c_m in percent."""
+    """Relative model error 100*(c_s - c_m)/c_m in percent, of c_s >= 0 and c_m > 0."""
     require_positive(("measured damping", c_m))
+    require_non_negative(("simulated damping", c_s))
     return 100.0 * (c_s - c_m) / c_m
 
 
 def _error_table(models: tuple[str, ...], gas: GasProperties) -> dict[str, tuple[float, ...]]:
-    # each cell is relative_error's expression; c_m was validated by MeasuredRecord
+    # each cell is relative_error's expression; MeasuredRecord checked c_m, each model its c
     out = {}
     for rec in _DATASET:
         try:
             res = cm.evaluate(rec.geom, gas, models)
         except cm.ModelDomainError as exc:
-            raise cm.ModelDomainError(f"device {rec.id}, model {exc.model}: {exc}") from exc
+            raise cm.ModelDomainError(f"device {rec.id}: {exc}") from exc
         c_m, row = rec.c_m, []
         for r in res.values():
             row.append(100.0 * (r.c - c_m) / c_m)
@@ -147,7 +148,7 @@ def reproduce_table5(gas: GasProperties = GasProperties()) -> dict[str, tuple[fl
         try:
             out[rec.id] = cm.damping_m5(rec.geom, gas).breakdown.percentages()
         except cm.ModelDomainError as exc:
-            raise cm.ModelDomainError(f"device {rec.id}, model m5: {exc}") from exc
+            raise cm.ModelDomainError(f"device {rec.id}: {exc}") from exc
     return out
 
 

@@ -65,16 +65,15 @@ def parse_frequency(text: str) -> float:
     return _parse_quantity(text, _FREQ_UNITS, "frequency")
 
 
-def _value(data: dict, field: str, scale: float | None) -> float | int:
-    """The number in `field` times `scale` (to SI), or the integer when scale is None."""
+def _value(data: dict, field: str, scale: float | None):
+    """The number in `field` times `scale` (to SI); a count (scale None) as written."""
     if field not in data:
         raise ConfigError(f"missing field {field!r}")
     value = data[field]
-    kind, noun = (int, "an integer") if scale is None else ((int, float), "a number")
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ConfigError(f"field {field!r} must be {noun}, got {type(value).__name__}")
     if scale is None:
         return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"field {field!r} must be a number, got {type(value).__name__}")
     # a NaN or an infinity is left to the record, which refuses it by name
     try:
         return float(value) * scale

@@ -99,14 +99,14 @@ def synth_frf(m_eff: float, c: float, k: float, F0: float, freqs: np.ndarray) ->
     """Amplitude response of a driven damped resonator:
     A(w) = F0 / sqrt((k - m*w^2)^2 + (c*w)^2).
 
-    Finite parameters whose response leaves the float range (an amplitude
-    that overflows or underflows to 0, or is infinite) raise ValueError."""
+    Finite parameters whose amplitude overflows or underflows to 0 raise
+    ValueError naming the first frequency where it does."""
     require_positive((_M_EFF, m_eff), ("k (stiffness)", k), ("F0 (drive force)", F0))
     require_non_negative(("c (damping)", c))
     freqs = np.asarray(freqs, dtype=float)
-    w = 2 * np.pi * freqs
-    with np.errstate(over="ignore", divide="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         # the operations of the formula, in its order, in place
+        w = 2 * np.pi * freqs
         amps = np.multiply(w, w)
         amps *= m_eff
         np.subtract(k, amps, out=amps)
@@ -116,19 +116,22 @@ def synth_frf(m_eff: float, c: float, k: float, F0: float, freqs: np.ndarray) ->
         amps += w
         np.sqrt(amps, out=amps)
         np.divide(F0, amps, out=amps)
-    curve = FrfCurve(freqs=freqs, amps=amps)
-    if not _min(amps) > 0:
-        i = int(amps.argmin())
-        raise ValueError(f"response at {freqs[i]} Hz is out of floating-point range "
-                         f"(amplitude {amps[i]})")
-    return curve
+    try:
+        curve = FrfCurve(freqs=freqs, amps=amps)
+        if _min(amps) > 0:
+            return curve
+    except ValueError:
+        FrfCurve(freqs=freqs, amps=np.ones_like(freqs))  # refuses freqs in FrfCurve's words
+    i = int((~((amps > 0) & (amps < math.inf))).argmax())  # the first amplitude out of range
+    raise ValueError(f"response at {freqs[i]} Hz is out of floating-point range "
+                     f"(amplitude {amps[i]})")
 
 
-_COLUMNS = ["amp_m", "freq_hz"]  # the header's names, sorted
+CURVE_HEADER = ("freq_hz", "amp_m")  # the columns of a curve CSV, as `frf synth` writes them
 
 
 def read_curve(path) -> FrfCurve:
-    """Read a curve CSV whose header names the columns freq_hz and amp_m, in either order.
+    """Read a curve CSV whose header names the columns of CURVE_HEADER, in either order.
 
     The header may start with '#'; '#' comments, blank lines and spaces around a cell are
     skipped. An empty file, a wrong header, or a row with a missing or extra cell or a cell
@@ -141,10 +144,10 @@ def read_curve(path) -> FrfCurve:
         except csv.Error as exc:
             raise ValueError(f"input CSV line {reader.line_num}: {exc}") from None
     if not rows:
-        raise ValueError("input CSV is empty; it must have header 'freq_hz,amp_m'")
+        raise ValueError(f"input CSV is empty; it must have header '{','.join(CURVE_HEADER)}'")
     names = [name.strip() for name in rows[0][1]]
-    if sorted(names) != _COLUMNS:
-        raise ValueError("input CSV must have header 'freq_hz,amp_m'")
+    if sorted(names) != sorted(CURVE_HEADER):
+        raise ValueError(f"input CSV must have header '{','.join(CURVE_HEADER)}'")
     values = []
     for line, row in rows[1:]:
         if len(row) != 2:
@@ -159,7 +162,7 @@ def read_curve(path) -> FrfCurve:
                 raise ValueError(
                     f"input CSV line {line}: cell {cell.strip()!r} is not a finite number")
     columns = np.array(values).reshape(-1, 2).T.copy()
-    i_freq = names.index("freq_hz")
+    i_freq = names.index(CURVE_HEADER[0])
     return FrfCurve(freqs=columns[i_freq], amps=columns[1 - i_freq])
 
 
@@ -171,7 +174,7 @@ def _uncommented(lines):
         line = line.strip()
         if header and line.startswith("#"):
             line = line[1:].split("#", 1)[0]
-            if sorted(name.strip() for name in next(csv.reader([line]))) != _COLUMNS:
+            if sorted(name.strip() for name in next(csv.reader([line]))) != sorted(CURVE_HEADER):
                 line = ""
         line = line.split("#", 1)[0].strip()
         header = header and not line

@@ -262,9 +262,8 @@ class TestCellModelErrors:
                                         message):
         real = getattr(cm, cell)
         monkeypatch.setattr(cm, cell, lambda geom, gas: real(geom, gas)._replace(R_p=R_p))
-        with pytest.raises(cm.ModelDomainError, match=f"^{model.upper()} {message}$") as info:
+        with pytest.raises(cm.ModelDomainError, match=f"^{model.upper()} {message}$"):
             cm.evaluate(dataset["A"].geom, gas, (model,))
-        assert info.value.model == model
 
     @pytest.mark.parametrize("model, cell", CELL_MODELS[2:])
     @pytest.mark.parametrize("R_p", [1e308, math.inf, math.nan])
@@ -337,9 +336,8 @@ class TestEvaluate:
 
         monkeypatch.setattr(cm, cell, overflow)
         with pytest.raises(cm.ModelDomainError, match=f"^{model.upper()} is out of "
-                           "floating-point range") as info:
+                           "floating-point range"):
             cm.evaluate(dataset["A"].geom, gas, ("m1", "m2", model))
-        assert info.value.model == model
 
 
 class TestBeamDamping:

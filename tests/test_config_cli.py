@@ -208,7 +208,8 @@ class TestUnknownAndInvalidBlocks:
         assert named in err
 
     # One case per record (BeamGeometry, GasProperties, PlateGeometry,
-    # MeasuredRecord), each pinning the whole message that _build rewrites.
+    # MeasuredRecord), each pinning the whole message that _build rewrites; a
+    # count that is not an int is refused by its record alone.
     @pytest.mark.parametrize("device,gas,message", [
         ({**VALID, "beams": {"Wb_um": 4}}, None, "block 'beams': missing field 'Lb_um'"),
         ({**VALID, "beams": {**BEAMS, "Lb_um": -1}}, None,
@@ -217,7 +218,14 @@ class TestUnknownAndInvalidBlocks:
         ({**VALID, "s0_um": 0}, None, "device file: s0_um must be positive and finite"),
         ({**VALID, "measured": {**MEASURED, "f0_kHz": 0}}, None,
          "block 'measured': f0_kHz must be positive and finite"),
-    ], ids=["Lb_um-missing", "Lb_um", "lambda_nm", "s0_um", "f0_kHz"])
+        ({**VALID, "M": 2.5}, None, "device file: M must be an integer, got float"),
+        ({**VALID, "M": "6"}, None, "device file: M must be an integer, got str"),
+        ({**VALID, "N": True}, None, "device file: N must be an integer, got bool"),
+        ({**VALID, "M": None}, None, "device file: M must be an integer, got NoneType"),
+        ({**VALID, "beams": {**BEAMS, "count": 4.0}}, None,
+         "block 'beams': count must be an integer, got float"),
+    ], ids=["Lb_um-missing", "Lb_um", "lambda_nm", "s0_um", "f0_kHz", "M-float", "M-string",
+            "N-true", "M-null", "count-float"])
     def test_cli_error_names_block_and_file_field(self, tmp_path, capsys, device, gas, message):
         argv = ["damp", "--device", _write(tmp_path, device), "--model", "m5"]
         if gas is not None:
@@ -528,6 +536,19 @@ class TestCli:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "out of floating-point range" in proc.stderr
 
+    def test_frf_synth_response_overflow_exit1(self):
+        # an amplitude that overflows to inf is worded as an underflow is, by its frequency
+        src = str(Path(cli.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "perfdamp.cli", "frf", "synth", "--meff", "1e-9",
+             "--damping", "1e-300", "--stiffness", "1.58e3", "--force", "1e308",
+             "--start", "199kHz", "--stop", "201kHz"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert proc.returncode == 1
+        assert (proc.stdout, proc.stderr) == (
+            "", "error: response at 200020.0 Hz is out of floating-point range "
+                "(amplitude inf)\n")
+
     def test_frf_extract_flat_curve_exit3(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
         path.write_text("freq_hz,amp_m\n" +
@@ -618,7 +639,7 @@ class TestCli:
     def test_compare_vanishing_viscosity_exit3(self, tmp_path, capsys, table, model):
         gas = _write(tmp_path, {"mu_Ns_m2": 5e-324}, "gas.json")
         assert cli.run(["compare", "--table", table, "--gas", gas]) == cli.EXIT_MODEL
-        assert capsys.readouterr() == ("", f"error: device A, model {model}: {model.upper()} "
+        assert capsys.readouterr() == ("", f"error: device A: {model.upper()} "
                                        "produced a non-physical damping coefficient\n")
 
     def test_damp_vanishing_viscosity_exit3(self, tmp_path, capsys):

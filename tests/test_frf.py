@@ -113,12 +113,34 @@ class TestSynth:
                 synth_frf(1e-9, 1e160, 1.0, 1e-6, freqs)
 
     def test_rejects_infinite_amplitude_at_undamped_resonance(self):
+        # worded as an underflow is, by the frequency, not by an index into amps
         freqs = np.linspace(5e3, 8e3, 9)
         w = 2 * np.pi * freqs[3]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=r"amps\[3\] is not finite"):
+            with pytest.raises(ValueError, match=f"^response at {freqs[3]} Hz is out of "
+                               r"floating-point range \(amplitude inf\)$"):
                 synth_frf(1.0, 0.0, float(w**2), 1e-6, freqs)
+
+    def test_frequencies_whose_w_squared_overflows_are_refused_without_warning(self):
+        # w*w overflows from the first sample on, and w itself from 2.86e307 Hz, where
+        # c*w = 0*inf is NaN
+        freqs = np.linspace(1e307, 1.7e308, 9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^response at 1e\+307 Hz is out of "
+                               r"floating-point range \(amplitude 0\.0\)$"):
+                synth_frf(1e-9, 0.0, 1.58e3, 1e-6, freqs)
+
+    @pytest.mark.parametrize("freqs, message", [
+        ([*np.linspace(5e3, 8e3, 8), math.nan], r"^freqs\[8\] is not finite \(nan\)$"),
+        (np.linspace(8e3, 5e3, 9), "^freqs must be strictly increasing$"),
+    ], ids=["nan", "decreasing"])
+    def test_refused_freqs_keep_the_curve_message(self, freqs, message):
+        # even where the response also overflows (the undamped resonance at 6125 Hz)
+        k = float((2 * np.pi * 6125.0) ** 2)
+        with pytest.raises(ValueError, match=message):
+            synth_frf(1.0, 0.0, k, 1e-6, freqs)
 
 
 class TestCurveValidation:

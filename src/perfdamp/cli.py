@@ -20,6 +20,7 @@ from pathlib import Path
 from perfdamp import compact_models as cm
 from perfdamp import comparison as cmp
 from perfdamp.config import (
+    CURVE_HEADER,
     ConfigError,
     dump_device,
     load_device,
@@ -86,8 +87,8 @@ def _cmd_damp(args) -> int:
     if args.breakdown:
         for model, br in ((m, r.breakdown) for m, r in results.items() if r.breakdown):
             text += f"# {model} cell resistance breakdown (Ns/m per cell, scaled)\n"
-            # the first six fields name the six scaled components
-            for name, val, pct in zip(br._fields, br.scaled_components(), br.percentages()):
+            # zip stops at the six components, before R_p
+            for name, val, pct in zip(br._fields, br, br.percentages()):
                 text += f"# {name:5s} {val:.6e}  {pct:6.2f}%\n"
     _emit(text, args.out)
     return EXIT_OK
@@ -127,6 +128,7 @@ def _cmd_sweep(args) -> int:
     geom, _ = load_device(args.device)
     gas = _gas_from(args)
     start, stop = parse_length(args.start), parse_length(args.stop)
+    require_positive(("--start", start), ("--stop", stop))
     if not start < stop:
         raise ConfigError("sweep start must be below stop")
     if args.steps < 2:
@@ -162,7 +164,7 @@ def _cmd_frf_synth(args) -> int:
     freqs = _linspace(start, stop, args.points)
     curve = frf.synth_frf(args.meff, args.damping, args.stiffness, args.force, freqs)
     rows = list(zip(curve.freqs.tolist(), curve.amps.tolist()))
-    _emit(_csv(rows, list(frf.CURVE_HEADER)), args.out)
+    _emit(_csv(rows, list(CURVE_HEADER)), args.out)
     return EXIT_OK
 
 
@@ -234,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(fn=_cmd_frf_synth)
 
     pe = frf_sub.add_parser("extract", parents=[out], help="extract f0 and Q from a curve CSV")
-    pe.add_argument("--input", required=True, help="CSV with header freq_hz,amp_m")
+    pe.add_argument("--input", required=True, help=f"CSV with header {','.join(CURVE_HEADER)}")
     pe.add_argument("--meff", type=float, help="effective mass (kg); adds c to output")
     pe.set_defaults(fn=_cmd_frf_extract)
 

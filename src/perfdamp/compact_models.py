@@ -118,9 +118,10 @@ class CellResistanceBreakdown(NamedTuple):
 
     R_S: squeeze-film resistance of the cell annulus; R_IS, R_IB, R_IC:
     intermediate-region resistances; R_C: hole channel resistance; R_E:
-    outlet-elongation resistance. R_IC, R_C, R_E are stored unscaled; `scale`
-    is the (r_X/r_0)^4 or (s_X/s_0)^4 factor applied to them in the total
-    R_p = R_S + R_IS + R_IB + scale*(R_IC + R_C + R_E).
+    outlet-elongation resistance. R_IC, R_C and R_E are referred to the cell:
+    each is multiplied by the (r_X/r_0)^4 or (s_X/s0)^4 factor that
+    `geom.derived.circular.scale` or `geom.derived.square.scale` holds, so the
+    six components sum to the cell resistance R_p (up to rounding).
     """
 
     R_S: float
@@ -129,26 +130,13 @@ class CellResistanceBreakdown(NamedTuple):
     R_IC: float
     R_C: float
     R_E: float
-    scale: float
     R_p: float
-
-    def scaled_components(self) -> tuple[float, float, float, float, float, float]:
-        """(R_S, R_IS, R_IB, scale*R_IC, scale*R_C, scale*R_E); sums to R_p."""
-        return (
-            self.R_S,
-            self.R_IS,
-            self.R_IB,
-            self.scale * self.R_IC,
-            self.scale * self.R_C,
-            self.scale * self.R_E,
-        )
 
     def percentages(self) -> tuple[float, float, float, float, float, float]:
         """Relative contributions of the six components to R_p, in percent."""
-        S, IS, IB, IC, C, E, scale, R_p = self
+        S, IS, IB, IC, C, E, R_p = self
         return (100.0 * S / R_p, 100.0 * IS / R_p, 100.0 * IB / R_p,
-                100.0 * (scale * IC) / R_p, 100.0 * (scale * C) / R_p,
-                100.0 * (scale * E) / R_p)
+                100.0 * IC / R_p, 100.0 * C / R_p, 100.0 * E / R_p)
 
 
 class ModelResult(NamedTuple):
@@ -401,7 +389,8 @@ def cell_resistance_circular(geom: PlateGeometry, gas: GasProperties) -> CellRes
       R_C  = 8*pi*mu*h_c/Q_tb
       R_E  = 8*pi*mu*delta_E*r_0, delta_E = 0.944*3*pi*(1 + 0.216*K_tb)/16
              * (1 + 0.2*rr^2 - 0.754*rr^4) * f_E, f_E = 1 + x^3.5/(178*(1 + 17.5*K_ch))
-      scale = (r_X/r_0)^4
+    R_IC, R_C and R_E are returned times scale = (r_X/r_0)^4, and
+    R_p = R_S + R_IS + R_IB + scale*(R_IC + R_C + R_E) is their sum.
     The plate-only factors come from `geom.derived.circular`.
     """
     d = geom.derived
@@ -426,7 +415,8 @@ def cell_resistance_circular(geom: PlateGeometry, gas: GasProperties) -> CellRes
     R_E = mu8pi * delta_E * r_0
 
     R_p = R_S + R_IS + R_IB + scale * (R_IC + R_C + R_E)
-    return _new(CellResistanceBreakdown, (R_S, R_IS, R_IB, R_IC, R_C, R_E, scale, R_p))
+    return _new(CellResistanceBreakdown,
+                (R_S, R_IS, R_IB, scale * R_IC, scale * R_C, scale * R_E, R_p))
 
 
 def cell_resistance_square(geom: PlateGeometry, gas: GasProperties) -> CellResistanceBreakdown:
@@ -442,7 +432,8 @@ def cell_resistance_square(geom: PlateGeometry, gas: GasProperties) -> CellResis
       R_C  = 28.454*mu*h_c/Q_sq
       R_E  = 28.454*mu*delta_E*s0,
              delta_E = 0.242*(1 + 4*K_sq)*(1 - xi^4)*(1 + 0.019*(s0/h)^2.83)
-      scale = (s_X/s0)^4
+    R_IC, R_C and R_E are returned times scale = (s_X/s0)^4, and
+    R_p = R_S + R_IS + R_IB + scale*(R_IC + R_C + R_E) is their sum.
     The plate-only factors come from `geom.derived.square`.
     """
     r_X4, h3, g_S, g_IS, s0h2, delta_S, dE_xi, dE_h, scale = geom.derived.square
@@ -461,7 +452,8 @@ def cell_resistance_square(geom: PlateGeometry, gas: GasProperties) -> CellResis
     R_E = 28.454 * mu * delta_E * s_0
 
     R_p = R_S + R_IS + R_IB + scale * (R_IC + R_C + R_E)
-    return _new(CellResistanceBreakdown, (R_S, R_IS, R_IB, R_IC, R_C, R_E, scale, R_p))
+    return _new(CellResistanceBreakdown,
+                (R_S, R_IS, R_IB, scale * R_IC, scale * R_C, scale * R_E, R_p))
 
 
 def damping_border_coupled(geom: PlateGeometry, gas: GasProperties, R_p: float) -> ModelResult:

@@ -17,7 +17,7 @@ from perfdamp import compact_models as cm
 
 TABLE3_MODELS = ("m1", "m2", "m3", "m4")
 TABLE4_MODELS = ("m5", "m6")
-TABLE5_COLUMNS = cm.CellResistanceBreakdown._fields[:6]  # the six resistances, not scale, R_p
+TABLE5_COLUMNS = cm.CellResistanceBreakdown._fields[:6]  # the six resistances, not R_p
 
 # Reproduction tolerances in percentage points.
 TABLE3_TOL_PP = 3.0

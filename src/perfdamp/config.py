@@ -29,30 +29,36 @@ class ConfigError(ValueError):
     """Malformed configuration file; message names the offending field."""
 
 
-# Keys as _parse_quantity normalises a suffix: a leading m or M keeps its
-# case, which tells milli from mega; every other letter is lower case. Micro
-# is spelt u, the micro sign U+00B5 or the Greek mu U+03BC.
-_LENGTH_UNITS = {"m": 1.0, "mm": 1e-3, "um": 1e-6, "µm": 1e-6, "μm": 1e-6, "nm": 1e-9}
-_FREQ_UNITS = {"hz": 1.0, "khz": 1e3, "Mhz": 1e6, "ghz": 1e9}
+CURVE_HEADER = ("freq_hz", "amp_m")  # the columns of a curve CSV, as `frf synth` writes them
+
+# Each unit as the power of ten it adds to the number's exponent, keyed as
+# _parse_quantity normalises a suffix: a leading m or M keeps its case, which
+# tells milli from mega; every other letter is lower case. Micro is spelt u,
+# the micro sign U+00B5 or the Greek mu U+03BC. No suffix means SI.
+_LENGTH_UNITS = {"": 0, "m": 0, "mm": -3, "um": -6, "µm": -6, "μm": -6, "nm": -9}
+_FREQ_UNITS = {"": 0, "hz": 0, "khz": 3, "Mhz": 6, "ghz": 9}
 _QUANTITY_RE = re.compile(r"^\s*([-+]?[0-9.eE+-]+?)\s*([a-zA-Zµμ]*)\s*$")
 
 
-def _parse_quantity(text: str, units: dict[str, float], what: str) -> float:
+def _parse_quantity(text: str, units: dict[str, int], what: str) -> float:
+    """The float nearest the decimal that `text` spells: the unit shifts the
+    exponent of the number text before one float() call, so "30nm" is 3e-08,
+    not 30 * 1e-9 = 3.0000000000000004e-08."""
     m = _QUANTITY_RE.match(str(text))
     if m:
+        number, suffix = m.groups()
+        mantissa, _, exponent = number.lower().partition("e")
         try:
-            value = float(m.group(1))
+            float(number)
+            shift = int(exponent or 0)  # over 4300 digits is a ValueError too
         except ValueError:
             m = None
     if not m:
         raise ConfigError(f"cannot parse {what} value {text!r}")
-    suffix = m.group(2)
-    if suffix == "":
-        return value
-    key = suffix[0] + suffix[1:].lower() if suffix[0] in "mM" else suffix.lower()
+    key = suffix[0] + suffix[1:].lower() if suffix[:1] in ("m", "M") else suffix.lower()
     if key not in units:
         raise ConfigError(f"unknown unit suffix {suffix!r} in {what} value {text!r}")
-    return value * units[key]
+    return float(f"{mantissa}e{shift + units[key]}")
 
 
 def parse_length(text: str) -> float:

@@ -17,6 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from perfdamp.compact_models import ModelDomainError
+from perfdamp.config import CURVE_HEADER
 from perfdamp.geometry import require_non_negative, require_positive
 
 POLY_DEGREE = 6
@@ -125,9 +126,6 @@ def synth_frf(m_eff: float, c: float, k: float, F0: float, freqs: np.ndarray) ->
     i = int((~((amps > 0) & (amps < math.inf))).argmax())  # the first amplitude out of range
     raise ValueError(f"response at {freqs[i]} Hz is out of floating-point range "
                      f"(amplitude {amps[i]})")
-
-
-CURVE_HEADER = ("freq_hz", "amp_m")  # the columns of a curve CSV, as `frf synth` writes them
 
 
 def read_curve(path) -> FrfCurve:

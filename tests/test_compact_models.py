@@ -102,13 +102,13 @@ class TestCellResistanceCircular:
     def test_continuum_limit_finite(self, dataset):
         gas = GasProperties(lam=1e-300)
         br = cm.cell_resistance_circular(dataset["A"].geom, gas)
-        for component in br.scaled_components():
+        for component in br[:6]:
             assert math.isfinite(component) and component >= 0
         assert br.R_p > 0
 
     def test_components_sum_to_total(self, dataset, gas):
         br = cm.cell_resistance_circular(dataset["A"].geom, gas)
-        assert sum(br.scaled_components()) == pytest.approx(br.R_p, rel=1e-14, abs=0)
+        assert sum(br[:6]) == pytest.approx(br.R_p, rel=1e-14, abs=0)
 
 
 class TestCellResistanceSquare:
@@ -126,6 +126,17 @@ class TestCellResistanceSquare:
 
     def test_border_bend_resistance_is_zero(self, dataset, gas):
         assert cm.cell_resistance_square(dataset["A"].geom, gas).R_IB == 0.0
+
+    def test_components_sum_to_total(self, dataset, gas):
+        br = cm.cell_resistance_square(dataset["A"].geom, gas)
+        assert sum(br[:6]) == pytest.approx(br.R_p, rel=1e-14, abs=0)
+
+    def test_hole_components_are_referred_to_the_cell(self, dataset, gas):
+        # R_IC = 28.454*mu*s0*0.302 before the (s_X/s0)^4 factor
+        geom = dataset["A"].geom
+        br = cm.cell_resistance_square(geom, gas)
+        unscaled = br.R_IC / geom.derived.square.scale
+        assert unscaled == pytest.approx(28.454 * gas.mu * geom.s0 * 0.302, rel=1e-15, abs=0)
 
     def test_outlet_elongation_vanishes_as_hole_fills_cell(self, gas):
         # delta_E carries a (1 - xi^4) factor; R_E -> 0 as s1 -> 0

@@ -80,6 +80,30 @@ class TestQuantityParsing:
         with pytest.raises(ConfigError):
             parse_frequency("fast")
 
+    def test_exponent_too_long_to_read(self):
+        text = "1e" + "1" * 5000 + "um"
+        with pytest.raises(ConfigError, match="^cannot parse length value"):
+            parse_length(text)
+
+    # the unit shifts the decimal exponent, so each text parses to the float
+    # nearest the decimal it spells; 30 * 1e-9 would be 3.0000000000000004e-08
+    @pytest.mark.parametrize("parse,text,expected", [
+        (parse_length, "30nm", 30e-9), (parse_length, "90nm", 90e-9),
+        (parse_length, "15um", 15e-6), (parse_length, "15\u00b5m", 15e-6),
+        (parse_length, "15\u03bcm", 15e-6), (parse_length, "1.5mm", 1.5e-3),
+        (parse_length, "2m", 2.0), (parse_length, "1.6e-6", 1.6e-6),
+        (parse_length, "3e1nm", 30e-9), (parse_length, "0.3E+2nm", 30e-9),
+        (parse_length, "-30nm", -30e-9), (parse_length, "+.5um", 0.5e-6),
+        (parse_length, "5.um", 5e-6), (parse_length, "1e400um", math.inf),
+        (parse_length, "1e-400m", 0.0),
+        (parse_frequency, "1.2MHz", 1.2e6), (parse_frequency, "201.637kHz", 201.637e3),
+        (parse_frequency, "1.5GHz", 1.5e9), (parse_frequency, "50Hz", 50.0),
+        (parse_frequency, "500", 500.0), (parse_frequency, "-5kHz", -5e3),
+        (parse_frequency, "2e-1kHz", 200.0),
+    ])
+    def test_parse_is_exact(self, parse, text, expected):
+        assert parse(text) == expected
+
 
 class TestLoadDevice:
     def test_shipped_files_match_dataset(self, dataset):
@@ -420,10 +444,33 @@ class TestCli:
                         "--parameter", "freq", "--start", "100kHz",
                         "--stop", "300kHz", "--steps", "3"]) == 1
 
+    @pytest.mark.parametrize("start,stop,message", [
+        ("1um", "1e400um", "--stop must be positive and finite"),
+        ("0um", "3um", "--start must be positive and finite"),
+    ], ids=["stop-inf", "start-zero"])
+    def test_sweep_refuses_range_outside_positive(self, capsys, start, stop, message):
+        assert cli.run(["sweep", "--device", str(DEVICES / "A.json"),
+                        "--parameter", "h", "--start", start,
+                        "--stop", stop, "--steps", "3"]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_sweep_lambda_prints_the_decimal(self, capsys):
+        # the end points are parsed; the inner ones are linspace arithmetic
+        assert cli.run(["sweep", "--device", str(DEVICES / "A.json"),
+                        "--parameter", "lambda", "--start", "30nm",
+                        "--stop", "90nm", "--steps", "3"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert (rows[0].split(",")[0], rows[-1].split(",")[0]) == ("3e-08", "9e-08")
+
     def test_sweep_rejects_reversed_range(self, capsys):
         assert cli.run(["sweep", "--device", str(DEVICES / "A.json"),
                         "--parameter", "h", "--start", "2um",
                         "--stop", "1um", "--steps", "3"]) == 1
+
+    def test_frf_extract_help_names_the_curve_header(self, capsys):
+        from perfdamp import frf
+        assert cli.run(["frf", "extract", "--help"]) == 0
+        assert ",".join(frf.CURVE_HEADER) in capsys.readouterr().out
 
     def test_frf_synth_extract_round_trip(self, tmp_path):
         curve_csv = tmp_path / "curve.csv"
@@ -748,7 +795,7 @@ class TestCli:
         (["regime", "--device", "A"], "--freq", "-5kHz",
          "frequency must be positive and finite"),
         (["sweep", "--device", "A", "--parameter", "h", "--stop", "3um", "--steps", "3"],
-         "--start", "-1um", "h must be positive and finite"),
+         "--start", "-1um", "--start must be positive and finite"),
         (["sweep", "--device", "A", "--parameter", "h", "--start", "1um", "--stop", "3um"],
          "--steps", "-3", "sweep needs at least 2 steps"),
         (["frf", "synth", *FRF_SYNTH], "--start", "-5kHz", "--start must be positive and finite"),

@@ -3,7 +3,7 @@ test_models_golden, tests/golden/stages_design.csv.
 
 Each row holds the device id, every DerivedGeometry field (with the nested
 circular- and square-cell factors), both cell resistances'
-scaled_components() and percentages(), a drive frequency drawn from its own
+six components and percentages(), a drive frequency drawn from its own
 seeded stream and the regime_report at that frequency, all as repr. The
 models' goldens show these values only through the six damping coefficients
 and two R_p; here a change in any last digit of a stage fails. To record the
@@ -45,7 +45,7 @@ def render() -> str:
         f = rng.uniform(*F_RANGE)
         row = [dev, *d[:-2], *d.circular, *d.square]
         for br in (cm.cell_resistance_circular(g, gas), cm.cell_resistance_square(g, gas)):
-            row += [*br.scaled_components(), *br.percentages()]
+            row += [*br[:6], *br.percentages()]
         row += [f, *regime_report(g, gas, f)]
         lines.append(",".join(v if isinstance(v, str) else repr(v) for v in row))
     return "\n".join(lines) + "\n"

@@ -466,42 +466,45 @@ def damping_border_coupled(geom: PlateGeometry, gas: GasProperties, R_p: float) 
     bracket pi^2/8 - pi*tanh(pi c_m/2)/(4 c_m), c_m = sqrt(alpha_m/beta) >= 1,
     clear of cancellation. The module comment gives the outer sum.
     """
-    if R_p <= 0:
-        raise ModelDomainError("cell resistance must be positive")
-    h, mu = geom.h, gas.mu
-    K_ch = gas.lam / h
-    edge = 1.3 * (1 + 3.3 * K_ch) * h
-    a, b = geom.derived.short + edge, geom.derived.long + edge
-    g = _PI6 * h**3 * (1 + CHANNEL_SLIP_SLOPE * K_ch) / (768 * mu * a * b)
-    inv_r = _PI4 / (64 * geom.M * geom.N * R_p)
-    d2 = a**2 * inv_r / g
+    if not 0 < R_p < math.inf:
+        raise ModelDomainError("cell resistance must be positive and finite")
+    try:
+        h, mu = geom.h, gas.mu
+        K_ch = gas.lam / h
+        edge = 1.3 * (1 + 3.3 * K_ch) * h
+        a, b = geom.derived.short + edge, geom.derived.long + edge
+        g = _PI6 * h**3 * (1 + CHANNEL_SLIP_SLOPE * K_ch) / (768 * mu * a * b)
+        inv_r = _PI4 / (64 * geom.M * geom.N * R_p)
+        d2 = a**2 * inv_r / g
 
-    # (pi^2/8) sum_m 1/(m^2 alpha_m) = (pi^2/8)^2 r (1 - tanh(y)/y) with y = pi*d/2;
-    # the bracket cancels as d -> 0 (sealed holes), which _edge_leak_bracket handles
-    exact = _PI2_8_SQ / inv_r * _edge_leak_bracket(2 / (math.pi * math.sqrt(d2)))
+        # (pi^2/8) sum_m 1/(m^2 alpha_m) = (pi^2/8)^2 r (1 - tanh(y)/y) with y = pi*d/2;
+        # the bracket cancels as d -> 0 (sealed holes), which _edge_leak_bracket handles
+        exact = _PI2_8_SQ / inv_r * _edge_leak_bracket(2 / (math.pi * math.sqrt(d2)))
 
-    # sum_m pi*tanh(pi c_m/2)/(4 c_m m^2 alpha_m) = C sum_m tanh(pi c_m/2) f(m)
-    # with c_m = (b/a) sqrt(m^2 + d^2), d^2 = a^2/(g r) and C = pi a^3/(4 b g)
-    k = math.pi * b / (2 * a)
-    explicit = 0.0
-    sqrt = math.sqrt
-    # k*rq grows with m: once tanh(k*rq) is 1.0, it is 1.0 for every later term
-    odd_squares = iter(_ODD_SQUARES)
-    for m2 in odd_squares:
-        q = m2 + d2
-        rq = sqrt(q)
-        krq = k * rq
-        if krq >= _TANH_ONE:
-            explicit += 1.0 / (m2 * q * rq)
-            break
-        explicit += math.tanh(krq) / (m2 * q * rq)
-    for m2 in odd_squares:
-        q = m2 + d2
-        explicit += 1.0 / (m2 * q * sqrt(q))
-    s = sqrt(_X0SQ + d2)
-    f0 = 1 / (_X0SQ * s**3)
-    tail = 0.5 / (_X0 * s * (s + _X0) ** 2) + f0 / 2 + f0 * (2 / _X0 + 3 * _X0 / s**2) / 6
-    c = exact - math.pi * a**3 / (4 * b * g) * (explicit + tail)
+        # sum_m pi*tanh(pi c_m/2)/(4 c_m m^2 alpha_m) = C sum_m tanh(pi c_m/2) f(m)
+        # with c_m = (b/a) sqrt(m^2 + d^2), d^2 = a^2/(g r) and C = pi a^3/(4 b g)
+        k = math.pi * b / (2 * a)
+        explicit = 0.0
+        sqrt = math.sqrt
+        # k*rq grows with m: once tanh(k*rq) is 1.0, it is 1.0 for every later term
+        odd_squares = iter(_ODD_SQUARES)
+        for m2 in odd_squares:
+            q = m2 + d2
+            rq = sqrt(q)
+            krq = k * rq
+            if krq >= _TANH_ONE:
+                explicit += 1.0 / (m2 * q * rq)
+                break
+            explicit += math.tanh(krq) / (m2 * q * rq)
+        for m2 in odd_squares:
+            q = m2 + d2
+            explicit += 1.0 / (m2 * q * sqrt(q))
+        s = sqrt(_X0SQ + d2)
+        f0 = 1 / (_X0SQ * s**3)
+        tail = 0.5 / (_X0 * s * (s + _X0) ** 2) + f0 / 2 + f0 * (2 / _X0 + 3 * _X0 / s**2) / 6
+        c = exact - math.pi * a**3 / (4 * b * g) * (explicit + tail)
+    except ArithmeticError as exc:
+        raise _out_of_range("border-coupled series", exc) from exc
     c = _checked("border-coupled series", c)
     return _new(ModelResult, ("border", c, None, BORDER_TERMS, True))
 

@@ -157,20 +157,17 @@ def load_device(path: str | Path) -> tuple[PlateGeometry, MeasuredRecord | None]
 def _to_file(value: float, scale: float) -> float:
     """File value that converts back to exactly `value` via * scale.
 
-    Plain value*(1/scale) can land one ulp off; nudge until the round trip is
-    exact so dumped files reload to bit-identical values. Where the SI binade
-    holds more floats than the file unit's (f0 in [256, 262.144) kHz), some
-    values have no such file value; they keep the plain product, one ulp off.
+    Such values are consecutive floats around value/scale, reaching as far
+    above it as below (twice as far above if `value` is a power of two), so the
+    rounded quotient or the float above it is one, if any is. The product
+    value*(1/scale), which the shipped files hold, is tried first. Where the SI
+    binade holds more floats than the file unit's (f0 in [256, 262.144) kHz),
+    some values have none; they keep the product, one ulp off.
     """
     x = value * (1 / scale)
-    if x * scale == value:
-        return x
-    for direction in (math.inf, -math.inf):
-        cand = x
-        for _ in range(4):
-            cand = math.nextafter(cand, direction)
-            if cand * scale == value:
-                return cand
+    for cand in (x, value / scale, math.nextafter(value / scale, math.inf)):
+        if cand * scale == value:
+            return cand
     return x
 
 

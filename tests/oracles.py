@@ -6,7 +6,9 @@ share no code with the package's closed forms. extract_reference runs the Q
 extraction through numpy's Polynomial class (an SVD least-squares fit, the
 peak from the eigenvalues of the derivative's companion matrix) and a
 sample-by-sample walk; frf.extract reaches the same numbers by other
-arithmetic, so tests compare the two within 1e-12.
+arithmetic, so tests compare the two within 1e-12. to_file_search finds a
+device file's value by the ulp-by-ulp search that config._to_file's three
+candidates replace.
 """
 
 import math
@@ -113,3 +115,19 @@ def extract_reference(curve, m_eff=None):
     Q = f0 / (f2 - f1)
     c = damping_from_q(f0, Q, m_eff) if m_eff is not None else None
     return ExtractionResult(f0=f0, A_peak=A_peak, f1=f1, f2=f2, Q=Q, c=c)
+
+
+def to_file_search(value, scale):
+    """The file value x with x * scale == value: the product value*(1/scale)
+    if it reloads, else the first that does of up to four floats above it,
+    then of up to four below; the product if none does."""
+    x = value * (1 / scale)
+    if x * scale == value:
+        return x
+    for direction in (math.inf, -math.inf):
+        cand = x
+        for _ in range(4):
+            cand = math.nextafter(cand, direction)
+            if cand * scale == value:
+                return cand
+    return x

@@ -266,9 +266,10 @@ class TestCellModelErrors:
 
     @pytest.mark.parametrize("model, cell", CELL_MODELS[:2])
     @pytest.mark.parametrize("R_p, message", [
-        (0.0, "cell resistance must be positive"),
-        (math.nan, "border-coupled series produced a non-physical damping coefficient"),
-    ], ids=["zero", "nan"])
+        (0.0, "cell resistance must be positive and finite"),
+        (math.nan, "cell resistance must be positive and finite"),
+        (math.inf, "cell resistance must be positive and finite"),
+    ], ids=["zero", "nan", "inf"])
     def test_border_refusal_names_model(self, monkeypatch, dataset, gas, model, cell, R_p,
                                         message):
         real = getattr(cm, cell)

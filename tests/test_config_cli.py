@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -10,12 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 import perfdamp
 from perfdamp import cli
 from perfdamp import compact_models as cm
 from perfdamp import comparison as cmp
 from perfdamp.config import (
     ConfigError,
+    _to_file,
     dump_device,
     load_device,
     load_gas,
@@ -310,6 +313,38 @@ class TestDumpDevice:
                     assert abs(have - want) <= math.ulp(want)
         assert exact > 0.9 * 500 * 11
 
+    @pytest.mark.parametrize("scale", [1e-6, 1e3, 1e-9])
+    def test_to_file_matches_search(self, scale):
+        # every power of two with both neighbours, where the floats that reload
+        # reach twice as far above value/scale as below, and random bit patterns
+        # (NaN, infinities, subnormals, overflowing products and all)
+        powers = [math.ldexp(1.0, e) for e in range(-970, 970)]
+        values = powers + [math.nextafter(p, d) for p in powers for d in (-math.inf, math.inf)]
+        rng = random.Random(20261020)
+        values += [struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+                   for _ in range(100_000)]
+        bad = [v for v in values
+               if repr(_to_file(v, scale)) != repr(oracles.to_file_search(v, scale))]
+        assert bad == []
+
+    @pytest.mark.parametrize("block, field, value", [
+        ("measured", "f0_kHz", 294.9),  # f0 * (1/1e3) is 294.90000000000003
+        (None, "W_um", 380.7203),  # W * (1/1e-6) is 380.72029999999995
+    ])
+    def test_dump_config_keeps_value_whose_product_misses(self, tmp_path, capsys, block,
+                                                           field, value):
+        data = json.loads((DEVICES / "A.json").read_text())
+        (data[block] if block else data)[field] = value
+        path = _write(tmp_path, data)
+        assert cli.run(["dump-config", "--device", str(path)]) == 0
+        out = capsys.readouterr().out
+        dumped = json.loads(out)
+        assert repr((dumped[block] if block else dumped)[field]) == repr(value)
+        again = tmp_path / "again.json"
+        again.write_text(out)
+        assert cli.run(["dump-config", "--device", str(again)]) == 0
+        assert capsys.readouterr().out == out
+
     def test_unrepresentable_f0_reloads_one_ulp_off(self, tmp_path):
         rec = cmp.builtin_dataset()[0]
         f0 = 256457.5630968484
@@ -524,7 +559,9 @@ class TestCli:
         ("", "input CSV is empty; it must have header 'freq_hz,amp_m'"),
         ("freq_hz,amp_m\n1.0,2.0\n3.0,4.0,5.0\n", "input CSV line 3: expected 2 cells, found 3"),
         ("freq_hz,amp_m\n1.0,2.0\nx,4.0\n", "input CSV line 3: cell 'x' is not a number"),
-    ], ids=["empty", "ragged", "not-a-number"])
+        ("freq_hz,amp_m\n1.0," + "1" * 200_000 + "\n", "input CSV line 2: field larger than "
+         "field limit (131072)"),
+    ], ids=["empty", "ragged", "not-a-number", "oversized-cell"])
     def test_frf_extract_malformed_file_exit1(self, tmp_path, capsys, text, message):
         # one error line naming the file line, not a numpy warning or traceback
         path = tmp_path / "curve.csv"
@@ -601,6 +638,15 @@ class TestCli:
         path.write_text("freq_hz,amp_m\n" +
                         "".join(f"{f},1.0\n" for f in range(100, 200, 10)))
         assert cli.run(["frf", "extract", "--input", str(path)]) == 3
+
+    def test_frf_extract_peak_outside_halfpower_band_exit3(self, tmp_path, capsys):
+        # jagged samples whose fitted peak lies past both half-power crossings
+        path = tmp_path / "jagged.csv"
+        path.write_text("freq_hz,amp_m\n" + "".join(
+            f"{f},{a}\n" for f, a in zip(range(100, 180, 10), (3, 5, 2, 6, 9, 7, 9, 4))))
+        assert cli.run(["frf", "extract", "--input", str(path)]) == 3
+        assert capsys.readouterr() == (
+            "", "error: half-power frequencies do not bracket the peak\n")
 
     def test_frf_extract_nonpositive_frequency_exit1(self, tmp_path, capsys):
         # a Q = 0.75 resonance at 200 kHz sampled from -400 to 800 kHz
@@ -698,8 +744,8 @@ class TestCli:
 
     # every cell model's refusal starts with its label; M3/M4 refuse R_p = 0
     @pytest.mark.parametrize("model, message", [
-        ("m3", "M3 cell resistance must be positive"),
-        ("m4", "M4 cell resistance must be positive"),
+        ("m3", "M3 cell resistance must be positive and finite"),
+        ("m4", "M4 cell resistance must be positive and finite"),
         ("m5", "M5 produced a non-physical damping coefficient"),
         ("m6", "M6 produced a non-physical damping coefficient"),
     ])

@@ -291,10 +291,13 @@ class TestReadCurve:
         ("# made by X\nfreq,amp\n1.0,2.0\n", "input CSV must have header 'freq_hz,amp_m'"),
         ("# made by X\nfreq_hz,amp_m\n1.0,nan\n", "input CSV line 3: cell 'nan' is not a finite "
          "number"),
+        # the csv module's own refusal, past its 131072-character field limit
+        ("freq_hz,amp_m\n1.0," + "1" * 200_000 + "\n", "input CSV line 2: field larger than "
+         "field limit (131072)"),
     ], ids=["empty", "blank", "header-only", "wrong-header", "extra-column", "ragged",
             "missing-cell", "not-a-number", "empty-cell", "nan-amplitude", "inf-amplitude",
             "minus-inf-amplitude", "nan-frequency", "comment-only", "comment-then-wrong-header",
-            "comment-then-nan"])
+            "comment-then-nan", "oversized-cell"])
     def test_malformed_file_refused_in_one_line(self, tmp_path, text, message):
         path = tmp_path / "bad.csv"
         path.write_text(text)
@@ -323,6 +326,15 @@ class TestExtract:
     def test_flat_curve_rejected(self):
         curve = FrfCurve(freqs=np.linspace(1, 2, 64), amps=np.ones(64))
         with pytest.raises(BandwidthError):
+            extract(curve)
+
+    def test_halfpower_crossings_not_bracketing_peak_rejected(self):
+        # the fit over all 8 jagged samples peaks at 164.2 Hz, past the crossings
+        # at 133.6 and 149.6 Hz around the raw maximum at 140 Hz
+        curve = FrfCurve(freqs=np.arange(100.0, 180.0, 10.0),
+                         amps=np.array([3.0, 5, 2, 6, 9, 7, 9, 4]))
+        with pytest.raises(BandwidthError, match="^half-power frequencies do not bracket "
+                           "the peak$"):
             extract(curve)
 
     def test_no_halfpower_crossing_rejected(self):

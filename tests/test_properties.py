@@ -150,6 +150,20 @@ class TestModelProperties:
             assert sum(br[:6]) == pytest.approx(br.R_p, rel=1e-12, abs=0)
             assert sum(br.percentages()) == pytest.approx(100.0, abs=1e-9)
 
+    # any cell resistance, however scaled: a finite positive damping, or a
+    # refusal; inf and NaN by the positivity rule, 5e-324 by the float range
+    @settings(max_examples=200, deadline=None)
+    @example(R_p=math.inf)
+    @example(R_p=5e-324)
+    @example(R_p=math.nan)
+    @given(R_p=st.floats())
+    def test_border_series_finite_positive_or_domain_error(self, R_p):
+        try:
+            c = cm.damping_border_coupled(_TYPE_A, GasProperties(), R_p).c
+        except cm.ModelDomainError:
+            return
+        assert math.isfinite(c) and c > 0
+
 
 def _frf_pair(scale, Q):
     """Extraction of a 401-point resonance curve and of the same curve with

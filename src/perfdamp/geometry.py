@@ -37,6 +37,11 @@ def require_non_negative(*named: tuple[str, float]) -> None:
             raise ValueError(f"{name} must be non-negative and finite")
 
 
+def range_kind(exc: ArithmeticError) -> str:
+    """How an ArithmeticError left the float range: 'division by zero' or 'overflow'."""
+    return "division by zero" if isinstance(exc, ZeroDivisionError) else "overflow"
+
+
 def _require_int(*named: tuple[str, int]) -> None:
     """Refuse the first (name, value) pair whose value is not an int (a bool,
     a float and NaN are not), with a ValueError that names it."""
@@ -101,7 +106,7 @@ class PlateGeometry:
             derived = derive_geometry(self)
         except ArithmeticError as exc:
             raise ValueError(f"plate dimensions are out of floating-point range "
-                             f"({type(exc).__name__}: {exc})") from exc
+                             f"({range_kind(exc)})") from exc
         object.__setattr__(self, "derived", derived)
 
 

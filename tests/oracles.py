@@ -9,9 +9,16 @@ sample-by-sample walk; frf.extract reaches the same numbers by other
 arithmetic, so tests compare the two within 1e-12. to_file_search finds a
 device file's value by the ulp-by-ulp search that config._to_file's three
 candidates replace.
+
+border_truth sums the border series to 40 digits with mpmath, which is
+installed only to write tests/golden/border_truth.csv again:
+``PYTHONPATH=src python tests/oracles.py``. The tests read the file.
 """
 
+import csv
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -24,6 +31,10 @@ from perfdamp.geometry import derive_geometry
 BORDER_CAPS = (1001, 2001)
 # Odd indices of the direct M2 sum; its terms fall as n^-6.
 M2_TERMS = 100_000
+# The border series' 40-digit values and the columns of each row.
+BORDER_TRUTH = Path(__file__).parent / "golden" / "border_truth.csv"
+BORDER_TRUTH_FIELDS = ("case", "L", "W", "M", "N", "s0", "s1", "h", "h_c", "lam", "mu", "R_p",
+                       "c")
 
 
 def border_partial_sum(geom, gas, R_p, cap):
@@ -43,6 +54,103 @@ def border_series(geom, gas, R_p):
     """Border-coupled double series, extrapolated from two partial sums."""
     s1, s2 = (border_partial_sum(geom, gas, R_p, cap) for cap in BORDER_CAPS)
     return s2 + (s2 - s1) / 7
+
+
+def border_truth(geom, gas, R_p, dps=40, head=100):
+    """The border-coupled double series to `dps` significant digits.
+
+    The inner sum over n is closed (Gradshteyn & Ryzhik 1.421), so odd m adds
+    (pi^2/8 - pi*tanh(pi*c_m/2)/(4*c_m)) / (m^2*alpha_m), where
+    c_m = (b/a)*sqrt(m^2 + d^2) >= 1. Every term is positive and none is split
+    in two, so nothing cancels at any R_p: this form has no bracket
+    1 - tanh(y)/y, which the package's exact part forms and which cancels at
+    40 digits once R_p exceeds about 1e40. The first `head` odd m are summed
+    term by term and the rest by mpmath's Euler-Maclaurin summation, whose
+    integral is taken in t = ln(j/head): there the terms fall like e^-t up to
+    m ~ d and faster beyond. The terms are scaled by (1 + d^2) g/a^2 to order
+    one, because mpmath's quadrature and summation stop on an absolute
+    tolerance. (40, 100) and (60, 300) agree to 50 digits on devices A-C for
+    R_p from 1e-211 to 1e300.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps + 10):
+        mpf = mp.mpf
+        h, lam = mpf(geom.h), mpf(gas.lam)
+        K_ch = lam / h
+        edge = mpf("1.3") * (1 + mpf("3.3") * K_ch) * h
+        a, b = (x + edge for x in sorted((mpf(geom.L), mpf(geom.W))))
+        g = mp.pi**6 * h**3 * (1 + 6 * K_ch) / (768 * mpf(gas.mu) * a * b)
+        inv_r = mp.pi**4 / (64 * geom.M * geom.N * mpf(R_p))
+        d2 = a**2 * inv_r / g
+        w = 1 + d2
+
+        def term(j):  # odd m = 2j + 1, times (1 + d^2) g/a^2
+            m2 = (2 * j + 1) ** 2
+            c = b / a * mp.sqrt(m2 + d2)
+            return (mp.pi**2 / 8 - mp.pi * mp.tanh(mp.pi * c / 2) / (4 * c)) * w / (m2 * (m2 + d2))
+
+        t_d = max(mp.log(mp.sqrt(d2) / head), 0)
+        nodes = mp.linspace(0, t_d + 40, int(t_d / 4) + 11)
+        integral = mp.quad(lambda t: term(head * mp.exp(t)) * head * mp.exp(t), nodes)
+        total = (mp.fsum(term(j) for j in range(head))
+                 + mp.sumem(term, [head, mp.inf], integral=integral))
+        return total * a**2 / (g * w)
+
+
+def border_truth_cases():
+    """(case, geom, gas, R_p) rows of tests/golden/border_truth.csv: devices A-F
+    with both cells' R_p in air; 50 seeded design points (tests/test_models_golden.py)
+    with both; square plates, and a 100 um square plate stretched to b/a = 10,
+    100 and 1000, with the circular cell's R_p scaled by 1e-3 ... 1e6; devices
+    A-F with R_p = 10^k from 1e-200 to 1e300; and devices A-F with R_p in
+    quarter decades from 1e-2 to 10^-0.25, where the exact part's bracket
+    argument t = 2/(pi*d) runs through about 10 ... 300."""
+    from perfdamp import compact_models as cm
+    from perfdamp.comparison import builtin_dataset
+    from perfdamp.flow_regime import GasProperties
+    from perfdamp.geometry import PlateGeometry
+    from test_models_golden import design_points
+
+    air = GasProperties()
+    cells = (("m3", cm.cell_resistance_circular), ("m4", cm.cell_resistance_square))
+    devices = [(rec.id, rec.geom) for rec in builtin_dataset()]
+    for dev, geom in devices:
+        for model, cell in cells:
+            yield f"{dev}.{model}", geom, air, cell(geom, air).R_p
+    for i, (dev, geom, gas) in zip(range(50), design_points()):
+        for model, cell in cells:
+            yield f"design.{i:02d}.{dev}.{model}", geom, gas, cell(geom, gas).R_p
+    base = PlateGeometry(L=100e-6, W=100e-6, M=10, N=10, s0=5e-6, s1=5e-6, h=1.6e-6,
+                         h_c=15e-6)
+    shapes = [(f"square.{dev}", dataclasses.replace(geom, W=geom.L, N=geom.M))
+              for dev, geom in devices]
+    shapes += [(f"long.{ratio}", dataclasses.replace(base, L=base.W * ratio, M=base.N * ratio))
+               for ratio in (10, 100, 1000)]
+    for name, geom in shapes:
+        R_p = cm.cell_resistance_circular(geom, air).R_p
+        for k in (-3, 0, 3, 6):
+            yield f"{name}.1e{k}", geom, air, R_p * float(f"1e{k}")
+    for dev, geom in devices:
+        for k in (-200, -150, -100, -50, -20, -10, -5, 0, 5, 10, 20, 50, 100, 150, 200, 250,
+                  300):
+            yield f"range.{dev}.1e{k}", geom, air, float(f"1e{k}")
+    for dev, geom in devices:
+        for k in range(-8, 0):
+            yield f"bracket.{dev}.1e{k / 4:g}", geom, air, 10 ** (k / 4)
+
+
+def write_border_truth(path=BORDER_TRUTH):
+    """Write every border_truth_cases row, its inputs as repr and c to 25 digits."""
+    import mpmath as mp
+
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        out = csv.writer(f, lineterminator="\n")
+        out.writerow(BORDER_TRUTH_FIELDS)
+        for case, g, gas, R_p in border_truth_cases():
+            c = mp.nstr(border_truth(g, gas, R_p), 25, min_fixed=1, max_fixed=0)
+            out.writerow([case, *map(repr, (g.L, g.W, g.M, g.N, g.s0, g.s1, g.h, g.h_c,
+                                            gas.lam, gas.mu, R_p)), c])
 
 
 def m2_damping(geom, gas):
@@ -131,3 +239,7 @@ def to_file_search(value, scale):
             if cand * scale == value:
                 return cand
     return x
+
+
+if __name__ == "__main__":
+    write_border_truth()

@@ -1,8 +1,9 @@
 """Byte-exact replays of CLI outputs recorded in tests/golden/cli/.
 
 Each golden file holds what one command line wrote; the test runs it again
-and compares the bytes, so any change in a printed digit fails here. To
-record a golden again after an intended output change, run the command line
+and compares the bytes, so any change in a printed digit fails here. To record
+every golden again after an intended output change, run
+``PYTHONPATH=src python tests/test_cli_golden.py``; one is its command line
 with ``--out tests/golden/cli/<name>``.
 """
 
@@ -42,3 +43,8 @@ def test_replays_byte_for_byte(name, tmp_path):
 
 def test_every_golden_has_a_case():
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(CASES)
+
+
+if __name__ == "__main__":
+    for name, argv in CASES.items():
+        assert cli.run([*argv, "--out", str(GOLDEN / name)]) == cli.EXIT_OK, name

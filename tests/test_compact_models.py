@@ -1,5 +1,8 @@
+import csv
 import dataclasses
 import math
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -148,6 +151,22 @@ class TestCellResistanceSquare:
             < 0.01 * cm.cell_resistance_square(base, gas).R_E
 
 
+def _truth_rows():
+    with oracles.BORDER_TRUTH.open(newline="", encoding="utf-8") as f:
+        return list(csv.DictReader(f))
+
+
+def _truth_inputs(row):
+    geom = PlateGeometry(float(row["L"]), float(row["W"]), int(row["M"]), int(row["N"]),
+                         *(float(row[k]) for k in ("s0", "s1", "h", "h_c")))
+    return geom, GasProperties(lam=float(row["lam"]), mu=float(row["mu"])), float(row["R_p"])
+
+
+# R_p = 10^k with a finite, positive border series on each device, in air
+BORDER_RANGE = {"A": (-211, 303), "B": (-211, 302), "C": (-211, 303), "D": (-211, 303),
+                "E": (-210, 303), "F": (-210, 303)}
+
+
 class TestBorderCoupled:
     def test_m3_type_c(self, dataset, gas):
         _assert_delta(cm.damping_m3, dataset["C"], gas, -4.11)
@@ -176,6 +195,46 @@ class TestBorderCoupled:
                 assert res.series_terms == cm.BORDER_TERMS
                 assert res.c == pytest.approx(oracles.border_series(rec.geom, gas, R_p),
                                               rel=1e-9, abs=0)
+
+    def test_matches_truth(self):
+        # tests/golden/border_truth.csv: 40-digit sums, from tests/oracles.py. The
+        # bracket rows have R_p where _edge_leak_bracket(t) switches from its direct
+        # form to its Taylor tail at t = 100 and loses up to 5.9e-12 just below it,
+        # by cancellation; the series itself is as close there as anywhere.
+        rows = _truth_rows()
+        assert len(rows) == 298
+        bounds = {"bracket": 6e-12, **{dev: 1e-12 for dev in "ABCDEF"}}
+        misses = []
+        for row in rows:
+            c = cm.damping_border_coupled(*_truth_inputs(row)).c
+            err = abs(float(Fraction(c) / Fraction(row["c"]) - 1))
+            if err > bounds.get(row["case"].split(".")[0], 3e-12):
+                misses.append((row["case"], err))
+        assert misses == []
+
+    def test_truth_file_is_the_oracle(self):
+        mp = pytest.importorskip("mpmath")
+        rows = {row["case"]: row for row in _truth_rows()}
+        for case in ("A.m3", "square.C.1e0", "long.1000.1e6", "range.F.1e-200",
+                     "range.B.1e300"):
+            row = rows[case]
+            truth = oracles.border_truth(*_truth_inputs(row))
+            with mp.workdps(40):
+                assert abs(truth / mp.mpf(row["c"]) - 1) < 1e-23, case
+
+    def test_finite_on_known_range(self, dataset, gas):
+        # a tail that formed powers of d^2 would overflow at a larger R_p (a small
+        # R_p is a large d^2) and raise the lower ends
+        for dev, (lo, hi) in BORDER_RANGE.items():
+            finite = []
+            for k in range(-330, 330):
+                try:
+                    c = cm.damping_border_coupled(dataset[dev].geom, gas, float(f"1e{k}")).c
+                except cm.ModelDomainError:
+                    continue
+                assert 0 < c < math.inf
+                finite.append(k)
+            assert finite == list(range(lo, hi + 1)), dev
 
     def test_rejects_nonpositive_resistance(self, dataset, gas):
         with pytest.raises(cm.ModelDomainError):
@@ -269,12 +328,14 @@ class TestCellModelErrors:
         (0.0, "cell resistance must be positive and finite"),
         (math.nan, "cell resistance must be positive and finite"),
         (math.inf, "cell resistance must be positive and finite"),
-    ], ids=["zero", "nan", "inf"])
+        (1e-300, "border-coupled series is out of floating-point range (overflow)"),
+        (1e305, "border-coupled series is out of floating-point range (division by zero)"),
+    ], ids=["zero", "nan", "inf", "tiny", "huge"])
     def test_border_refusal_names_model(self, monkeypatch, dataset, gas, model, cell, R_p,
                                         message):
         real = getattr(cm, cell)
         monkeypatch.setattr(cm, cell, lambda geom, gas: real(geom, gas)._replace(R_p=R_p))
-        with pytest.raises(cm.ModelDomainError, match=f"^{model.upper()} {message}$"):
+        with pytest.raises(cm.ModelDomainError, match=f"^{model.upper()} {re.escape(message)}$"):
             cm.evaluate(dataset["A"].geom, gas, (model,))
 
     @pytest.mark.parametrize("model, cell", CELL_MODELS[2:])

@@ -23,18 +23,22 @@ Each model runs in two stages. The per-plate stage, `derive_geometry`, is
 one function that computes everything that depends on the plate alone and
 returns it as a DerivedGeometry: the equivalent cell (s_X, r_X, the
 impedance-matched hole radius r_0, the square cell's effective radius r_0E),
-q, the plate's orientation, H_eff, eta and l of M1 and M2, and the
-plate-only parts of both cell resistances. A PlateGeometry runs it once,
-when it is built, and keeps the result in `geom.derived`. The model
+q, the plate's orientation, H_eff, eta and l of M1 and M2, h^3, and the
+plate-only coefficients of both cell resistances. A PlateGeometry runs it
+once, when it is built, and keeps the result in `geom.derived`. The model
 functions are the gas stage: they read those factors and do only the
 arithmetic that involves the gas (and, in M2 and the border series, the
 series themselves), with the constant powers of pi taken from module
-constants; M3/M4 return the border series' record with their cell
-breakdown. Each factor is a whole subexpression of the formula as written,
-evaluated in the same order, so the split changes no result bit. Each
-docstring states the model's full formula. M1-M6 raise ModelDomainError on a
-floating-point overflow or division by zero, and on a c that is not finite
-and positive.
+constants; the border series labels its record with M3's or M4's name and
+cell breakdown. The factors of M1 and M2 are whole subexpressions of their
+formulas, evaluated in the same order, so that split changes no result bit.
+A cell resistance is folded further: every plate-only product of a
+component is one coefficient A_X, which the gas stage multiplies by mu and
+the component's slip factor, and R_p is the float sum of the six
+components. The regrouped products round differently from the formula as
+written, by a few ulps. Each docstring states the model's full formula.
+M1-M6 raise ModelDomainError on a floating-point overflow or division by
+zero, and on a c that is not finite and positive.
 """
 
 from __future__ import annotations
@@ -59,10 +63,11 @@ from perfdamp.flow_regime import (
 # From x0 = 17 on tanh = 1 (b >= a puts its argument above 26.7), and the rest is the
 # Euler-Maclaurin sum (step 2) I/2 + f(x0)/2 - f'(x0)/6 + f'''(x0)/90 - f5(x0)/945,
 # with I = 1/(x0 s (s + x0)^2) the integral of f from x0 and s = sqrt(x0^2 + d^2).
-# Each correction is f(x0) times a polynomial in rho = d^2/s^2 and sig = x0^2/s^2,
-# both in [0, 1], so no power of d^2 can overflow. Against the 40-digit sums of
-# tests/golden/border_truth.csv the relative error is at most 7.5e-13 on devices A-F,
-# 1.8e-12 on other plates, and 3.6e-12 where _edge_leak_bracket(t) cancels (t 18-100).
+# Each correction is f(x0) times a polynomial in rho = d^2/s^2 and sig = x0^2/s^2;
+# as rho = 1 - sig, together they are f(x0) times one polynomial in sig, which lies
+# in [0, 1], so no power of d^2 can overflow. Against the 40-digit sums of
+# tests/golden/border_truth.csv the relative error is at most 7.5e-13 on devices A-F
+# and 1.8e-12 on other plates.
 #
 # M2 shape series: the sum with tanh(x_n) replaced by 1 is exact. The
 # difference, 1 - tanh(x_n) = 2/(exp(2 x_n) + 1), is summed over the odd n
@@ -72,6 +77,10 @@ from perfdamp.flow_regime import (
 BORDER_TERMS = 8
 TANH_SATURATION = 19.0
 
+# math.tanh returns exactly 1.0 from x = 19.0616 on (1 - tanh x = 2/(e^(2x) + 1)
+# falls below half an ulp of 1), so the border loop skips tanh once its smallest
+# argument reaches this.
+_TANH_ONE = 19.1
 # m^2 for the odd m of the explicit border terms, as floats: the loop adds
 # them to d^2 and multiplies them by floats, which converts an int each time.
 _ODD_SQUARES = tuple(float(m * m) for m in range(1, 2 * BORDER_TERMS, 2))
@@ -80,18 +89,41 @@ _ODD_SQUARES = tuple(float(m * m) for m in range(1, 2 * BORDER_TERMS, 2))
 _X0 = 2 * BORDER_TERMS + 1
 _X0SQ = _X0 * _X0
 _EM1, _EM3, _EM5 = 1 / (6 * _X0), 1 / (30 * _X0**3), 1 / (21 * _X0**5)
+# The tail's bracket 1/2 + (2 + 3 sig)/(6 x0) - (8 + 12 sig + 15 sig^2 + 35 sig^3)/(30 x0^3)
+# + (16 + 24 sig + 30 sig^2 + 35 sig^3 + 231 sig^5)/(21 x0^5), by powers of sig.
+_TAIL0 = 0.5 + 2 * _EM1 - 8 * _EM3 + 16 * _EM5
+_TAIL1 = 3 * _EM1 - 12 * _EM3 + 24 * _EM5
+_TAIL2 = -15 * _EM3 + 30 * _EM5
+_TAIL3 = -35 * _EM3 + 35 * _EM5
+_TAIL5 = 231 * _EM5
 _PI2 = math.pi**2
+_PI2_4 = _PI2 / 4
 _PI2_8 = _PI2 / 8
 _PI2_8_SQ = _PI2_8**2
 _PI4 = math.pi**4
 _PI6 = math.pi**6
+_PI6_256 = _PI6 / 256
 
-# Leading constant products of the cell resistances, each the value the
-# formula's own left-to-right evaluation starts from.
+# 1 - t*tanh(1/t) = x*P(x) with x = 1/t^2, where P(x) = (y - tanh y)/y^3 at
+# y^2 = x: the Taylor coefficients of tanh from y^3 on (1/3, 2/15, 17/315,
+# 62/2835, ...) with their signs flipped, highest power first, for Horner's
+# rule. Above t = _LEAK_SWITCH the 16 terms are good to 4e-16; below it the
+# direct form loses at most 3.7e-15 to cancellation.
+_LEAK_SWITCH = 2.0
+_LEAK_SWITCH_Y2 = 1 / _LEAK_SWITCH**2
+_LEAK_TAYLOR = (
+    -4.294911078273806e-07, 1.0597268320104654e-06, -2.6147711512907546e-06,
+    6.451689215655431e-06, -1.5918905069328964e-05, 3.927832388331683e-05,
+    -9.691537956929451e-05, 0.00023912911424355248, -0.000590027440945586,
+    0.0014558343870513183, -0.003592128036572481, 0.008863235529902197,
+    -0.021869488536155203, 0.05396825396825397, -0.13333333333333333, 0.3333333333333333,
+)
+
+# Constant products of the cell resistances' plate-only coefficients.
 _12PI = 12 * math.pi
 _6PI = 6 * math.pi
 _8PI = 8 * math.pi
-_DELTA_E0 = 0.944 * 3 * math.pi
+_8PI_DELTA_E0 = _8PI * 0.944 * 3 * math.pi / 16
 _3PI = 3 * math.pi
 
 # Square channels are mapped onto circular ones by matching acoustic
@@ -119,8 +151,9 @@ class CellResistanceBreakdown(NamedTuple):
     intermediate-region resistances; R_C: hole channel resistance; R_E:
     outlet-elongation resistance. R_IC, R_C and R_E are referred to the cell:
     each is multiplied by the (r_X/r_0)^4 or (s_X/s0)^4 factor that
-    `geom.derived.circular.scale` or `geom.derived.square.scale` holds, so the
-    six components sum to the cell resistance R_p (up to rounding).
+    `geom.derived.circular.scale` or `geom.derived.square.scale` holds. R_p,
+    the cell resistance, is the float sum of the six from left to right, so
+    sum(br[:6]) == R_p holds exactly.
     """
 
     R_S: float
@@ -147,36 +180,35 @@ class ModelResult(NamedTuple):
 
 
 class CircularCellFactors(NamedTuple):
-    """Plate-only factors of the circular-cell resistance, with rr = r_0/r_X,
-    x = r_0/h and y = h_c/h; `cell_resistance_circular` gives the formulas."""
+    """Plate-only coefficients of the circular-cell resistance, one per
+    component, with rr = r_0/r_X, x = r_0/h, y = h_c/h and scale =
+    (r_X/r_0)^4; `cell_resistance_circular` multiplies each A_X by mu and
+    its slip factor. A_C leaves scale to the gas stage, after the slip
+    divisor Q_tb: Q_tb grows as 1/r_0 and scale as 1/r_0^4, so on a plate
+    with tiny holes h_c*scale can overflow where R_C does not."""
 
-    r_X4: float    # r_X^4
-    h3: float      # h^3
-    g_S: float     # 0.5*ln(r_X/r_0) - 3/8 + rr^2/2 - rr^4/8
-    g_IS: float    # (r_X^2 - r_0^2)^2
-    r0h2: float    # r_0*h^2
-    dS_num: float  # 0.56 - 0.32*rr + 0.86*rr^2
-    f_B: float     # 1 + x^4*y^3/(7.11*(43*y^3 + 1))
-    dB: float      # 1.33*(1 - 0.812*rr^2)
-    dC: float      # 0.66 - 0.41*rr - 0.25*rr^2
-    x35: float     # x^3.5
-    dE: float      # 1 + 0.2*rr^2 - 0.754*rr^4
-    scale: float   # (r_X/r_0)^4
+    A_S: float      # 12*pi*r_X^4/h^2 * (ln(r_X/r_0)/2 - 3/8 + rr^2/2 - rr^4/8)
+    A_IS: float     # 6*pi*(r_X^2 - r_0^2)^2/(r_0*h^2) * (0.56 - 0.32*rr + 0.86*rr^2)
+    A_IB: float     # 8*pi*r_0 * 1.33*(1 - 0.812*rr^2) * (1 + x^4*y^3/(7.11*(43*y^3 + 1)))
+    A_IC: float     # 8*pi*r_0 * (0.66 - 0.41*rr - 0.25*rr^2) * scale
+    A_C: float      # 8*pi*h_c
+    A_E: float      # 8*pi*r_0 * 0.944*3*pi/16 * (1 + 0.2*rr^2 - 0.754*rr^4) * scale
+    x35_178: float  # x^3.5/178
+    scale: float    # (r_X/r_0)^4
 
 
 class SquareCellFactors(NamedTuple):
-    """Plate-only factors of the square-cell resistance, with rr = r_0E/r_X;
-    `cell_resistance_square` gives the formulas."""
+    """Plate-only coefficients of the square-cell resistance, one per
+    component (R_IB is 0), with rr = r_0E/r_X and scale = (s_X/s0)^4;
+    `cell_resistance_square` multiplies each A_X by mu and its slip factor,
+    and R_C by scale after its slip divisor, as the circular cell does."""
 
-    r_X4: float     # r_X^4
-    h3: float       # h^3
-    g_S: float      # 0.5*ln(r_X/r_0E) - 3/8 + rr^2/2 - rr^4/8
-    g_IS: float     # (s_X^2 - s0^2)^2
-    s0h2: float     # s0*h^2
-    delta_S: float  # 0.122*(1 + 6.5*xi - 3.8*xi^2)
-    dE_xi: float    # 1 - xi^4
-    dE_h: float     # 1 + 0.019*(s0/h)^2.83
-    scale: float    # (s_X/s0)^4
+    A_S: float    # 12*pi*r_X^4/h^2 * (ln(r_X/r_0E)/2 - 3/8 + rr^2/2 - rr^4/8)
+    A_IS: float   # 3*(s_X^2 - s0^2)^2/(s0*h^2) * 0.122*(1 + 6.5*xi - 3.8*xi^2)
+    A_IC: float   # 28.454*s0*0.302 * scale
+    A_C: float    # 28.454*h_c
+    A_E: float    # 28.454*0.242*(1 - xi^4)*(1 + 0.019*(s0/h)^2.83)*s0 * scale
+    scale: float  # (s_X/s0)^4
 
 
 class DerivedGeometry(NamedTuple):
@@ -191,8 +223,9 @@ class DerivedGeometry(NamedTuple):
     M1 and M2 share H_eff = h_c + 3*pi*r_0/8, the effective hole length,
     eta = 1 + 3*r_0^4*K/(16*H_eff*h^3) with K = 4*beta^2 - beta^4 -
     4*ln(beta) - 3, the perforation-loading factor, and the attenuation length
-    l = sqrt(2*h^3*H_eff*eta/(3*beta^2*r_0^2)). circular, square: the
-    plate-only factors of the two cell resistances (the circular rr is beta).
+    l = sqrt(2*h^3*H_eff*eta/(3*beta^2*r_0^2)). h3 = h^3, which M2 and the
+    border series read. circular, square: the plate-only coefficients of the
+    two cell resistances (the circular rr is beta).
     """
 
     s_X: float
@@ -207,6 +240,7 @@ class DerivedGeometry(NamedTuple):
     l: float
     short: float
     long: float
+    h3: float
     circular: CircularCellFactors
     square: SquareCellFactors
 
@@ -224,15 +258,23 @@ def _checked(label: str, c: float) -> float:
     return c
 
 
+def _leak_series(x: float) -> float:
+    """(y - tanh y)/y^3 at y^2 = x, by its Taylor series (_LEAK_TAYLOR)."""
+    p = 0.0
+    for c in _LEAK_TAYLOR:
+        p = p * x + c
+    return p
+
+
 def _edge_leak_bracket(t: float) -> float:
     """1 - t*tanh(1/t), the border-leakage attenuation of the plate response.
 
-    Direct evaluation cancels catastrophically for t >> 1 (very leaky films),
-    so the Taylor tail x^2/3 - 2x^4/15 + 17x^6/315 (x = 1/t) is used there.
+    Direct evaluation cancels as t grows (very leaky films), so above
+    _LEAK_SWITCH it is x*_leak_series(x) with x = 1/t^2.
     """
-    if t > 100.0:
-        x2 = 1.0 / (t * t)
-        return x2 * (1.0 / 3.0 - x2 * (2.0 / 15.0 - x2 * 17.0 / 315.0))
+    if t > _LEAK_SWITCH:
+        x = 1.0 / (t * t)
+        return x * _leak_series(x)
     return 1.0 - t * math.tanh(1.0 / t)
 
 
@@ -264,8 +306,9 @@ def derive_geometry(geom: PlateGeometry) -> DerivedGeometry:
     # impedance-matched: the circular channel of the square hole's impedance
     r_0 = HOLE_RADIUS_FACTOR * s_0
     xi = s_0 / s_X
+    xi2, xi4 = xi**2, xi**4
     # effective square radius: the square hole in the square-cell model
-    r_0E = 0.58076 * s_0 / (1 + 0.02108 * xi**2 + 0.008 * xi**4)
+    r_0E = 0.58076 * s_0 / (1 + 0.02108 * xi2 + 0.008 * xi4)
     beta = r_0 / r_X
     h3, r_X4 = h**3, r_X**4
     beta2, beta4 = beta**2, beta**4
@@ -277,37 +320,42 @@ def derive_geometry(geom: PlateGeometry) -> DerivedGeometry:
     eta = 1 + 3 * r_0**4 * K / (16 * H_eff * h3)
     r_02 = r_0**2
     l = math.sqrt(2 * h3 * H_eff * eta / (3 * beta2 * r_02))
-    x, h2, y3 = r_0 / h, h**2, (h_c / h) ** 3
+    # h^3 and r_X^4 are finite here, so h^2 and r_X^2 are products; the powers
+    # that can overflow keep their order
+    x, h2, y3 = r_0 / h, h * h, (h_c / h) ** 3
+    g_IS = r_X * r_X - r_02
+    g_IS *= g_IS
+    f_B = 1 + x**4 * y3 / (7.11 * (43 * y3 + 1))
+    x35 = x**3.5
+    scale = (r_X / r_0) ** 4
     circular = _new(CircularCellFactors, (
-        r_X4, h3,
-        0.5 * math.log(r_X / r_0) - 3 / 8 + beta2 / 2 - beta4 / 8,
-        (r_X**2 - r_02) ** 2,
-        r_0 * h2,
-        0.56 - 0.32 * beta + 0.86 * beta2,
-        1 + x**4 * y3 / (7.11 * (43 * y3 + 1)),
-        1.33 * (1 - 0.812 * beta2),
-        0.66 - 0.41 * beta - 0.25 * beta2,
-        x**3.5,
-        1 + 0.2 * beta2 - 0.754 * beta4,
-        (r_X / r_0) ** 4,
+        r_X4 / h2 * (_12PI * (0.5 * math.log(r_X / r_0) - 3 / 8 + beta2 / 2 - beta4 / 8)),
+        g_IS / r_0 / h2 * (_6PI * (0.56 - 0.32 * beta + 0.86 * beta2)),
+        _8PI * r_0 * (1.33 * (1 - 0.812 * beta2)) * f_B,
+        _8PI * r_0 * (0.66 - 0.41 * beta - 0.25 * beta2) * scale,
+        _8PI * h_c,
+        _8PI_DELTA_E0 * r_0 * (1 + 0.2 * beta2 - 0.754 * beta4) * scale,
+        x35 / 178,
+        scale,
     ))
     rr = r_0E / r_X
+    g_IS = (s_X**2 - s_0**2) ** 2
+    dE_h = 1 + 0.019 * (s_0 / h) ** 2.83
+    scale = (s_X / s_0) ** 4
     square = _new(SquareCellFactors, (
-        r_X4, h3,
-        0.5 * math.log(r_X / r_0E) - 3 / 8 + rr**2 / 2 - rr**4 / 8,
-        (s_X**2 - s_0**2) ** 2,
-        s_0 * h2,
-        0.122 * (1 + 6.5 * xi - 3.8 * xi**2),
-        1 - xi**4,
-        1 + 0.019 * (s_0 / h) ** 2.83,
-        (s_X / s_0) ** 4,
+        r_X4 / h2 * (_12PI * (0.5 * math.log(r_X / r_0E) - 3 / 8 + rr**2 / 2 - rr**4 / 8)),
+        g_IS / s_0 / h2 * (3 * 0.122 * (1 + 6.5 * xi - 3.8 * xi2)),
+        28.454 * s_0 * 0.302 * scale,
+        28.454 * h_c,
+        28.454 * 0.242 * (1 - xi4) * dE_h * s_0 * scale,
+        scale,
     ))
     # open-area fraction from the dimensions; the published per-device
     # percentages disagree with it by 2-3 points and are not used
     q = geom.M * geom.N * s_0**2 / (geom.L * geom.W)
     short, long = (geom.W, geom.L) if geom.W <= geom.L else (geom.L, geom.W)
     return _new(DerivedGeometry, (s_X, r_X, r_0, r_0E, xi, beta, q, H_eff, eta, l, short, long,
-                                  circular, square))
+                                  h3, circular, square))
 
 
 def damping_m1(geom: PlateGeometry, gas: GasProperties) -> ModelResult:
@@ -366,7 +414,7 @@ def damping_m2(geom: PlateGeometry, gas: GasProperties) -> ModelResult:
 
         # 3*al^3*tanh(1/al) equals 6*al^3*sinh(1/al)^2/sinh(2/al) and cannot overflow
         gamma = 3 * al**2 * _edge_leak_bracket(al) - 24 * al**3 * kappa / _PI2 * s
-        c = gamma * gas.mu * (2 * a) ** 3 * (2 * b) / geom.h**3
+        c = gamma * gas.mu * (2 * a) ** 3 * (2 * b) / d.h3
     except ArithmeticError as exc:
         raise _out_of_range("M2", exc) from exc
     return _new(ModelResult, ("m2", _checked("M2", c), None, len(odd), True))
@@ -387,34 +435,26 @@ def cell_resistance_circular(geom: PlateGeometry, gas: GasProperties) -> CellRes
       R_C  = 8*pi*mu*h_c/Q_tb
       R_E  = 8*pi*mu*delta_E*r_0, delta_E = 0.944*3*pi*(1 + 0.216*K_tb)/16
              * (1 + 0.2*rr^2 - 0.754*rr^4) * f_E, f_E = 1 + x^3.5/(178*(1 + 17.5*K_ch))
-    R_IC, R_C and R_E are returned times scale = (r_X/r_0)^4, and
-    R_p = R_S + R_IS + R_IB + scale*(R_IC + R_C + R_E) is their sum.
-    The plate-only factors come from `geom.derived.circular`.
+    R_IC, R_C and R_E are returned times scale = (r_X/r_0)^4, and R_p is the
+    float sum of the six. `geom.derived.circular` holds the plate-only
+    coefficient A_X of each component, so R_S = mu*A_S/(h*Q_ch), R_IS =
+    mu*A_IS/(1 + 2.5*K_ch), R_IB = mu*A_IB*(1 + 0.732*K_tb)/(1 + K_ch), R_IC =
+    mu*A_IC*(1 + 6*K_tb), R_C = mu*A_C/Q_tb*scale and R_E = mu*A_E*(1 + 0.216*K_tb)*f_E.
     """
     d = geom.derived
-    r_X4, h3, g_S, g_IS, r0h2, dS_num, f_B, dB, dC, x35, dE, scale = d.circular
-    r_0, mu = d.r_0, gas.mu
-    K_ch = gas.lam / geom.h
-    K_tb = gas.lam / r_0
-    Q_ch = 1 + CHANNEL_SLIP_SLOPE * K_ch
-    Q_tb = 1 + TUBE_SLIP_SLOPE * K_tb
-    mu8pi = _8PI * mu
+    A_S, A_IS, A_IB, A_IC, A_C, A_E, x35_178, scale = d.circular
+    h, mu, lam = geom.h, gas.mu, gas.lam
+    K_ch = lam / h
+    K_tb = lam / d.r_0
 
-    R_S = _12PI * mu * r_X4 / (Q_ch * h3) * g_S
-    delta_S = dS_num / (1 + 2.5 * K_ch)
-    R_IS = _6PI * mu * g_IS / r0h2 * delta_S
-    delta_B = dB * (1 + 0.732 * K_tb) / (1 + K_ch) * f_B
-    R_IB = mu8pi * r_0 * delta_B
-    delta_C = (1 + 6 * K_tb) * dC
-    R_IC = mu8pi * r_0 * delta_C
-    f_E = 1 + x35 / (178 * (1 + 17.5 * K_ch))
-    delta_E = _DELTA_E0 * (1 + 0.216 * K_tb) / 16 * dE * f_E
-    R_C = mu8pi * geom.h_c / Q_tb
-    R_E = mu8pi * delta_E * r_0
-
-    R_p = R_S + R_IS + R_IB + scale * (R_IC + R_C + R_E)
+    R_S = mu * A_S / (h + CHANNEL_SLIP_SLOPE * lam)
+    R_IS = mu * A_IS / (1 + 2.5 * K_ch)
+    R_IB = mu * A_IB * (1 + 0.732 * K_tb) / (1 + K_ch)
+    R_IC = mu * A_IC * (1 + 6 * K_tb)
+    R_C = mu * A_C / (1 + TUBE_SLIP_SLOPE * K_tb) * scale
+    R_E = mu * A_E * (1 + 0.216 * K_tb) * (1 + x35_178 / (1 + 17.5 * K_ch))
     return _new(CellResistanceBreakdown,
-                (R_S, R_IS, R_IB, scale * R_IC, scale * R_C, scale * R_E, R_p))
+                (R_S, R_IS, R_IB, R_IC, R_C, R_E, R_S + R_IS + R_IB + R_IC + R_C + R_E))
 
 
 def cell_resistance_square(geom: PlateGeometry, gas: GasProperties) -> CellResistanceBreakdown:
@@ -430,31 +470,28 @@ def cell_resistance_square(geom: PlateGeometry, gas: GasProperties) -> CellResis
       R_C  = 28.454*mu*h_c/Q_sq
       R_E  = 28.454*mu*delta_E*s0,
              delta_E = 0.242*(1 + 4*K_sq)*(1 - xi^4)*(1 + 0.019*(s0/h)^2.83)
-    R_IC, R_C and R_E are returned times scale = (s_X/s0)^4, and
-    R_p = R_S + R_IS + R_IB + scale*(R_IC + R_C + R_E) is their sum.
-    The plate-only factors come from `geom.derived.square`.
+    R_IC, R_C and R_E are returned times scale = (s_X/s0)^4, and R_p is the
+    float sum of the six. `geom.derived.square` holds the plate-only
+    coefficient A_X of each component, so R_S = mu*A_S/(h*Q_ch), R_IS = mu*A_IS,
+    R_IC = mu*A_IC, R_C = mu*A_C/Q_sq*scale and R_E = mu*A_E*(1 + 4*K_sq).
     """
-    r_X4, h3, g_S, g_IS, s0h2, delta_S, dE_xi, dE_h, scale = geom.derived.square
-    s_0, mu = geom.s0, gas.mu
-    K_ch = gas.lam / geom.h
-    K_sq = gas.lam / s_0
-    Q_ch = 1 + CHANNEL_SLIP_SLOPE * K_ch
-    Q_sq = 1 + SQUARE_SLIP_SLOPE * K_sq
+    A_S, A_IS, A_IC, A_C, A_E, scale = geom.derived.square
+    mu, lam = gas.mu, gas.lam
+    K_sq = lam / geom.s0
 
-    R_S = _12PI * mu * r_X4 / (Q_ch * h3) * g_S
-    R_IS = 3 * mu * g_IS / s0h2 * delta_S
+    R_S = mu * A_S / (geom.h + CHANNEL_SLIP_SLOPE * lam)
+    R_IS = mu * A_IS
     R_IB = 0.0
-    R_IC = 28.454 * mu * s_0 * 0.302
-    delta_E = 0.242 * (1 + 4 * K_sq) * dE_xi * dE_h
-    R_C = 28.454 * mu * geom.h_c / Q_sq
-    R_E = 28.454 * mu * delta_E * s_0
-
-    R_p = R_S + R_IS + R_IB + scale * (R_IC + R_C + R_E)
+    R_IC = mu * A_IC
+    R_C = mu * A_C / (1 + SQUARE_SLIP_SLOPE * K_sq) * scale
+    R_E = mu * A_E * (1 + 4 * K_sq)
     return _new(CellResistanceBreakdown,
-                (R_S, R_IS, R_IB, scale * R_IC, scale * R_C, scale * R_E, R_p))
+                (R_S, R_IS, R_IB, R_IC, R_C, R_E, R_S + R_IS + R_IB + R_IC + R_C + R_E))
 
 
-def damping_border_coupled(geom: PlateGeometry, gas: GasProperties, R_p: float) -> ModelResult:
+def damping_border_coupled(geom: PlateGeometry, gas: GasProperties, R_p: float,
+                           model: str = "border",
+                           breakdown: CellResistanceBreakdown | None = None) -> ModelResult:
     """Double-series damping of a perforated plate whose cells (resistance R_p
     each) are coupled to border flow past slip-corrected effective plate edges.
 
@@ -462,46 +499,64 @@ def damping_border_coupled(geom: PlateGeometry, gas: GasProperties, R_p: float) 
     alpha_m = g m^2/a^2 + 1/r and beta = g/b^2. It is symmetric in
     (a, m) <-> (b, n); a is the short side, so b >= a keeps every inner
     bracket pi^2/8 - pi*tanh(pi c_m/2)/(4 c_m), c_m = sqrt(alpha_m/beta) >= 1,
-    clear of cancellation. The module comment gives the outer sum.
+    clear of cancellation. The module comment gives the outer sum. The result
+    is labelled `model` and carries `breakdown`, so M3/M4 return it as it is.
     """
     if not 0 < R_p < math.inf:
         raise ModelDomainError("cell resistance must be positive and finite")
     try:
+        d = geom.derived
         h, mu = geom.h, gas.mu
         K_ch = gas.lam / h
         edge = 1.3 * (1 + 3.3 * K_ch) * h
-        a, b = geom.derived.short + edge, geom.derived.long + edge
-        g = _PI6 * h**3 * (1 + CHANNEL_SLIP_SLOPE * K_ch) / (768 * mu * a * b)
+        a, b = d.short + edge, d.long + edge
+        g = _PI6 * d.h3 * (1 + CHANNEL_SLIP_SLOPE * K_ch) / (768 * mu * a * b)
         inv_r = _PI4 / (64 * geom.M * geom.N * R_p)
-        d2 = a**2 * inv_r / g
+        a2 = a**2
+        d2 = a2 * inv_r / g
 
-        # (pi^2/8) sum_m 1/(m^2 alpha_m) = (pi^2/8)^2 r (1 - tanh(y)/y) with y = pi*d/2;
-        # the bracket cancels as d -> 0 (sealed holes), which _edge_leak_bracket handles
-        exact = _PI2_8_SQ / inv_r * _edge_leak_bracket(2 / (math.pi * math.sqrt(d2)))
+        # (pi^2/8) sum_m 1/(m^2 alpha_m) = (pi^2/8)^2 r (1 - tanh(y)/y) with y = pi*d/2.
+        # The bracket cancels as d -> 0 (sealed holes); there it is y^2 times
+        # _leak_series(y^2), and r*y^2 = pi^2 a^2/(4 g) holds no r, so neither a
+        # huge r nor an underflowing d^2 reaches the result.
+        y2 = _PI2_4 * d2
+        if y2 < _LEAK_SWITCH_Y2:
+            exact = _PI6_256 * a2 / g * _leak_series(y2)
+        else:  # the direct form of _edge_leak_bracket(t), t = 1/y
+            t = 2 / (math.pi * math.sqrt(d2))
+            exact = _PI2_8_SQ / inv_r * (1.0 - t * math.tanh(1.0 / t))
 
         # sum_m pi*tanh(pi c_m/2)/(4 c_m m^2 alpha_m) = C sum_m tanh(pi c_m/2) f(m)
-        # with c_m = (b/a) sqrt(m^2 + d^2), d^2 = a^2/(g r) and C = pi a^3/(4 b g)
+        # with c_m = (b/a) sqrt(m^2 + d^2), d^2 = a^2/(g r) and C = pi a^3/(4 b g);
+        # k*sqrt(m^2 + d^2) grows with m, so from m = 1 on every tanh may be 1.0
         k = math.pi * b / (2 * a)
         explicit = 0.0
-        sqrt, tanh = math.sqrt, math.tanh
-        for m2 in _ODD_SQUARES:
-            q = m2 + d2
-            rq = sqrt(q)
-            explicit += tanh(k * rq) / (m2 * q * rq)
+        sqrt = math.sqrt
+        if k * sqrt(1 + d2) >= _TANH_ONE:
+            for m2 in _ODD_SQUARES:
+                q = m2 + d2
+                rq = sqrt(q)
+                explicit += 1 / (m2 * q * rq)
+        else:
+            tanh = math.tanh
+            for m2 in _ODD_SQUARES:
+                q = m2 + d2
+                rq = sqrt(q)
+                explicit += tanh(k * rq) / (m2 * q * rq)
         s2 = _X0SQ + d2
         s = sqrt(s2)
-        rho, sig = d2 / s2, _X0SQ / s2
+        sig = _X0SQ / s2
+        # s**3 is the one power left: its OverflowError refuses d^2 > 3e205
+        # (a vanishing R_p), where products would pass inf on
         f0 = 1 / (_X0SQ * s**3)
-        tail = 0.5 / (_X0 * s * (s + _X0) ** 2) + f0 * (
-            0.5 + (2 * rho + 5 * sig) * _EM1
-            - (((8 * rho + 36 * sig) * rho + 63 * sig**2) * rho + 70 * sig**3) * _EM3
-            + (((((16 * rho + 104 * sig) * rho + 286 * sig**2) * rho + 429 * sig**3) * rho
-                + 336 * sig**4) * rho + 336 * sig**5) * _EM5)
+        p = s + _X0
+        tail = 0.5 / (_X0 * s * (p * p)) + f0 * (
+            (((_TAIL5 * (sig * sig) + _TAIL3) * sig + _TAIL2) * sig + _TAIL1) * sig + _TAIL0)
         c = exact - math.pi * a**3 / (4 * b * g) * (explicit + tail)
     except ArithmeticError as exc:
         raise _out_of_range("border-coupled series", exc) from exc
     c = _checked("border-coupled series", c)
-    return _new(ModelResult, ("border", c, None, BORDER_TERMS, True))
+    return _new(ModelResult, (model, c, breakdown, BORDER_TERMS, True))
 
 
 def _cell_model(model: str, cell: Callable[..., CellResistanceBreakdown], geom: PlateGeometry,
@@ -511,8 +566,7 @@ def _cell_model(model: str, cell: Callable[..., CellResistanceBreakdown], geom: 
     try:
         br = cell(geom, gas)
         if border:
-            res = damping_border_coupled(geom, gas, br.R_p)
-            return _new(ModelResult, (model, res.c, br, res.series_terms, res.converged))
+            return damping_border_coupled(geom, gas, br.R_p, model, br)
         c = geom.M * geom.N * br.R_p
     except ArithmeticError as exc:
         raise _out_of_range(model.upper(), exc) from exc

@@ -10,9 +10,11 @@ arithmetic, so tests compare the two within 1e-12. to_file_search finds a
 device file's value by the ulp-by-ulp search that config._to_file's three
 candidates replace.
 
-border_truth sums the border series to 40 digits with mpmath, which is
-installed only to write tests/golden/border_truth.csv again:
-``PYTHONPATH=src python tests/oracles.py``. The tests read the file.
+border_truth sums the border series to 40 digits with mpmath, to write
+tests/golden/border_truth.csv again: ``PYTHONPATH=src python tests/oracles.py``.
+The tests read the file. cell_resistance_truth evaluates both cells'
+resistance formulas to 40 digits; the tests that call it, like those that
+recompute truth rows, are skipped where mpmath is not installed.
 """
 
 import csv
@@ -103,7 +105,8 @@ def border_truth_cases():
     with both cells' R_p in air; 50 seeded design points (tests/test_models_golden.py)
     with both; square plates, and a 100 um square plate stretched to b/a = 10,
     100 and 1000, with the circular cell's R_p scaled by 1e-3 ... 1e6; devices
-    A-F with R_p = 10^k from 1e-200 to 1e300; and devices A-F with R_p in
+    A-F with R_p = 10^k from 1e-200 to 1e308 (d^2 underflows from about 1e305);
+    and devices A-F with R_p in
     quarter decades from 1e-2 to 10^-0.25, where the exact part's bracket
     argument t = 2/(pi*d) runs through about 10 ... 300."""
     from perfdamp import compact_models as cm
@@ -133,7 +136,7 @@ def border_truth_cases():
             yield f"{name}.1e{k}", geom, air, R_p * float(f"1e{k}")
     for dev, geom in devices:
         for k in (-200, -150, -100, -50, -20, -10, -5, 0, 5, 10, 20, 50, 100, 150, 200, 250,
-                  300):
+                  300, 305, 308):
             yield f"range.{dev}.1e{k}", geom, air, float(f"1e{k}")
     for dev, geom in devices:
         for k in range(-8, 0):
@@ -151,6 +154,63 @@ def write_border_truth(path=BORDER_TRUTH):
             c = mp.nstr(border_truth(g, gas, R_p), 25, min_fixed=1, max_fixed=0)
             out.writerow([case, *map(repr, (g.L, g.W, g.M, g.N, g.s0, g.s1, g.h, g.h_c,
                                             gas.lam, gas.mu, R_p)), c])
+
+
+def cell_resistance_truth(geom, gas, shape, dps=40):
+    """The seven fields of the circular (shape "circular") or square ("square")
+    CellResistanceBreakdown, to `dps` significant digits with mpmath: the
+    formulas of the cell_resistance_circular/_square docstrings evaluated from
+    the plate's and gas's fields, with the decimal constants as written."""
+    import mpmath as mp
+
+    with mp.workdps(dps + 10):
+        mpf = mp.mpf
+        s0, s1, h, h_c = (mpf(v) for v in (geom.s0, geom.s1, geom.h, geom.h_c))
+        mu, lam = mpf(gas.mu), mpf(gas.lam)
+        s_X = s0 + s1
+        r_X = s_X / mp.sqrt(mp.pi)
+        xi = s0 / s_X
+        K_ch = lam / h
+        Q_ch = 1 + 6 * K_ch
+        if shape == "circular":
+            r_0 = mpf("1.096") / 2 * s0
+            rr, x, y = r_0 / r_X, r_0 / h, h_c / h
+            K_tb = lam / r_0
+            R_S = (12 * mp.pi * mu * r_X**4 / (Q_ch * h**3)
+                   * (mp.log(r_X / r_0) / 2 - mpf(3) / 8 + rr**2 / 2 - rr**4 / 8))
+            delta_S = (mpf("0.56") - mpf("0.32") * rr + mpf("0.86") * rr**2) / (1 + mpf("2.5") * K_ch)
+            R_IS = 6 * mp.pi * mu * (r_X**2 - r_0**2) ** 2 / (r_0 * h**2) * delta_S
+            f_B = 1 + x**4 * y**3 / (mpf("7.11") * (43 * y**3 + 1))
+            delta_B = (mpf("1.33") * (1 - mpf("0.812") * rr**2) * (1 + mpf("0.732") * K_tb)
+                       / (1 + K_ch) * f_B)
+            R_IB = 8 * mp.pi * mu * r_0 * delta_B
+            delta_C = (1 + 6 * K_tb) * (mpf("0.66") - mpf("0.41") * rr - mpf("0.25") * rr**2)
+            R_IC = 8 * mp.pi * mu * r_0 * delta_C
+            R_C = 8 * mp.pi * mu * h_c / (1 + 4 * K_tb)
+            f_E = 1 + x ** mpf("3.5") / (178 * (1 + mpf("17.5") * K_ch))
+            delta_E = (mpf("0.944") * 3 * mp.pi * (1 + mpf("0.216") * K_tb) / 16
+                       * (1 + mpf("0.2") * rr**2 - mpf("0.754") * rr**4) * f_E)
+            R_E = 8 * mp.pi * mu * delta_E * r_0
+            scale = (r_X / r_0) ** 4
+        elif shape == "square":
+            r_0E = mpf("0.58076") * s0 / (1 + mpf("0.02108") * xi**2 + mpf("0.008") * xi**4)
+            rr = r_0E / r_X
+            K_sq = lam / s0
+            R_S = (12 * mp.pi * mu * r_X**4 / (Q_ch * h**3)
+                   * (mp.log(r_X / r_0E) / 2 - mpf(3) / 8 + rr**2 / 2 - rr**4 / 8))
+            R_IS = (3 * mu * (s_X**2 - s0**2) ** 2 / (s0 * h**2)
+                    * mpf("0.122") * (1 + mpf("6.5") * xi - mpf("3.8") * xi**2))
+            R_IB = mpf(0)
+            R_IC = mpf("28.454") * mu * s0 * mpf("0.302")
+            R_C = mpf("28.454") * mu * h_c / (1 + mpf("7.567") * K_sq)
+            delta_E = (mpf("0.242") * (1 + 4 * K_sq) * (1 - xi**4)
+                       * (1 + mpf("0.019") * (s0 / h) ** mpf("2.83")))
+            R_E = mpf("28.454") * mu * delta_E * s0
+            scale = (s_X / s0) ** 4
+        else:
+            raise ValueError(f"unknown cell shape {shape!r}")
+        parts = (R_S, R_IS, R_IB, scale * R_IC, scale * R_C, scale * R_E)
+        return (*parts, mp.fsum(parts))
 
 
 def m2_damping(geom, gas):

@@ -90,6 +90,30 @@ class TestM2:
         assert math.pi**2 / 8 * cm._shape_bracket(al) == pytest.approx(direct, rel=1e-10, abs=0)
 
 
+class TestEdgeLeakBracket:
+    """1 - t*tanh(1/t), which M1, M2 and the border series' exact part share."""
+
+    def test_matches_truth(self):
+        # the direct form cancels as t grows; up to _LEAK_SWITCH = 2 it loses at
+        # most 3.7e-15, and the Taylor form above it is within 1e-15
+        mp = pytest.importorskip("mpmath")
+        misses = []
+        for k in range(-200, 801):
+            t = 10 ** (k / 100)
+            with mp.workdps(40):
+                err = abs(cm._edge_leak_bracket(t) / (1 - t * mp.tanh(1 / mp.mpf(t))) - 1)
+            if err > (4e-15 if t <= cm._LEAK_SWITCH else 1e-15):
+                misses.append((t, float(err)))
+        assert misses == []
+
+    def test_taylor_coefficients_are_those_of_tanh(self):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            tanh = mp.taylor(mp.tanh, 0, 2 * len(cm._LEAK_TAYLOR) + 1)
+        assert cm._LEAK_TAYLOR[::-1] == tuple(float(-tanh[2 * k + 3])
+                                             for k in range(len(cm._LEAK_TAYLOR)))
+
+
 class TestCellResistanceCircular:
     def test_type_a_contributions(self, dataset, gas):
         pct = cm.cell_resistance_circular(dataset["A"].geom, gas).percentages()
@@ -111,7 +135,7 @@ class TestCellResistanceCircular:
 
     def test_components_sum_to_total(self, dataset, gas):
         br = cm.cell_resistance_circular(dataset["A"].geom, gas)
-        assert sum(br[:6]) == pytest.approx(br.R_p, rel=1e-14, abs=0)
+        assert sum(br[:6]) == br.R_p
 
 
 class TestCellResistanceSquare:
@@ -132,7 +156,7 @@ class TestCellResistanceSquare:
 
     def test_components_sum_to_total(self, dataset, gas):
         br = cm.cell_resistance_square(dataset["A"].geom, gas)
-        assert sum(br[:6]) == pytest.approx(br.R_p, rel=1e-14, abs=0)
+        assert sum(br[:6]) == br.R_p
 
     def test_hole_components_are_referred_to_the_cell(self, dataset, gas):
         # R_IC = 28.454*mu*s0*0.302 before the (s_X/s0)^4 factor
@@ -151,6 +175,29 @@ class TestCellResistanceSquare:
             < 0.01 * cm.cell_resistance_square(base, gas).R_E
 
 
+# Largest relative error of a cell component against the 40-digit formulas;
+# the square cell's R_S loses up to 4.5e-14 to cancellation in
+# ln(r_X/r_0E)/2 - 3/8 + rr^2/2 - rr^4/8 where rr nears 1 (design point 49, D).
+CELL_TRUTH_BOUND = 2e-14
+CELL_TRUTH_BOUNDS = {("square", "R_S"): 5e-14}
+
+
+@pytest.mark.parametrize("shape, cell", [("circular", cm.cell_resistance_circular),
+                                         ("square", cm.cell_resistance_square)])
+def test_cell_resistance_matches_truth(dataset, gas, shape, cell):
+    mp = pytest.importorskip("mpmath")
+    points = [(rec.id, rec.geom, gas) for rec in dataset.values()] + list(design_points())
+    assert len(points) == 306
+    misses = []
+    for dev, geom, gs in points:
+        br = cell(geom, gs)
+        for name, got, want in zip(br._fields, br, oracles.cell_resistance_truth(geom, gs, shape)):
+            err = abs(mp.mpf(got) / want - 1) if want else abs(got)
+            if err > CELL_TRUTH_BOUNDS.get((shape, name), CELL_TRUTH_BOUND):
+                misses.append((dev, name, float(err)))
+    assert misses == []
+
+
 def _truth_rows():
     with oracles.BORDER_TRUTH.open(newline="", encoding="utf-8") as f:
         return list(csv.DictReader(f))
@@ -163,8 +210,8 @@ def _truth_inputs(row):
 
 
 # R_p = 10^k with a finite, positive border series on each device, in air
-BORDER_RANGE = {"A": (-211, 303), "B": (-211, 302), "C": (-211, 303), "D": (-211, 303),
-                "E": (-210, 303), "F": (-210, 303)}
+BORDER_RANGE = {"A": (-211, 308), "B": (-211, 308), "C": (-211, 308), "D": (-211, 308),
+                "E": (-210, 308), "F": (-210, 308)}
 
 
 class TestBorderCoupled:
@@ -198,12 +245,12 @@ class TestBorderCoupled:
 
     def test_matches_truth(self):
         # tests/golden/border_truth.csv: 40-digit sums, from tests/oracles.py. The
-        # bracket rows have R_p where _edge_leak_bracket(t) switches from its direct
-        # form to its Taylor tail at t = 100 and loses up to 5.9e-12 just below it,
-        # by cancellation; the series itself is as close there as anywhere.
+        # bracket rows put the exact part's bracket argument t = 2/(pi*d) at about
+        # 10 ... 300, where its direct form used to cancel (they needed 6e-12); the
+        # range rows reach R_p = 1e308, where d^2 underflows.
         rows = _truth_rows()
-        assert len(rows) == 298
-        bounds = {"bracket": 6e-12, **{dev: 1e-12 for dev in "ABCDEF"}}
+        assert len(rows) == 310
+        bounds = {dev: 1e-12 for dev in "ABCDEF"}
         misses = []
         for row in rows:
             c = cm.damping_border_coupled(*_truth_inputs(row)).c
@@ -224,7 +271,9 @@ class TestBorderCoupled:
 
     def test_finite_on_known_range(self, dataset, gas):
         # a tail that formed powers of d^2 would overflow at a larger R_p (a small
-        # R_p is a large d^2) and raise the lower ends
+        # R_p is a large d^2) and raise the lower ends; the sealed-hole form of the
+        # exact part holds no r, so the upper ends are the float maximum (the range
+        # rows of the truth file check 1e305 and 1e308)
         for dev, (lo, hi) in BORDER_RANGE.items():
             finite = []
             for k in range(-330, 330):
@@ -235,6 +284,25 @@ class TestBorderCoupled:
                 assert 0 < c < math.inf
                 finite.append(k)
             assert finite == list(range(lo, hi + 1)), dev
+
+    def test_tanh_skip_agrees_with_tanh_loop(self, monkeypatch, dataset, gas):
+        # math.tanh is exactly 1.0 from 19.0616 on, so skipping it once the smallest
+        # argument k*sqrt(1 + d^2) reaches _TANH_ONE changes no bit. On a square
+        # plate (k = pi/2) the R_p below put that argument at 19.1*(1 + j/1000).
+        assert cm._TANH_ONE == 19.1 and math.tanh(19.1) == 1.0 and math.tanh(19.0) < 1.0
+        geom = dataclasses.replace(dataset["A"].geom, W=dataset["A"].geom.L,
+                                   N=dataset["A"].geom.M)
+        K_ch = gas.lam / geom.h
+        a = geom.L + 1.3 * (1 + 3.3 * K_ch) * geom.h
+        g = math.pi**6 * geom.h**3 * (1 + 6 * K_ch) / (768 * gas.mu * a * a)
+        args = [19.1 * (1 + j / 1000) for j in range(-20, 21)]
+        R_ps = [math.pi**4 * a**2 / (64 * geom.M * geom.N * g * ((2 * x / math.pi) ** 2 - 1))
+                for x in args]
+        skipped = [cm.damping_border_coupled(geom, gas, R_p).c for R_p in R_ps]
+        monkeypatch.setattr(cm, "_TANH_ONE", math.inf)
+        looped = [cm.damping_border_coupled(geom, gas, R_p).c for R_p in R_ps]
+        assert skipped == looped
+        assert min(args) < 19.1 < max(args)
 
     def test_rejects_nonpositive_resistance(self, dataset, gas):
         with pytest.raises(cm.ModelDomainError):
@@ -329,14 +397,22 @@ class TestCellModelErrors:
         (math.nan, "cell resistance must be positive and finite"),
         (math.inf, "cell resistance must be positive and finite"),
         (1e-300, "border-coupled series is out of floating-point range (overflow)"),
-        (1e305, "border-coupled series is out of floating-point range (division by zero)"),
-    ], ids=["zero", "nan", "inf", "tiny", "huge"])
+    ], ids=["zero", "nan", "inf", "tiny"])
     def test_border_refusal_names_model(self, monkeypatch, dataset, gas, model, cell, R_p,
                                         message):
         real = getattr(cm, cell)
         monkeypatch.setattr(cm, cell, lambda geom, gas: real(geom, gas)._replace(R_p=R_p))
         with pytest.raises(cm.ModelDomainError, match=f"^{model.upper()} {re.escape(message)}$"):
             cm.evaluate(dataset["A"].geom, gas, (model,))
+
+    @pytest.mark.parametrize("model, cell", CELL_MODELS[:2])
+    def test_sealed_cell_is_not_refused(self, monkeypatch, dataset, gas, model, cell):
+        # R_p = 1e305 underflows d^2; M3/M4 give the sealed-hole series
+        real = getattr(cm, cell)
+        monkeypatch.setattr(cm, cell, lambda geom, gas: real(geom, gas)._replace(R_p=1e305))
+        res = cm.MODELS[model](dataset["A"].geom, gas)
+        assert res.c == cm.damping_border_coupled(dataset["A"].geom, gas, 1e305).c
+        assert res.c == pytest.approx(3.912442932295189e-04, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("model, cell", CELL_MODELS[2:])
     @pytest.mark.parametrize("R_p", [1e308, math.inf, math.nan])

@@ -16,11 +16,9 @@ FIELDS = {
     RegimeReport: ("K_ch", "K_hole", "sigma_plate", "sigma_cell", "Re",
                    "rarefaction_gap_pct", "rarefaction_hole_pct", "compressible", "inertial"),
     DerivedGeometry: ("s_X", "r_X", "r_0", "r_0E", "xi", "beta", "q",
-                      "H_eff", "eta", "l", "short", "long", "circular", "square"),
-    cm.CircularCellFactors: ("r_X4", "h3", "g_S", "g_IS", "r0h2", "dS_num", "f_B", "dB",
-                             "dC", "x35", "dE", "scale"),
-    cm.SquareCellFactors: ("r_X4", "h3", "g_S", "g_IS", "s0h2", "delta_S", "dE_xi", "dE_h",
-                           "scale"),
+                      "H_eff", "eta", "l", "short", "long", "h3", "circular", "square"),
+    cm.CircularCellFactors: ("A_S", "A_IS", "A_IB", "A_IC", "A_C", "A_E", "x35_178", "scale"),
+    cm.SquareCellFactors: ("A_S", "A_IS", "A_IC", "A_C", "A_E", "scale"),
     ExtractionResult: ("f0", "A_peak", "f1", "f2", "Q", "c"),
 }
 

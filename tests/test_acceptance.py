@@ -131,10 +131,13 @@ def test_criterion_7_property_suite(dataset, gas):
     R_p = cm.cell_resistance_circular(geom, gas).R_p
     assert cm.damping_border_coupled(geom, gas, R_p).c \
         == pytest.approx(oracles.border_series(geom, gas, R_p), rel=1e-9, abs=0)
-    # L <-> W symmetry of the border-coupled models
-    swapped = dataclasses.replace(geom, L=geom.W, W=geom.L, M=geom.N, N=geom.M)
-    for model in (cm.damping_m3, cm.damping_m4):
-        assert model(swapped, gas).c == pytest.approx(model(geom, gas).c, rel=1e-9)
+    # a plate turned by 90 degrees (L <-> W, M <-> N) gives every model's result
+    # and its regime report exactly
+    for rec in dataset.values():
+        turned = dataclasses.replace(rec.geom, L=rec.geom.W, W=rec.geom.L,
+                                     M=rec.geom.N, N=rec.geom.M)
+        assert cm.evaluate(turned, gas) == cm.evaluate(rec.geom, gas)
+        assert regime_report(turned, gas, rec.f0) == regime_report(rec.geom, gas, rec.f0)
     # rarefaction monotonicity in mean free path
     for model in (cm.damping_m3, cm.damping_m4, cm.damping_m5, cm.damping_m6):
         cs = [model(geom, GasProperties(lam=lam)).c for lam in (1e-300, 65e-9, 130e-9)]

@@ -81,7 +81,7 @@ class TestM2:
         assert res.series_terms <= 6
         assert res.c == pytest.approx(oracles.m2_damping(long_axis, gas), rel=1e-9, abs=0)
 
-    @pytest.mark.parametrize("al", [0.03, 2.0, 9.99, 10.01, 68.0, 1e3, 1e5])
+    @pytest.mark.parametrize("al", [0.03, 1.99, 2.0, 2.01, 68.0, 1e3, 1e5])
     def test_shape_bracket_both_branches(self, al):
         # (pi^2/8) * bracket = sum_{n odd} 1/(n^2 t_n^2); its closed form
         # cancels to O(al^-4) for large al, where a Taylor branch takes over
@@ -91,18 +91,25 @@ class TestM2:
 
 
 class TestEdgeLeakBracket:
-    """1 - t*tanh(1/t), which M1, M2 and the border series' exact part share."""
+    """1 - t*tanh(1/t), which M1, M2 and the border series' exact part share,
+    and M2's shape bracket, which evaluates it by the same Taylor table."""
 
-    def test_matches_truth(self):
-        # the direct form cancels as t grows; up to _LEAK_SWITCH = 2 it loses at
-        # most 3.7e-15, and the Taylor form above it is within 1e-15
+    # each bracket, its truth, and its bound up to and above _LEAK_SWITCH: the
+    # direct forms cancel as t grows, and the Taylor forms take over above it.
+    # The truth cancels too, to O(t^-4) at most, so it keeps 48 digits up to t = 1e8
+    @pytest.mark.parametrize("bracket,truth,below,above", [
+        (cm._edge_leak_bracket, lambda mp, t: 1 - t * mp.tanh(1 / t), 4e-15, 1e-15),
+        (cm._shape_bracket,
+         lambda mp, t: 1 - 1.5 * t * mp.tanh(1 / t) + 0.5 * mp.sech(1 / t) ** 2, 7e-14, 3e-15),
+    ], ids=["edge-leak", "shape"])
+    def test_matches_truth(self, bracket, truth, below, above):
         mp = pytest.importorskip("mpmath")
         misses = []
         for k in range(-200, 801):
             t = 10 ** (k / 100)
-            with mp.workdps(40):
-                err = abs(cm._edge_leak_bracket(t) / (1 - t * mp.tanh(1 / mp.mpf(t))) - 1)
-            if err > (4e-15 if t <= cm._LEAK_SWITCH else 1e-15):
+            with mp.workdps(80):
+                err = abs(bracket(t) / truth(mp, mp.mpf(t)) - 1)
+            if err > (below if t <= cm._LEAK_SWITCH else above):
                 misses.append((t, float(err)))
         assert misses == []
 

@@ -1,9 +1,6 @@
 import dataclasses
 import math
-import os
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -191,21 +188,27 @@ class TestDerivedGeometry:
     def test_each_module_can_be_imported_first(self, first):
         # geometry binds derive_geometry and DerivedGeometry from compact_models,
         # and compact_models and flow_regime import geometry: each order must
-        # load all three
-        script = (
-            f"{first}\n"
-            "from perfdamp.compact_models import damping_m3\n"
-            "from perfdamp.flow_regime import GasProperties\n"
-            "from perfdamp.geometry import PlateGeometry\n"
-            "geom = PlateGeometry(L=372.4e-6, W=66.4e-6, M=36, N=6, s0=5.0e-6, s1=5.2e-6,\n"
-            "                     h=1.6e-6, h_c=15e-6)\n"
-            "print(repr(damping_m3(geom, GasProperties()).c))\n"
-        )
-        src = str(Path(cm.__file__).parents[1])
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert float(proc.stdout) == cm.damping_m3(_plate(), GasProperties()).c
+        # load all three. The perfdamp modules leave sys.modules while the
+        # statements run, so every import loads its module afresh
+        loaded = {name: mod for name, mod in sys.modules.items()
+                  if name.partition(".")[0] == "perfdamp"}
+        for name in loaded:
+            del sys.modules[name]
+        scope = {}
+        try:
+            exec(f"{first}\n"
+                 "from perfdamp.compact_models import damping_m3\n"
+                 "from perfdamp.flow_regime import GasProperties\n"
+                 "from perfdamp.geometry import PlateGeometry\n", scope)
+        finally:
+            for name in [n for n in sys.modules if n.partition(".")[0] == "perfdamp"]:
+                del sys.modules[name]
+            sys.modules.update(loaded)
+        assert scope["damping_m3"] is not cm.damping_m3
+        geom = scope["PlateGeometry"](L=372.4e-6, W=66.4e-6, M=36, N=6, s0=5.0e-6,
+                                      s1=5.2e-6, h=1.6e-6, h_c=15e-6)
+        assert scope["damping_m3"](geom, scope["GasProperties"]()).c \
+            == cm.damping_m3(_plate(), GasProperties()).c
 
     def test_derived_once_per_plate(self, monkeypatch, gas):
         # counts every call, whichever perfdamp module it is reached through

@@ -23,15 +23,23 @@ Each model runs in two stages. The per-plate stage, `derive_geometry`, is
 one function that computes everything that depends on the plate alone and
 returns it as a DerivedGeometry: the equivalent cell (s_X, r_X, the
 impedance-matched hole radius r_0, the square cell's effective radius r_0E),
-q, the plate's orientation, H_eff, eta and l of M1 and M2, h^3, and the
-plate-only coefficients of both cell resistances. A PlateGeometry runs it
-once, when it is built, and keeps the result in `geom.derived`. The model
-functions are the gas stage: they read those factors and do only the
-arithmetic that involves the gas (and, in M2 and the border series, the
-series themselves), with the constant powers of pi taken from module
-constants; the border series labels its record with M3's or M4's name and
-cell breakdown. The factors of M1 and M2 are whole subexpressions of their
-formulas, evaluated in the same order, so that split changes no result bit.
+q, the plate's orientation, H_eff, eta and l of M1 and M2, h^3, M1's
+edge-leak bracket, M2's gamma with its series, and the plate-only
+coefficients of both cell resistances. M1 and M2 are continuum models and
+read the gas only through mu, so their brackets, M2's shape series and gamma
+are per-plate work: one tanh (or one Taylor pass, _leak_brackets) and at most
+a few exp per plate. A PlateGeometry runs the stage once, when it is built,
+and keeps the result in `geom.derived`. The model functions are the gas
+stage: they read those factors and do only the arithmetic that involves the
+gas (and, in the border series, the series itself), with the constant powers
+of pi taken from module constants; the border series labels its record with
+M3's or M4's name and cell breakdown. The factors of M1 and M2 are whole
+subexpressions of their formulas, evaluated in the same order, and the gas
+stage keeps each formula's final product as written, mu inside it, so that
+split changes no result bit. Where M1's or M2's per-plate arithmetic leaves
+the float range, the plate keeps that refusal (`m1_refusal`, `m2_refusal`)
+and the model raises it, worded as before, when it is called; the plate
+itself still builds, and the other models evaluate on it.
 A cell resistance is folded further: every plate-only product of a
 component is one coefficient A_X, which the gas stage multiplies by mu and
 the component's slip factor, and R_p is the float sum of the six
@@ -44,15 +52,7 @@ zero, and on a c that is not finite and positive.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Sequence
-
-from perfdamp.geometry import PlateGeometry, BeamGeometry, range_kind, require_positive
-from perfdamp.flow_regime import (
-    CHANNEL_SLIP_SLOPE,
-    SQUARE_SLIP_SLOPE,
-    TUBE_SLIP_SLOPE,
-    GasProperties,
-)
+from typing import Callable, NamedTuple, NoReturn, Sequence
 
 # Closed-form series. Both series run over odd indices and rest on
 # sum_{n odd} 1/(n^2 + c^2) = pi*tanh(pi*c/2)/(4c) (Gradshteyn & Ryzhik 1.421).
@@ -224,8 +224,13 @@ class DerivedGeometry(NamedTuple):
     eta = 1 + 3*r_0^4*K/(16*H_eff*h^3) with K = 4*beta^2 - beta^4 -
     4*ln(beta) - 3, the perforation-loading factor, and the attenuation length
     l = sqrt(2*h^3*H_eff*eta/(3*beta^2*r_0^2)). h3 = h^3, which M2 and the
-    border series read. circular, square: the plate-only coefficients of the
-    two cell resistances (the circular rr is beta).
+    border series read. With a = short/2 and al = l/a: leak = 1 - al*tanh(1/al),
+    M1's edge-leak bracket; gamma and m2_terms, M2's gamma and its
+    series_terms (see damping_m2). m1_refusal, m2_refusal: None, or the
+    (exception class, message) that M1 or M2 raises when called, because its
+    per-plate arithmetic left the float range (leak or gamma is then NaN).
+    circular, square: the plate-only coefficients of the two cell
+    resistances (the circular rr is beta).
     """
 
     s_X: float
@@ -241,6 +246,11 @@ class DerivedGeometry(NamedTuple):
     short: float
     long: float
     h3: float
+    leak: float
+    gamma: float
+    m2_terms: int
+    m1_refusal: tuple[type[ValueError], str] | None
+    m2_refusal: tuple[type[ValueError], str] | None
     circular: CircularCellFactors
     square: SquareCellFactors
 
@@ -266,26 +276,18 @@ def _leak_series(x: float) -> float:
     return p
 
 
-def _edge_leak_bracket(t: float) -> float:
-    """1 - t*tanh(1/t), the border-leakage attenuation of the plate response.
+def _leak_brackets(al: float) -> tuple[float, float]:
+    """(1 - al*tanh(1/al), 1 - 1.5*al*tanh(1/al) + 0.5*sech(1/al)^2): the
+    border-leakage attenuation of M1 and M2, and M2's shape bracket, the closed
+    form of (8/pi^2) * sum_{n odd} 1/(n^2 t_n^2) with t_n = 1 + (n*pi*al/2)^2.
 
-    Direct evaluation cancels as t grows (very leaky films), so above
-    _LEAK_SWITCH it is x*_leak_series(x) with x = 1/t^2.
-    """
-    if t > _LEAK_SWITCH:
-        x = 1.0 / (t * t)
-        return x * _leak_series(x)
-    return 1.0 - t * math.tanh(1.0 / t)
-
-
-def _shape_bracket(al: float) -> float:
-    """1 - 1.5*al*tanh(1/al) + 0.5*sech(1/al)^2, the closed form of
-    (8/pi^2) * sum_{n odd} 1/(n^2 t_n^2) with t_n = 1 + (n*pi*al/2)^2.
-
-    Its leading terms cancel down to O(al^-4) for al >> 1, so above
-    _LEAK_SWITCH it is x^2*(1.5*q + p - 0.5*x*p^2) with x = 1/al^2, the
-    Taylor series p = _leak_series(x) = q*x + 1/3 and q its sum without the
-    constant; it is within 3e-15 there, and the direct form below within 7e-14.
+    Both cancel as al grows (very leaky films), the shape bracket down to
+    O(al^-4), so above _LEAK_SWITCH they come from one Horner pass of
+    _LEAK_TAYLOR with x = 1/al^2: x*p and x^2*(1.5*q + p - 0.5*x*p^2), where
+    p = _leak_series(x) = q*x + 1/3 and q is its sum without the constant.
+    There the first is within 1e-15 and the second within 3e-15; below, the
+    direct forms share one tanh and are within 4e-15 and 7e-14. al = 0
+    divides by zero.
     """
     if al > _LEAK_SWITCH:
         x = 1.0 / (al * al)
@@ -293,16 +295,43 @@ def _shape_bracket(al: float) -> float:
         for c in _LEAK_TAYLOR[:-1]:
             q = q * x + c
         p = q * x + _LEAK_TAYLOR[-1]
-        return x * x * (1.5 * q + p - 0.5 * x * p * p)
+        return x * p, x * x * (1.5 * q + p - 0.5 * x * p * p)
     t = math.tanh(1.0 / al)
-    return 1.5 * _edge_leak_bracket(al) - 0.5 * t * t
+    leak = 1.0 - al * t
+    return leak, 1.5 * leak - 0.5 * t * t
+
+
+def _m2_gamma(al: float, kappa: float, leak: float, shape: float) -> tuple[float, int]:
+    """M2's gamma and the number of its explicit series terms (see damping_m2),
+    from al, kappa and the two _leak_brackets at al."""
+    k = math.pi * al / 2
+    s = _PI2_8 * shape
+    # x_n < TANH_SATURATION exactly when n*k < sqrt((TANH_SATURATION*al*kappa)^2 - 1),
+    # so no term is needed where that radicand is not positive
+    odd = ()
+    r2 = (TANH_SATURATION * al * kappa) ** 2 - 1
+    if r2 > 0:
+        odd = range(1, int(math.sqrt(r2) / k) + 1, 2)
+        ak = al * kappa
+        for n in odd:
+            t = 1 + (n * k) ** 2
+            s -= 2 / (math.exp(2 * math.sqrt(t) / ak) + 1) / (n**2 * t**2)
+    # 3*al^3*tanh(1/al) equals 6*al^3*sinh(1/al)^2/sinh(2/al) and cannot overflow
+    return 3 * al**2 * leak - 24 * al**3 * kappa / _PI2 * s, len(odd)
+
+
+def _refuse(refusal: tuple[type[ValueError], str]) -> NoReturn:
+    """Raise a refusal that derive_geometry kept for M1 or M2."""
+    cls, message = refusal
+    raise cls(message)
 
 
 def derive_geometry(geom: PlateGeometry) -> DerivedGeometry:
     """The DerivedGeometry of a plate, which PlateGeometry keeps as `derived`.
     Each repeated power is computed once, where it is first needed, and the
     steps keep their order: on a plate outside the float range the first step
-    that raises names the error."""
+    that raises names the error. M1's and M2's steps come last and raise
+    nothing: a float-range error there becomes that model's kept refusal."""
     s_0, h, h_c = geom.s0, geom.h, geom.h_c
     s_X = s_0 + geom.s1
     # area-matched: the circle with the area of the square cell
@@ -358,8 +387,28 @@ def derive_geometry(geom: PlateGeometry) -> DerivedGeometry:
     # percentages disagree with it by 2-3 points and are not used
     q = geom.M * geom.N * s_0**2 / (geom.L * geom.W)
     short, long = (geom.W, geom.L) if geom.W <= geom.L else (geom.L, geom.W)
+    # M1 and M2 read the plate's size through al = l/a, a = short/2. Their
+    # arithmetic may leave the float range here, and then refuses the model,
+    # not the plate: the refusal is kept and raised when the model is called
+    a = short / 2
+    al = l / a
+    gamma, m2_terms, m1_refusal, m2_refusal = math.nan, 0, None, None
+    try:
+        leak, shape = _leak_brackets(al)
+    except ZeroDivisionError as exc:  # al = 0
+        leak, m1_refusal = math.nan, (ModelDomainError, str(_out_of_range("M1", exc)))
+    if not 0 < al < math.inf:
+        m2_refusal = (ModelDomainError, "M2 attenuation length is not a positive finite number")
+    else:
+        try:
+            gamma, m2_terms = _m2_gamma(al, a / (long / 2), leak, shape)
+        except ArithmeticError as exc:
+            m2_refusal = (ModelDomainError, str(_out_of_range("M2", exc)))
+        except ValueError as exc:  # int() of a NaN series length, once pi*al/2 overflows
+            m2_refusal = (ValueError, str(exc))
     return _new(DerivedGeometry, (s_X, r_X, r_0, r_0E, xi, beta, q, H_eff, eta, l, short, long,
-                                  h3, circular, square))
+                                  h3, leak, gamma, m2_terms, m1_refusal, m2_refusal,
+                                  circular, square))
 
 
 def damping_m1(geom: PlateGeometry, gas: GasProperties) -> ModelResult:
@@ -371,18 +420,16 @@ def damping_m1(geom: PlateGeometry, gas: GasProperties) -> ModelResult:
 
     Note: the damping prefactor uses H_eff, not the bare plate height; with
     the bare height the model misses the published comparison by 10-18 points.
+    The bracket 1 - (l/a)*tanh(a/l) is `geom.derived.leak`.
     """
     d = geom.derived
     a = d.short / 2
     try:
-        c = (
-            2 * a * d.long
-            * (8 * gas.mu * d.H_eff / (d.beta**2 * d.r_0**2))
-            * d.eta
-            * _edge_leak_bracket(d.l / a)
-        )
+        c = 2 * a * d.long * (8 * gas.mu * d.H_eff / (d.beta**2 * d.r_0**2)) * d.eta * d.leak
     except ArithmeticError as exc:
         raise _out_of_range("M1", exc) from exc
+    if d.m1_refusal:
+        _refuse(d.m1_refusal)
     return _new(ModelResult, ("m1", _checked("M1", c), None, 0, True))
 
 
@@ -397,31 +444,18 @@ def damping_m2(geom: PlateGeometry, gas: GasProperties) -> ModelResult:
 
     As kappa <= 1, the series is the closed form of the series with tanh = 1,
     less at most about 6 terms 1 - tanh(x_n) that are not negligible;
-    `series_terms` counts those.
+    `series_terms` counts those. gamma and that count hold no gas, so
+    `derive_geometry` computes them (`geom.derived.gamma`, `.m2_terms`).
     """
     d = geom.derived
+    if d.m2_refusal:
+        _refuse(d.m2_refusal)
     a, b = d.short / 2, d.long / 2
-    kappa = a / b
-    al = d.l / a
-    if not 0 < al < math.inf:
-        raise ModelDomainError("M2 attenuation length is not a positive finite number")
-
     try:
-        k = math.pi * al / 2
-        s = _PI2_8 * _shape_bracket(al)
-        # x_n < TANH_SATURATION exactly when n*k < sqrt((TANH_SATURATION*al*kappa)^2 - 1)
-        n_last = math.sqrt(max((TANH_SATURATION * al * kappa) ** 2 - 1, 0.0)) / k
-        odd = range(1, int(n_last) + 1, 2)
-        for n in odd:
-            t = 1 + (n * k) ** 2
-            s -= 2 / (math.exp(2 * math.sqrt(t) / (al * kappa)) + 1) / (n**2 * t**2)
-
-        # 3*al^3*tanh(1/al) equals 6*al^3*sinh(1/al)^2/sinh(2/al) and cannot overflow
-        gamma = 3 * al**2 * _edge_leak_bracket(al) - 24 * al**3 * kappa / _PI2 * s
-        c = gamma * gas.mu * (2 * a) ** 3 * (2 * b) / d.h3
+        c = d.gamma * gas.mu * (2 * a) ** 3 * (2 * b) / d.h3
     except ArithmeticError as exc:
         raise _out_of_range("M2", exc) from exc
-    return _new(ModelResult, ("m2", _checked("M2", c), None, len(odd), True))
+    return _new(ModelResult, ("m2", _checked("M2", c), None, d.m2_terms, True))
 
 
 def cell_resistance_circular(geom: PlateGeometry, gas: GasProperties) -> CellResistanceBreakdown:
@@ -526,7 +560,7 @@ def damping_border_coupled(geom: PlateGeometry, gas: GasProperties, R_p: float,
         y2 = _PI2_4 * d2
         if y2 < _LEAK_SWITCH_Y2:
             exact = _PI6_256 * a2 / g * _leak_series(y2)
-        else:  # the direct form of _edge_leak_bracket(t), t = 1/y
+        else:  # the direct form of _leak_brackets' first bracket, t = 1/y
             t = 2 / (math.pi * math.sqrt(d2))
             exact = _PI2_8_SQ / inv_r * (1.0 - t * math.tanh(1.0 / t))
 
@@ -640,3 +674,15 @@ def beam_damping(beams: BeamGeometry, h: float, gas: GasProperties) -> float:
         beams.count * beams.L_b * (beams.W_b + 1.3 * h) ** 3 * gas.mu
         / (3 * h**3 * (1 + CHANNEL_SLIP_SLOPE * K_ch))
     )
+
+
+# geometry, compact_models and flow_regime each bind the others' names at their
+# end, after their own definitions, so any of the three can be imported first.
+from perfdamp.geometry import (  # noqa: E402
+    PlateGeometry, BeamGeometry, range_kind, require_positive)
+from perfdamp.flow_regime import (  # noqa: E402
+    CHANNEL_SLIP_SLOPE,
+    SQUARE_SLIP_SLOPE,
+    TUBE_SLIP_SLOPE,
+    GasProperties,
+)

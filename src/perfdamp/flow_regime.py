@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from perfdamp.geometry import PlateGeometry, require_positive
-
 SIGMA_THRESHOLD = 20.0
 RE_THRESHOLD = 6.0
 
@@ -89,3 +87,8 @@ def regime_report(geom: PlateGeometry, gas: GasProperties, f: float) -> RegimeRe
         K_ch, K_hole, sigma_plate, sigma_cell, Re,
         100.0 * CHANNEL_SLIP_SLOPE * K_ch, 100.0 * SQUARE_SLIP_SLOPE * K_hole,
         sigma_cell >= SIGMA_THRESHOLD, Re >= RE_THRESHOLD))
+
+
+# bound last, as geometry and compact_models bind theirs: any of the three
+# modules can be imported first
+from perfdamp.geometry import PlateGeometry, require_positive  # noqa: E402

@@ -110,6 +110,7 @@ class PlateGeometry:
         object.__setattr__(self, "derived", derived)
 
 
-# compact_models and flow_regime import the names above from this module, so
-# it binds the per-plate stage only once they are defined.
+# compact_models and flow_regime import the names above from this module, and
+# it imports theirs, so each of the three binds the others' names at its end,
+# after its own definitions: any of them can be imported first.
 from perfdamp.compact_models import DerivedGeometry, derive_geometry  # noqa: E402

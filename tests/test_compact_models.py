@@ -81,34 +81,50 @@ class TestM2:
         assert res.series_terms <= 6
         assert res.c == pytest.approx(oracles.m2_damping(long_axis, gas), rel=1e-9, abs=0)
 
+    def test_series_overflow_refuses_m2_not_the_plate(self, gas):
+        # a 1e60 m gap puts al near 8e97, where t_n^2 of M2's series overflows:
+        # the plate builds, keeps M2's refusal, and the other models evaluate
+        geom = PlateGeometry(L=372.4e-6, W=66.4e-6, M=36, N=6, s0=5.0e-6, s1=5.2e-6,
+                             h=1e60, h_c=15e-6)
+        assert geom.derived.m2_refusal == (cm.ModelDomainError,
+                                           "M2 is out of floating-point range (overflow)")
+        for _ in range(2):  # the kept refusal is raised afresh on every call
+            with pytest.raises(cm.ModelDomainError,
+                               match=r"^M2 is out of floating-point range \(overflow\)$"):
+                cm.damping_m2(geom, gas)
+        for name in ("m1", "m3", "m4", "m5", "m6"):
+            c = cm.MODELS[name](geom, gas).c
+            assert math.isfinite(c) and c > 0
+
     @pytest.mark.parametrize("al", [0.03, 1.99, 2.0, 2.01, 68.0, 1e3, 1e5])
     def test_shape_bracket_both_branches(self, al):
         # (pi^2/8) * bracket = sum_{n odd} 1/(n^2 t_n^2); its closed form
         # cancels to O(al^-4) for large al, where a Taylor branch takes over
         n = range(199_999, 0, -2)
         direct = math.fsum(1 / (k**2 * (1 + (k * math.pi * al / 2) ** 2) ** 2) for k in n)
-        assert math.pi**2 / 8 * cm._shape_bracket(al) == pytest.approx(direct, rel=1e-10, abs=0)
+        shape = cm._leak_brackets(al)[1]
+        assert math.pi**2 / 8 * shape == pytest.approx(direct, rel=1e-10, abs=0)
 
 
 class TestEdgeLeakBracket:
-    """1 - t*tanh(1/t), which M1, M2 and the border series' exact part share,
-    and M2's shape bracket, which evaluates it by the same Taylor table."""
+    """The two outputs of _leak_brackets: 1 - t*tanh(1/t), which M1 and M2
+    share (and the border series' exact part, by its own branches), and M2's
+    shape bracket, which derive_geometry takes from the same tanh or Taylor pass."""
 
-    # each bracket, its truth, and its bound up to and above _LEAK_SWITCH: the
+    # each output, its truth, and its bound up to and above _LEAK_SWITCH: the
     # direct forms cancel as t grows, and the Taylor forms take over above it.
     # The truth cancels too, to O(t^-4) at most, so it keeps 48 digits up to t = 1e8
-    @pytest.mark.parametrize("bracket,truth,below,above", [
-        (cm._edge_leak_bracket, lambda mp, t: 1 - t * mp.tanh(1 / t), 4e-15, 1e-15),
-        (cm._shape_bracket,
-         lambda mp, t: 1 - 1.5 * t * mp.tanh(1 / t) + 0.5 * mp.sech(1 / t) ** 2, 7e-14, 3e-15),
+    @pytest.mark.parametrize("output,truth,below,above", [
+        (0, lambda mp, t: 1 - t * mp.tanh(1 / t), 4e-15, 1e-15),
+        (1, lambda mp, t: 1 - 1.5 * t * mp.tanh(1 / t) + 0.5 * mp.sech(1 / t) ** 2, 7e-14, 3e-15),
     ], ids=["edge-leak", "shape"])
-    def test_matches_truth(self, bracket, truth, below, above):
+    def test_matches_truth(self, output, truth, below, above):
         mp = pytest.importorskip("mpmath")
         misses = []
         for k in range(-200, 801):
             t = 10 ** (k / 100)
             with mp.workdps(80):
-                err = abs(bracket(t) / truth(mp, mp.mpf(t)) - 1)
+                err = abs(cm._leak_brackets(t)[output] / truth(mp, mp.mpf(t)) - 1)
             if err > (below if t <= cm._LEAK_SWITCH else above):
                 misses.append((t, float(err)))
         assert misses == []

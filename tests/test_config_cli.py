@@ -682,9 +682,10 @@ class TestCli:
     # evaluating a model leaves the float range: a tiny gap overflows x^4 of
     # the cell resistance, a tinier one underflows to a division by zero, a
     # tiny hole underflows the attenuation length's denominator, a huge plate
-    # overflows the perforation ratio, and a 1e104 m plate overflows M2's
-    # (2a)^3. The message ends in how the arithmetic left the range, not in
-    # Python's exception text.
+    # overflows the perforation ratio, a 1e104 m plate overflows M2's (2a)^3,
+    # and a 1e60 m gap overflows M2's series, which the plate evaluates when it
+    # is built and M2 refuses when it is called. The message ends in how the
+    # arithmetic left the range, not in Python's exception text.
     @pytest.mark.parametrize("fields,argv,code,message", [
         ({"h_um": 1e-84}, ["damp", "--model", "all"], cli.EXIT_USAGE,
          "device file: plate dimensions are out of floating-point range (overflow)"),
@@ -697,7 +698,9 @@ class TestCli:
          "device file: plate dimensions are out of floating-point range (overflow)"),
         ({"L_um": 1e110, "W_um": 1e110, "M": 5, "N": 5}, ["damp", "--model", "m2"],
          cli.EXIT_MODEL, "M2 is out of floating-point range (overflow)"),
-    ], ids=["tiny_gap", "vanishing_gap", "tiny_hole", "huge_plate", "model_overflow"])
+        ({"h_um": 1e66}, ["damp", "--model", "m2"], cli.EXIT_MODEL,
+         "M2 is out of floating-point range (overflow)"),
+    ], ids=["tiny_gap", "vanishing_gap", "tiny_hole", "huge_plate", "model_overflow", "huge_gap"])
     def test_out_of_float_range_one_error_line(self, tmp_path, capsys, fields, argv, code,
                                                message):
         device = _write(tmp_path, {**VALID, **fields})

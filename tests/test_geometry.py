@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import types
 
 import pytest
 
@@ -182,33 +183,72 @@ class TestDerivedGeometry:
         assert repr(a) == repr(b)
         assert "derived" not in repr(a)
 
-    @pytest.mark.parametrize("first", ["import perfdamp.compact_models",
-                                       "import perfdamp.flow_regime",
-                                       "from perfdamp.geometry import PlateGeometry"])
-    def test_each_module_can_be_imported_first(self, first):
-        # geometry binds derive_geometry and DerivedGeometry from compact_models,
-        # and compact_models and flow_regime import geometry: each order must
-        # load all three. The perfdamp modules leave sys.modules while the
-        # statements run, so every import loads its module afresh
+    # each statement's module loads first, then the two it imports at its end
+    @pytest.mark.parametrize("first, order", [
+        pytest.param(first, order, id=first) for first, order in [
+            ("import perfdamp.compact_models", ["compact_models", "geometry", "flow_regime"]),
+            ("import perfdamp.flow_regime", ["flow_regime", "geometry", "compact_models"]),
+            ("from perfdamp.geometry import PlateGeometry",
+             ["geometry", "compact_models", "flow_regime"]),
+        ]])
+    def test_each_module_can_be_imported_first(self, first, order):
+        # geometry, compact_models and flow_regime import each other's names,
+        # each at its end, so any of them can load first and then loads the other
+        # two. A bare module with the package's __path__ stands in for perfdamp,
+        # so that perfdamp/__init__ (which imports geometry first) does not run;
+        # the perfdamp modules leave sys.modules while the imports run, so each
+        # loads afresh, and a finder records the order in which they start
         loaded = {name: mod for name, mod in sys.modules.items()
                   if name.partition(".")[0] == "perfdamp"}
+        started = []
+
+        class Recorder:
+            @staticmethod
+            def find_spec(name, path=None, target=None):
+                if name.startswith("perfdamp."):
+                    started.append(name.removeprefix("perfdamp."))
+                return None
+
+        package = types.ModuleType("perfdamp")
+        package.__path__ = loaded["perfdamp"].__path__
         for name in loaded:
             del sys.modules[name]
-        scope = {}
+        sys.modules["perfdamp"] = package
+        sys.meta_path.insert(0, Recorder)
         try:
+            scope = {}
             exec(f"{first}\n"
                  "from perfdamp.compact_models import damping_m3\n"
                  "from perfdamp.flow_regime import GasProperties\n"
                  "from perfdamp.geometry import PlateGeometry\n", scope)
         finally:
+            sys.meta_path.remove(Recorder)
             for name in [n for n in sys.modules if n.partition(".")[0] == "perfdamp"]:
                 del sys.modules[name]
             sys.modules.update(loaded)
+        assert started == order
         assert scope["damping_m3"] is not cm.damping_m3
         geom = scope["PlateGeometry"](L=372.4e-6, W=66.4e-6, M=36, N=6, s0=5.0e-6,
                                       s1=5.2e-6, h=1.6e-6, h_c=15e-6)
         assert scope["damping_m3"](geom, scope["GasProperties"]()).c \
             == cm.damping_m3(_plate(), GasProperties()).c
+
+    def test_m1_m2_gas_stage_does_no_bracket_or_series_work(self, monkeypatch, dataset, gas):
+        # M1's and M2's brackets, M2's series and gamma run when a plate is
+        # built; with every tanh, exp and both helpers refused, the gas stage
+        # of A-F returns the same records
+        plates = [rec.geom for rec in dataset.values()]
+        before = [(cm.damping_m1(g, gas), cm.damping_m2(g, gas)) for g in plates]
+
+        def refuse(*args):
+            raise AssertionError("bracket or series work")
+
+        for mod, name in [(math, "tanh"), (math, "exp"), (cm, "_leak_brackets"),
+                          (cm, "_m2_gamma")]:
+            monkeypatch.setattr(mod, name, refuse)
+        assert [(cm.damping_m1(g, gas), cm.damping_m2(g, gas)) for g in plates] == before
+        with pytest.raises(AssertionError, match="bracket or series work"):
+            _plate()  # the per-plate stage does that work
 
     def test_derived_once_per_plate(self, monkeypatch, gas):
         # counts every call, whichever perfdamp module it is reached through

@@ -16,7 +16,8 @@ FIELDS = {
     RegimeReport: ("K_ch", "K_hole", "sigma_plate", "sigma_cell", "Re",
                    "rarefaction_gap_pct", "rarefaction_hole_pct", "compressible", "inertial"),
     DerivedGeometry: ("s_X", "r_X", "r_0", "r_0E", "xi", "beta", "q",
-                      "H_eff", "eta", "l", "short", "long", "h3", "circular", "square"),
+                      "H_eff", "eta", "l", "short", "long", "h3", "leak", "gamma", "m2_terms",
+                      "m1_refusal", "m2_refusal", "circular", "square"),
     cm.CircularCellFactors: ("A_S", "A_IS", "A_IB", "A_IC", "A_C", "A_E", "x35_178", "scale"),
     cm.SquareCellFactors: ("A_S", "A_IS", "A_IC", "A_C", "A_E", "scale"),
     ExtractionResult: ("f0", "A_peak", "f1", "f2", "Q", "c"),

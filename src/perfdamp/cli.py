@@ -19,6 +19,7 @@ from pathlib import Path
 
 from perfdamp import compact_models as cm
 from perfdamp import comparison as cmp
+from perfdamp.checks import require_positive
 from perfdamp.config import (
     CURVE_HEADER,
     ConfigError,
@@ -29,7 +30,6 @@ from perfdamp.config import (
     parse_length,
 )
 from perfdamp.flow_regime import GasProperties, regime_report
-from perfdamp.geometry import require_positive
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -127,10 +127,7 @@ def _cmd_compare(args) -> int:
 def _cmd_sweep(args) -> int:
     geom, _ = load_device(args.device)
     gas = _gas_from(args)
-    start, stop = parse_length(args.start), parse_length(args.stop)
-    require_positive(("--start", start), ("--stop", stop))
-    if not start < stop:
-        raise ConfigError("sweep start must be below stop")
+    start, stop = _bounds(args, parse_length, "sweep")
     if args.steps < 2:
         raise ConfigError("sweep needs at least 2 steps")
     models = args.models.split(",")
@@ -147,6 +144,15 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _bounds(args, parse, command: str) -> tuple[float, float]:
+    """--start and --stop, read by `parse`: positive, finite and start below stop."""
+    start, stop = parse(args.start), parse(args.stop)
+    require_positive(("--start", start), ("--stop", stop))
+    if not start < stop:
+        raise ConfigError(f"{command} start must be below stop")
+    return start, stop
+
+
 def _linspace(start: float, stop: float, n: int) -> list[float]:
     """``numpy.linspace(start, stop, n).tolist()`` for n >= 2, bit for bit."""
     step = (stop - start) / (n - 1)
@@ -155,10 +161,7 @@ def _linspace(start: float, stop: float, n: int) -> list[float]:
 
 def _cmd_frf_synth(args) -> int:
     from perfdamp import frf
-    start, stop = parse_frequency(args.start), parse_frequency(args.stop)
-    require_positive(("--start", start), ("--stop", stop))
-    if not start < stop:
-        raise ConfigError("frf synth start must be below stop")
+    start, stop = _bounds(args, parse_frequency, "frf synth")
     if args.points < frf.MIN_SAMPLES:
         raise ConfigError(f"frf synth needs at least {frf.MIN_SAMPLES} points")
     freqs = _linspace(start, stop, args.points)
@@ -273,8 +276,9 @@ def run(argv=None) -> int:
         return EXIT_MODEL if isinstance(exc, cm.ModelDomainError) else EXIT_USAGE
 
 
+# perfbench/cli_child.py is the last caller of this alias
 main = run
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

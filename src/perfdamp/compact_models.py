@@ -37,9 +37,9 @@ M3's or M4's name and cell breakdown. The factors of M1 and M2 are whole
 subexpressions of their formulas, evaluated in the same order, and the gas
 stage keeps each formula's final product as written, mu inside it, so that
 split changes no result bit. Where M1's or M2's per-plate arithmetic leaves
-the float range, the plate keeps that refusal (`m1_refusal`, `m2_refusal`)
-and the model raises it, worded as before, when it is called; the plate
-itself still builds, and the other models evaluate on it.
+the float range, the plate keeps that refusal's message (`m1_refusal`,
+`m2_refusal`) and the model raises it as a ModelDomainError when it is
+called; the plate itself still builds, and the other models evaluate on it.
 A cell resistance is folded further: every plate-only product of a
 component is one coefficient A_X, which the gas stage multiplies by mu and
 the component's slip factor, and R_p is the float sum of the six
@@ -52,7 +52,14 @@ zero, and on a c that is not finite and positive.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, NoReturn, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+
+from perfdamp.checks import ModelDomainError, out_of_range, require_positive
+from perfdamp.flow_regime import CHANNEL_SLIP_SLOPE, SQUARE_SLIP_SLOPE, TUBE_SLIP_SLOPE
+
+if TYPE_CHECKING:
+    from perfdamp.flow_regime import GasProperties
+    from perfdamp.geometry import BeamGeometry, PlateGeometry
 
 # Closed-form series. Both series run over odd indices and rest on
 # sum_{n odd} 1/(n^2 + c^2) = pi*tanh(pi*c/2)/(4c) (Gradshteyn & Ryzhik 1.421).
@@ -135,13 +142,6 @@ _SQRT_PI = math.sqrt(math.pi)
 # the Python-level __new__ of a NamedTuple class (which only fills in
 # defaults): _new(ModelResult, ("m1", c, None, 0, True)).
 _new = tuple.__new__
-
-
-class ModelDomainError(ValueError):
-    """The model's formulas are invalid for the given geometry, or a frequency
-    response has no peak, bandwidth or fit that Q can be extracted from. A
-    refusal of M1-M6 starts with the model's label (`M3 cell resistance must
-    be positive`), so a caller adds only the context it owns."""
 
 
 class CellResistanceBreakdown(NamedTuple):
@@ -227,8 +227,8 @@ class DerivedGeometry(NamedTuple):
     border series read. With a = short/2 and al = l/a: leak = 1 - al*tanh(1/al),
     M1's edge-leak bracket; gamma and m2_terms, M2's gamma and its
     series_terms (see damping_m2). m1_refusal, m2_refusal: None, or the
-    (exception class, message) that M1 or M2 raises when called, because its
-    per-plate arithmetic left the float range (leak or gamma is then NaN).
+    message of the ModelDomainError that M1 or M2 raises when called, because
+    its per-plate arithmetic left the float range (leak or gamma is then NaN).
     circular, square: the plate-only coefficients of the two cell
     resistances (the circular rr is beta).
     """
@@ -249,16 +249,10 @@ class DerivedGeometry(NamedTuple):
     leak: float
     gamma: float
     m2_terms: int
-    m1_refusal: tuple[type[ValueError], str] | None
-    m2_refusal: tuple[type[ValueError], str] | None
+    m1_refusal: str | None
+    m2_refusal: str | None
     circular: CircularCellFactors
     square: SquareCellFactors
-
-
-def _out_of_range(label: str, exc: ArithmeticError) -> ModelDomainError:
-    """A floating-point overflow or division by zero inside a model: the plate
-    or gas lies outside the range its formulas can be evaluated in."""
-    return ModelDomainError(f"{label} is out of floating-point range ({range_kind(exc)})")
 
 
 def _checked(label: str, c: float) -> float:
@@ -318,12 +312,6 @@ def _m2_gamma(al: float, kappa: float, leak: float, shape: float) -> tuple[float
             s -= 2 / (math.exp(2 * math.sqrt(t) / ak) + 1) / (n**2 * t**2)
     # 3*al^3*tanh(1/al) equals 6*al^3*sinh(1/al)^2/sinh(2/al) and cannot overflow
     return 3 * al**2 * leak - 24 * al**3 * kappa / _PI2 * s, len(odd)
-
-
-def _refuse(refusal: tuple[type[ValueError], str]) -> NoReturn:
-    """Raise a refusal that derive_geometry kept for M1 or M2."""
-    cls, message = refusal
-    raise cls(message)
 
 
 def derive_geometry(geom: PlateGeometry) -> DerivedGeometry:
@@ -396,16 +384,15 @@ def derive_geometry(geom: PlateGeometry) -> DerivedGeometry:
     try:
         leak, shape = _leak_brackets(al)
     except ZeroDivisionError as exc:  # al = 0
-        leak, m1_refusal = math.nan, (ModelDomainError, str(_out_of_range("M1", exc)))
+        leak, m1_refusal = math.nan, str(out_of_range("M1", exc))
     if not 0 < al < math.inf:
-        m2_refusal = (ModelDomainError, "M2 attenuation length is not a positive finite number")
+        m2_refusal = "M2 attenuation length is not a positive finite number"
     else:
         try:
             gamma, m2_terms = _m2_gamma(al, a / (long / 2), leak, shape)
-        except ArithmeticError as exc:
-            m2_refusal = (ModelDomainError, str(_out_of_range("M2", exc)))
-        except ValueError as exc:  # int() of a NaN series length, once pi*al/2 overflows
-            m2_refusal = (ValueError, str(exc))
+        # ValueError: int() of a NaN series length, inf/inf once pi*al/2 overflows
+        except (ArithmeticError, ValueError) as exc:
+            m2_refusal = str(out_of_range("M2", exc))
     return _new(DerivedGeometry, (s_X, r_X, r_0, r_0E, xi, beta, q, H_eff, eta, l, short, long,
                                   h3, leak, gamma, m2_terms, m1_refusal, m2_refusal,
                                   circular, square))
@@ -427,9 +414,9 @@ def damping_m1(geom: PlateGeometry, gas: GasProperties) -> ModelResult:
     try:
         c = 2 * a * d.long * (8 * gas.mu * d.H_eff / (d.beta**2 * d.r_0**2)) * d.eta * d.leak
     except ArithmeticError as exc:
-        raise _out_of_range("M1", exc) from exc
+        raise out_of_range("M1", exc) from exc
     if d.m1_refusal:
-        _refuse(d.m1_refusal)
+        raise ModelDomainError(d.m1_refusal)
     return _new(ModelResult, ("m1", _checked("M1", c), None, 0, True))
 
 
@@ -449,12 +436,12 @@ def damping_m2(geom: PlateGeometry, gas: GasProperties) -> ModelResult:
     """
     d = geom.derived
     if d.m2_refusal:
-        _refuse(d.m2_refusal)
+        raise ModelDomainError(d.m2_refusal)
     a, b = d.short / 2, d.long / 2
     try:
         c = d.gamma * gas.mu * (2 * a) ** 3 * (2 * b) / d.h3
     except ArithmeticError as exc:
-        raise _out_of_range("M2", exc) from exc
+        raise out_of_range("M2", exc) from exc
     return _new(ModelResult, ("m2", _checked("M2", c), None, d.m2_terms, True))
 
 
@@ -592,7 +579,7 @@ def damping_border_coupled(geom: PlateGeometry, gas: GasProperties, R_p: float,
             (((_TAIL5 * (sig * sig) + _TAIL3) * sig + _TAIL2) * sig + _TAIL1) * sig + _TAIL0)
         c = exact - math.pi * a**3 / (4 * b * g) * (explicit + tail)
     except ArithmeticError as exc:
-        raise _out_of_range("border-coupled series", exc) from exc
+        raise out_of_range("border-coupled series", exc) from exc
     c = _checked("border-coupled series", c)
     return _new(ModelResult, (model, c, breakdown, BORDER_TERMS, True))
 
@@ -607,7 +594,7 @@ def _cell_model(model: str, cell: Callable[..., CellResistanceBreakdown], geom: 
             return damping_border_coupled(geom, gas, br.R_p, model, br)
         c = geom.M * geom.N * br.R_p
     except ArithmeticError as exc:
-        raise _out_of_range(model.upper(), exc) from exc
+        raise out_of_range(model.upper(), exc) from exc
     except ModelDomainError as exc:
         raise ModelDomainError(f"{model.upper()} {exc}") from exc
     return _new(ModelResult, (model, _checked(model.upper(), c), br, 0, True))
@@ -666,23 +653,17 @@ def beam_damping(beams: BeamGeometry, h: float, gas: GasProperties) -> float:
     Evaluating the published expression as printed gives 0.133e-6 Ns/m for the
     reference beams (the source quotes 0.16e-6, which matches the same formula
     without the slip divisor; both are negligible next to the plate damping).
-    The leading beam count replaces the printed factor of 4.
+    The leading beam count replaces the printed factor of 4. A gap whose
+    arithmetic leaves the float range, or gives an inf or NaN drag, is refused.
     """
     require_positive(("air gap", h))
     K_ch = gas.lam / h
-    return (
-        beams.count * beams.L_b * (beams.W_b + 1.3 * h) ** 3 * gas.mu
-        / (3 * h**3 * (1 + CHANNEL_SLIP_SLOPE * K_ch))
-    )
+    try:
+        c = (beams.count * beams.L_b * (beams.W_b + 1.3 * h) ** 3 * gas.mu
+             / (3 * h**3 * (1 + CHANNEL_SLIP_SLOPE * K_ch)))
+    except ArithmeticError as exc:
+        raise out_of_range("beam drag", exc) from exc
+    if not c < math.inf:  # inf from a product, or NaN: h^3 underflowed, K_ch overflowed
+        raise out_of_range("beam drag")
+    return c
 
-
-# geometry, compact_models and flow_regime each bind the others' names at their
-# end, after their own definitions, so any of the three can be imported first.
-from perfdamp.geometry import (  # noqa: E402
-    PlateGeometry, BeamGeometry, range_kind, require_positive)
-from perfdamp.flow_regime import (  # noqa: E402
-    CHANNEL_SLIP_SLOPE,
-    SQUARE_SLIP_SLOPE,
-    TUBE_SLIP_SLOPE,
-    GasProperties,
-)

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from perfdamp.geometry import PlateGeometry, BeamGeometry, require_non_negative, require_positive
+from perfdamp.checks import require_non_negative, require_positive
+from perfdamp.geometry import PlateGeometry, BeamGeometry
 from perfdamp.flow_regime import GasProperties
 from perfdamp import compact_models as cm
 

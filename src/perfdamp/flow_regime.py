@@ -10,7 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
+
+from perfdamp.checks import out_of_range, require_positive
+
+if TYPE_CHECKING:
+    from perfdamp.geometry import PlateGeometry
 
 SIGMA_THRESHOLD = 20.0
 RE_THRESHOLD = 6.0
@@ -25,6 +30,7 @@ SQUARE_SLIP_SLOPE = 7.567
 # Builds a record from the tuple of all its field values in order, without
 # the Python-level __new__ of a NamedTuple class.
 _new = tuple.__new__
+_INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -71,7 +77,8 @@ def regime_report(geom: PlateGeometry, gas: GasProperties, f: float) -> RegimeRe
     cell squeeze number uses the wall width s1, and the channel Reynolds
     number uses r = s0/2. Kn = lam/length, sigma = 12*mu*w^2*omega/(P_A*h^2)
     for the dominating dimension w, and Re = rho*r^2*omega/mu. The plate and
-    the gas are validated when they are built, so only f is checked here.
+    the gas are validated when they are built, so only f is checked here; a
+    report with a number that leaves the float range is refused.
     """
     require_positive(("frequency", f))
     omega = 2.0 * math.pi * f
@@ -79,16 +86,20 @@ def regime_report(geom: PlateGeometry, gas: GasProperties, f: float) -> RegimeRe
     K_ch = lam / h
     K_hole = lam / s0
     mu12 = 12.0 * mu
-    P_Ah2 = gas.P_A * h**2
-    sigma_plate = mu12 * geom.derived.short ** 2 * omega / P_Ah2
-    sigma_cell = mu12 * geom.s1**2 * omega / P_Ah2
-    Re = gas.rho * (s0 / 2.0) ** 2 * omega / mu
+    try:
+        P_Ah2 = gas.P_A * h**2
+        sigma_plate = mu12 * geom.derived.short ** 2 * omega / P_Ah2
+        sigma_cell = mu12 * geom.s1**2 * omega / P_Ah2
+        Re = gas.rho * (s0 / 2.0) ** 2 * omega / mu
+    except ArithmeticError as exc:
+        raise out_of_range("regime report", exc) from exc
+    gap_pct = 100.0 * CHANNEL_SLIP_SLOPE * K_ch
+    hole_pct = 100.0 * SQUARE_SLIP_SLOPE * K_hole
+    # no number is negative, so one that is not below inf is inf or NaN: an
+    # overflow (K_ch and K_hole are finite where their percentages are)
+    if not (gap_pct < _INF and hole_pct < _INF and sigma_plate < _INF and sigma_cell < _INF
+            and Re < _INF):
+        raise out_of_range("regime report")
     return _new(RegimeReport, (
-        K_ch, K_hole, sigma_plate, sigma_cell, Re,
-        100.0 * CHANNEL_SLIP_SLOPE * K_ch, 100.0 * SQUARE_SLIP_SLOPE * K_hole,
+        K_ch, K_hole, sigma_plate, sigma_cell, Re, gap_pct, hole_pct,
         sigma_cell >= SIGMA_THRESHOLD, Re >= RE_THRESHOLD))
-
-
-# bound last, as geometry and compact_models bind theirs: any of the three
-# modules can be imported first
-from perfdamp.geometry import PlateGeometry, require_positive  # noqa: E402

@@ -16,9 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from perfdamp.compact_models import ModelDomainError
+from perfdamp.checks import ModelDomainError, require_non_negative, require_positive
 from perfdamp.config import CURVE_HEADER
-from perfdamp.geometry import require_non_negative, require_positive
 
 POLY_DEGREE = 6
 MIN_WINDOW = 9

@@ -12,34 +12,14 @@ factors of M1-M6), belong to `compact_models`, which gives their formulas.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+
+from perfdamp.checks import range_kind, require_non_negative, require_positive
+from perfdamp.compact_models import DerivedGeometry, derive_geometry
 
 # Perforation grid may overhang the plate outline by this much before the
 # geometry is rejected (fabricated devices have border margins either way).
 _GRID_SLACK = 1.10
-
-
-def require_positive(*named: tuple[str, float]) -> None:
-    """Refuse the first (name, value) pair whose value is not in (0, inf),
-    NaN included, with a ValueError that names it. The message carries no
-    value: callers such as `config` rename the field into a unit of their own."""
-    for name, value in named:
-        if not 0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite")
-
-
-def require_non_negative(*named: tuple[str, float]) -> None:
-    """The sibling of require_positive for quantities in [0, inf): refuse the
-    first (name, value) pair outside it, NaN included, naming it."""
-    for name, value in named:
-        if not 0 <= value < math.inf:
-            raise ValueError(f"{name} must be non-negative and finite")
-
-
-def range_kind(exc: ArithmeticError) -> str:
-    """How an ArithmeticError left the float range: 'division by zero' or 'overflow'."""
-    return "division by zero" if isinstance(exc, ZeroDivisionError) else "overflow"
 
 
 def _require_int(*named: tuple[str, int]) -> None:
@@ -108,9 +88,3 @@ class PlateGeometry:
             raise ValueError(f"plate dimensions are out of floating-point range "
                              f"({range_kind(exc)})") from exc
         object.__setattr__(self, "derived", derived)
-
-
-# compact_models and flow_regime import the names above from this module, and
-# it imports theirs, so each of the three binds the others' names at its end,
-# after its own definitions: any of them can be imported first.
-from perfdamp.compact_models import DerivedGeometry, derive_geometry  # noqa: E402

@@ -86,8 +86,7 @@ class TestM2:
         # the plate builds, keeps M2's refusal, and the other models evaluate
         geom = PlateGeometry(L=372.4e-6, W=66.4e-6, M=36, N=6, s0=5.0e-6, s1=5.2e-6,
                              h=1e60, h_c=15e-6)
-        assert geom.derived.m2_refusal == (cm.ModelDomainError,
-                                           "M2 is out of floating-point range (overflow)")
+        assert geom.derived.m2_refusal == "M2 is out of floating-point range (overflow)"
         for _ in range(2):  # the kept refusal is raised afresh on every call
             with pytest.raises(cm.ModelDomainError,
                                match=r"^M2 is out of floating-point range \(overflow\)$"):
@@ -536,6 +535,15 @@ class TestBeamDamping:
         two = BeamGeometry(L_b=122e-6, W_b=4e-6, count=2)
         assert cm.beam_damping(self.BEAMS, 1.6e-6, gas) \
             == pytest.approx(2 * cm.beam_damping(two, 1.6e-6, gas), rel=1e-12, abs=0)
+
+    # a huge gap overflows (W_b + 1.3h)^3, a tiny one underflows h^3 to 0, and
+    # the smallest one also overflows K_ch, so inf*0 would come out as NaN
+    @pytest.mark.parametrize("h, kind", [(1e200, "overflow"), (1e-120, "division by zero"),
+                                         (5e-324, "overflow")], ids=["huge", "tiny", "smallest"])
+    def test_gap_outside_float_range_refused(self, gas, h, kind):
+        with pytest.raises(cm.ModelDomainError,
+                           match=rf"^beam drag is out of floating-point range \({kind}\)$"):
+            cm.beam_damping(self.BEAMS, h, gas)
 
 
 class TestGlobalProperties:

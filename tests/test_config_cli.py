@@ -482,7 +482,8 @@ class TestCli:
     @pytest.mark.parametrize("start,stop,message", [
         ("1um", "1e400um", "--stop must be positive and finite"),
         ("0um", "3um", "--start must be positive and finite"),
-    ], ids=["stop-inf", "start-zero"])
+        ("3um", "1um", "sweep start must be below stop"),
+    ], ids=["stop-inf", "start-zero", "start-above-stop"])
     def test_sweep_refuses_range_outside_positive(self, capsys, start, stop, message):
         assert cli.run(["sweep", "--device", str(DEVICES / "A.json"),
                         "--parameter", "h", "--start", start,
@@ -684,7 +685,9 @@ class TestCli:
     # tiny hole underflows the attenuation length's denominator, a huge plate
     # overflows the perforation ratio, a 1e104 m plate overflows M2's (2a)^3,
     # and a 1e60 m gap overflows M2's series, which the plate evaluates when it
-    # is built and M2 refuses when it is called. The message ends in how the
+    # is built and M2 refuses when it is called; so does an al ~ 7.7e307, which
+    # overflows pi*al/2 and the series length with it. A 1e200 m plate builds
+    # but overflows the plate's squeeze number. The message ends in how the
     # arithmetic left the range, not in Python's exception text.
     @pytest.mark.parametrize("fields,argv,code,message", [
         ({"h_um": 1e-84}, ["damp", "--model", "all"], cli.EXIT_USAGE,
@@ -700,7 +703,13 @@ class TestCli:
          cli.EXIT_MODEL, "M2 is out of floating-point range (overflow)"),
         ({"h_um": 1e66}, ["damp", "--model", "m2"], cli.EXIT_MODEL,
          "M2 is out of floating-point range (overflow)"),
-    ], ids=["tiny_gap", "vanishing_gap", "tiny_hole", "huge_plate", "model_overflow", "huge_gap"])
+        ({"L_um": 6.6e-156, "W_um": 6.6e-156, "M": 1, "N": 1, "s0_um": 3e-156,
+          "s1_um": 3e-156, "h_um": 0.02, "hc_um": 0.02}, ["damp", "--model", "m2"],
+         cli.EXIT_MODEL, "M2 is out of floating-point range (overflow)"),
+        ({"L_um": 1e206, "W_um": 1e206}, ["regime", "--freq", "200kHz"], cli.EXIT_MODEL,
+         "regime report is out of floating-point range (overflow)"),
+    ], ids=["tiny_gap", "vanishing_gap", "tiny_hole", "huge_plate", "model_overflow", "huge_gap",
+            "series_length_overflow", "regime_overflow"])
     def test_out_of_float_range_one_error_line(self, tmp_path, capsys, fields, argv, code,
                                                message):
         device = _write(tmp_path, {**VALID, **fields})

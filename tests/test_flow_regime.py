@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from perfdamp.checks import ModelDomainError
 from perfdamp.flow_regime import GasProperties, regime_report
 from perfdamp.geometry import PlateGeometry
 
@@ -147,3 +148,11 @@ class TestRegimeReport:
     def test_refuses_frequency_outside_positive_finite(self, dataset, gas, f):
         with pytest.raises(ValueError, match="^frequency must be positive and finite$"):
             regime_report(dataset["A"].geom, gas, f)
+
+    def test_refuses_nan_squeeze_number(self):
+        # with a 1e100 m gap, P_A*h^2 and omega are both inf, so sigma_plate
+        # would come out as inf/inf = NaN (test_config_cli pins short^2 overflowing)
+        geom = dataclasses.replace(PLATE_A, h=1e100)
+        with pytest.raises(ModelDomainError,
+                           match=r"^regime report is out of floating-point range \(overflow\)$"):
+            regime_report(geom, GasProperties(P_A=1e308), 1e308)

@@ -183,19 +183,20 @@ class TestDerivedGeometry:
         assert repr(a) == repr(b)
         assert "derived" not in repr(a)
 
-    # each statement's module loads first, then the two it imports at its end
+    # each statement's module loads first, then only the modules it imports
     @pytest.mark.parametrize("first, order", [
         pytest.param(first, order, id=first) for first, order in [
-            ("import perfdamp.compact_models", ["compact_models", "geometry", "flow_regime"]),
-            ("import perfdamp.flow_regime", ["flow_regime", "geometry", "compact_models"]),
+            ("import perfdamp.checks", ["checks"]),
+            ("import perfdamp.compact_models", ["compact_models", "checks", "flow_regime"]),
+            ("import perfdamp.flow_regime", ["flow_regime", "checks"]),
             ("from perfdamp.geometry import PlateGeometry",
-             ["geometry", "compact_models", "flow_regime"]),
+             ["geometry", "checks", "compact_models", "flow_regime"]),
         ]])
     def test_each_module_can_be_imported_first(self, first, order):
-        # geometry, compact_models and flow_regime import each other's names,
-        # each at its end, so any of them can load first and then loads the other
-        # two. A bare module with the package's __path__ stands in for perfdamp,
-        # so that perfdamp/__init__ (which imports geometry first) does not run;
+        # the model modules import one way, geometry -> compact_models ->
+        # flow_regime -> checks, each at its top, so any of them can load first.
+        # A bare module with the package's __path__ stands in for perfdamp, so
+        # that perfdamp/__init__ (which imports geometry first) does not run;
         # the perfdamp modules leave sys.modules while the imports run, so each
         # loads afresh, and a finder records the order in which they start
         loaded = {name: mod for name, mod in sys.modules.items()
@@ -217,8 +218,9 @@ class TestDerivedGeometry:
         sys.meta_path.insert(0, Recorder)
         try:
             scope = {}
-            exec(f"{first}\n"
-                 "from perfdamp.compact_models import damping_m3\n"
+            exec(first, scope)
+            first_started = list(started)
+            exec("from perfdamp.compact_models import damping_m3\n"
                  "from perfdamp.flow_regime import GasProperties\n"
                  "from perfdamp.geometry import PlateGeometry\n", scope)
         finally:
@@ -226,7 +228,7 @@ class TestDerivedGeometry:
             for name in [n for n in sys.modules if n.partition(".")[0] == "perfdamp"]:
                 del sys.modules[name]
             sys.modules.update(loaded)
-        assert started == order
+        assert first_started == order
         assert scope["damping_m3"] is not cm.damping_m3
         geom = scope["PlateGeometry"](L=372.4e-6, W=66.4e-6, M=36, N=6, s0=5.0e-6,
                                       s1=5.2e-6, h=1.6e-6, h_c=15e-6)
@@ -252,7 +254,7 @@ class TestDerivedGeometry:
 
     def test_derived_once_per_plate(self, monkeypatch, gas):
         # counts every call, whichever perfdamp module it is reached through
-        # (a plate calls compact_models.derive_geometry through geometry's binding)
+        # (a plate calls compact_models.derive_geometry through geometry's import)
         calls = []
 
         def counting(geom):

@@ -24,34 +24,41 @@ one function that computes everything that depends on the plate alone and
 returns it as a DerivedGeometry: the equivalent cell (s_X, r_X, the
 impedance-matched hole radius r_0, the square cell's effective radius r_0E),
 q, the plate's orientation, H_eff, eta and l of M1 and M2, h^3, M1's
-edge-leak bracket, M2's gamma with its series, and the plate-only
-coefficients of both cell resistances. M1 and M2 are continuum models and
-read the gas only through mu, so their brackets, M2's shape series and gamma
-are per-plate work: one tanh (or one Taylor pass, _leak_brackets) and at most
-a few exp per plate. A PlateGeometry runs the stage once, when it is built,
-and keeps the result in `geom.derived`. The model functions are the gas
-stage: they read those factors and do only the arithmetic that involves the
-gas (and, in the border series, the series itself), with the constant powers
-of pi taken from module constants; the border series labels its record with
-M3's or M4's name and cell breakdown. The factors of M1 and M2 are whole
-subexpressions of their formulas, evaluated in the same order, and the gas
-stage keeps each formula's final product as written, mu inside it, so that
-split changes no result bit. Where M1's or M2's per-plate arithmetic leaves
-the float range, the plate keeps that refusal's message (`m1_refusal`,
-`m2_refusal`) and the model raises it as a ModelDomainError when it is
-called; the plate itself still builds, and the other models evaluate on it.
-A cell resistance is folded further: every plate-only product of a
+edge-leak bracket, M2's gamma with its series, M1's and M2's c/mu, the
+plate-only products of the border series and of the regime screen, and the
+plate-only coefficients of both cell resistances. A PlateGeometry runs the
+stage once, when it is built, and keeps the result in `geom.derived`. The
+model functions are the gas stage: they read those factors and do only the
+arithmetic that involves the gas (and, in the border series, the series
+itself); the border series labels its record with M3's or M4's name and
+cell breakdown.
+M1 and M2 are continuum models, exactly linear in mu, the only gas quantity
+they read. Their brackets, M2's shape series and gamma are per-plate work (one
+tanh or one Taylor pass, _leak_brackets, and at most a few exp), and so is the
+rest of each product: the plate keeps c/mu (`m1_per_mu`, `m2_per_mu`), its
+factors multiplied in the formula's order, and the gas stage is c = mu*(c/mu).
+Where M1's or M2's per-plate arithmetic raises a float-range error, the plate
+keeps that refusal's message (`m1_refusal`, `m2_refusal`) and the model
+raises it as a ModelDomainError when it is called; the plate itself still
+builds, and the other models evaluate on it. A c/mu that overflows to inf is
+refused by the model's own check, in the words a non-finite c has.
+A cell resistance is folded the same way: every plate-only product of a
 component is one coefficient A_X, which the gas stage multiplies by mu and
 the component's slip factor, and R_p is the float sum of the six
-components. The regrouped products round differently from the formula as
-written, by a few ulps. Each docstring states the model's full formula.
-M1-M6 raise ModelDomainError on a floating-point overflow or division by
-zero, and on a c that is not finite and positive.
+components. The border series takes its effective sides as (short + 1.3h) +
+4.29*lam, and its g and 1/r from pi^6*h^3/768, pi^6*6h^2/768 and
+pi^4/(64*M*N), so only the arithmetic in lam, mu and R_p is left per call.
+Moving mu out of a product, and regrouping, rounds differently from the
+formula as written, by a few ulps. Each docstring states the model's full
+formula. M1-M6 raise ModelDomainError on a floating-point overflow or
+division by zero, and on a c that is not finite, positive and normal (a
+subnormal c has lost precision to underflow).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from perfdamp.checks import ModelDomainError, out_of_range, require_positive
@@ -107,9 +114,10 @@ _PI2 = math.pi**2
 _PI2_4 = _PI2 / 4
 _PI2_8 = _PI2 / 8
 _PI2_8_SQ = _PI2_8**2
-_PI4 = math.pi**4
 _PI6 = math.pi**6
 _PI6_256 = _PI6 / 256
+_PI6_6_768 = _PI6 * 6 / 768
+_PI4_64 = math.pi**4 / 64
 
 # 1 - t*tanh(1/t) = x*P(x) with x = 1/t^2, where P(x) = (y - tanh y)/y^3 at
 # y^2 = x: the Taylor coefficients of tanh from y^3 on (1/3, 2/15, 17/315,
@@ -126,6 +134,13 @@ _LEAK_TAYLOR = (
     -0.021869488536155203, 0.05396825396825397, -0.13333333333333333, 0.3333333333333333,
 )
 
+# R_S's bracket ln(1/rr)/2 - 3/8 + rr^2/2 - rr^4/8 cancels as rr -> 1. With
+# w = (1 - rr^2)/(1 + rr^2) it is (w^3/2)*(1/(1 + w)^2 + sum_k w^(2k)/(2k + 3)),
+# which has no cancellation; where rr^2 lies in (1/2, 2), |w| < 1/3 and these 16
+# terms (highest power first, for Horner's rule) truncate it below 2e-17. Where
+# rr^2 <= 1/2 the direct form is within 5e-15.
+_ANNULUS_SERIES = tuple(1 / (2 * k + 3) for k in range(15, -1, -1))
+
 # Constant products of the cell resistances' plate-only coefficients.
 _12PI = 12 * math.pi
 _6PI = 6 * math.pi
@@ -137,6 +152,7 @@ _3PI = 3 * math.pi
 # impedances; the coefficient below is the unrounded published value.
 HOLE_RADIUS_FACTOR = 1.096 / 2
 _SQRT_PI = math.sqrt(math.pi)
+_TINY = sys.float_info.min
 
 # Builds a record from the tuple of all its field values in order, without
 # the Python-level __new__ of a NamedTuple class (which only fills in
@@ -223,14 +239,22 @@ class DerivedGeometry(NamedTuple):
     M1 and M2 share H_eff = h_c + 3*pi*r_0/8, the effective hole length,
     eta = 1 + 3*r_0^4*K/(16*H_eff*h^3) with K = 4*beta^2 - beta^4 -
     4*ln(beta) - 3, the perforation-loading factor, and the attenuation length
-    l = sqrt(2*h^3*H_eff*eta/(3*beta^2*r_0^2)). h3 = h^3, which M2 and the
-    border series read. With a = short/2 and al = l/a: leak = 1 - al*tanh(1/al),
-    M1's edge-leak bracket; gamma and m2_terms, M2's gamma and its
-    series_terms (see damping_m2). m1_refusal, m2_refusal: None, or the
-    message of the ModelDomainError that M1 or M2 raises when called, because
-    its per-plate arithmetic left the float range (leak or gamma is then NaN).
-    circular, square: the plate-only coefficients of the two cell
-    resistances (the circular rr is beta).
+    l = sqrt(2*h^3*H_eff*eta/(3*beta^2*r_0^2)). h3 = h^3, a factor of M2's
+    and the border series' plate-only products. With a = short/2 and al =
+    l/a: leak = 1 - al*tanh(1/al), M1's edge-leak bracket; gamma and
+    m2_terms, M2's gamma and its series_terms (see damping_m2); m1_per_mu =
+    2a*long*8*H_eff/(beta^2*r_0^2)*eta*leak and m2_per_mu =
+    gamma*short^3*long/h^3, M1's and M2's c/mu.
+    m1_refusal, m2_refusal: None, or the message of the ModelDomainError that
+    M1 or M2 raises when called, because its per-plate arithmetic left the
+    float range (its c/mu is then NaN). The border series' plate-only
+    products: short_1_3h = short + 1.3h, long_1_3h = long + 1.3h (the
+    slip-corrected edge is 1.3h + 4.29*lam), pi6_h3_768 = pi^6*h^3/768, its
+    slip-term partner pi6_6h2_768 = pi^6*6h^2/768 and pi4_64MN =
+    pi^4/(64*M*N). The regime screen's short_sq = short^2 (inf where it
+    overflows), s1_sq = s1^2 and half_s0_sq = (s0/2)^2. circular, square: the
+    plate-only coefficients of the two cell resistances (the circular rr is
+    beta).
     """
 
     s_X: float
@@ -249,15 +273,27 @@ class DerivedGeometry(NamedTuple):
     leak: float
     gamma: float
     m2_terms: int
+    m1_per_mu: float
+    m2_per_mu: float
     m1_refusal: str | None
     m2_refusal: str | None
+    short_1_3h: float
+    long_1_3h: float
+    pi6_h3_768: float
+    pi6_6h2_768: float
+    pi4_64MN: float
+    short_sq: float
+    s1_sq: float
+    half_s0_sq: float
     circular: CircularCellFactors
     square: SquareCellFactors
 
 
 def _checked(label: str, c: float) -> float:
-    """c itself, if it is a physical damping coefficient: finite and positive."""
-    if not math.isfinite(c) or c <= 0:
+    """c itself, if it is a physical damping coefficient: finite and positive,
+    and not below the smallest normal float (a subnormal c has lost precision
+    to underflow, as mu*c/mu does for a vanishing viscosity)."""
+    if not _TINY <= c < math.inf:
         raise ModelDomainError(f"{label} produced a non-physical damping coefficient")
     return c
 
@@ -293,6 +329,20 @@ def _leak_brackets(al: float) -> tuple[float, float]:
     t = math.tanh(1.0 / al)
     leak = 1.0 - al * t
     return leak, 1.5 * leak - 0.5 * t * t
+
+
+def _annulus_bracket(r_X: float, r_in: float, rr: float, rr2: float, rr4: float) -> float:
+    """ln(r_X/r_in)/2 - 3/8 + rr^2/2 - rr^4/8, R_S's bracket, with rr = r_in/r_X
+    and its powers rr2 = rr**2, rr4 = rr**4: the direct form, or the series of
+    _ANNULUS_SERIES where rr^2 is in (1/2, 2), near the cancellation at rr = 1."""
+    if not 0.5 < rr2 < 2.0:
+        return 0.5 * math.log(r_X / r_in) - 3 / 8 + rr2 / 2 - rr4 / 8
+    w = (1 - rr) * (1 + rr) / (1 + rr2)
+    x = w * w
+    p = 0.0
+    for c in _ANNULUS_SERIES:
+        p = p * x + c
+    return 0.5 * w * x * (1 / ((1 + w) * (1 + w)) + p)
 
 
 def _m2_gamma(al: float, kappa: float, leak: float, shape: float) -> tuple[float, int]:
@@ -350,7 +400,7 @@ def derive_geometry(geom: PlateGeometry) -> DerivedGeometry:
     x35 = x**3.5
     scale = (r_X / r_0) ** 4
     circular = _new(CircularCellFactors, (
-        r_X4 / h2 * (_12PI * (0.5 * math.log(r_X / r_0) - 3 / 8 + beta2 / 2 - beta4 / 8)),
+        r_X4 / h2 * (_12PI * _annulus_bracket(r_X, r_0, beta, beta2, beta4)),
         g_IS / r_0 / h2 * (_6PI * (0.56 - 0.32 * beta + 0.86 * beta2)),
         _8PI * r_0 * (1.33 * (1 - 0.812 * beta2)) * f_B,
         _8PI * r_0 * (0.66 - 0.41 * beta - 0.25 * beta2) * scale,
@@ -364,7 +414,7 @@ def derive_geometry(geom: PlateGeometry) -> DerivedGeometry:
     dE_h = 1 + 0.019 * (s_0 / h) ** 2.83
     scale = (s_X / s_0) ** 4
     square = _new(SquareCellFactors, (
-        r_X4 / h2 * (_12PI * (0.5 * math.log(r_X / r_0E) - 3 / 8 + rr**2 / 2 - rr**4 / 8)),
+        r_X4 / h2 * (_12PI * _annulus_bracket(r_X, r_0E, rr, rr**2, rr**4)),
         g_IS / s_0 / h2 * (3 * 0.122 * (1 + 6.5 * xi - 3.8 * xi2)),
         28.454 * s_0 * 0.302 * scale,
         28.454 * h_c,
@@ -373,12 +423,19 @@ def derive_geometry(geom: PlateGeometry) -> DerivedGeometry:
     ))
     # open-area fraction from the dimensions; the published per-device
     # percentages disagree with it by 2-3 points and are not used
-    q = geom.M * geom.N * s_0**2 / (geom.L * geom.W)
+    MN = geom.M * geom.N
+    q = MN * s_0**2 / (geom.L * geom.W)
     short, long = (geom.W, geom.L) if geom.W <= geom.L else (geom.L, geom.W)
+    # the regime screen's squares, as regime_report writes them; s_X^2 and
+    # s_0^2 are finite here, so only short^2 can overflow
+    try:
+        short_sq = short**2
+    except OverflowError:
+        short_sq = math.inf
     # M1 and M2 read the plate's size through al = l/a, a = short/2. Their
     # arithmetic may leave the float range here, and then refuses the model,
     # not the plate: the refusal is kept and raised when the model is called
-    a = short / 2
+    a, b = short / 2, long / 2
     al = l / a
     gamma, m2_terms, m1_refusal, m2_refusal = math.nan, 0, None, None
     try:
@@ -389,13 +446,26 @@ def derive_geometry(geom: PlateGeometry) -> DerivedGeometry:
         m2_refusal = "M2 attenuation length is not a positive finite number"
     else:
         try:
-            gamma, m2_terms = _m2_gamma(al, a / (long / 2), leak, shape)
+            gamma, m2_terms = _m2_gamma(al, a / b, leak, shape)
         # ValueError: int() of a NaN series length, inf/inf once pi*al/2 overflows
         except (ArithmeticError, ValueError) as exc:
             m2_refusal = str(out_of_range("M2", exc))
+    m1_per_mu = m2_per_mu = math.nan
+    try:
+        m1_per_mu = 2 * a * long * (8 * H_eff / (beta2 * r_02)) * eta * leak
+    except ZeroDivisionError as exc:  # beta^2*r_0^2 underflowed
+        m1_refusal = str(out_of_range("M1", exc))
+    if m2_refusal is None:
+        try:
+            m2_per_mu = gamma * (2 * a) ** 3 * (2 * b) / h3
+        except ArithmeticError as exc:  # (2a)^3 overflowed
+            m2_refusal = str(out_of_range("M2", exc))
+    h_13 = 1.3 * h
     return _new(DerivedGeometry, (s_X, r_X, r_0, r_0E, xi, beta, q, H_eff, eta, l, short, long,
-                                  h3, leak, gamma, m2_terms, m1_refusal, m2_refusal,
-                                  circular, square))
+                                  h3, leak, gamma, m2_terms, m1_per_mu, m2_per_mu,
+                                  m1_refusal, m2_refusal, short + h_13, long + h_13,
+                                  _PI6 * h3 / 768, _PI6_6_768 * h2, _PI4_64 / MN,
+                                  short_sq, geom.s1**2, (s_0 / 2.0) ** 2, circular, square))
 
 
 def damping_m1(geom: PlateGeometry, gas: GasProperties) -> ModelResult:
@@ -407,17 +477,14 @@ def damping_m1(geom: PlateGeometry, gas: GasProperties) -> ModelResult:
 
     Note: the damping prefactor uses H_eff, not the bare plate height; with
     the bare height the model misses the published comparison by 10-18 points.
-    The bracket 1 - (l/a)*tanh(a/l) is `geom.derived.leak`.
+    c is exactly linear in mu, the only gas quantity it reads, so
+    `derive_geometry` computes the rest of the product, c/mu, as
+    `geom.derived.m1_per_mu` (the bracket 1 - (l/a)*tanh(a/l) is `.leak`).
     """
     d = geom.derived
-    a = d.short / 2
-    try:
-        c = 2 * a * d.long * (8 * gas.mu * d.H_eff / (d.beta**2 * d.r_0**2)) * d.eta * d.leak
-    except ArithmeticError as exc:
-        raise out_of_range("M1", exc) from exc
     if d.m1_refusal:
         raise ModelDomainError(d.m1_refusal)
-    return _new(ModelResult, ("m1", _checked("M1", c), None, 0, True))
+    return _new(ModelResult, ("m1", _checked("M1", gas.mu * d.m1_per_mu), None, 0, True))
 
 
 def damping_m2(geom: PlateGeometry, gas: GasProperties) -> ModelResult:
@@ -431,18 +498,14 @@ def damping_m2(geom: PlateGeometry, gas: GasProperties) -> ModelResult:
 
     As kappa <= 1, the series is the closed form of the series with tanh = 1,
     less at most about 6 terms 1 - tanh(x_n) that are not negligible;
-    `series_terms` counts those. gamma and that count hold no gas, so
-    `derive_geometry` computes them (`geom.derived.gamma`, `.m2_terms`).
+    `series_terms` counts those. gamma, that count and c/mu hold no gas, so
+    `derive_geometry` computes them (`geom.derived.gamma`, `.m2_terms`,
+    `.m2_per_mu`).
     """
     d = geom.derived
     if d.m2_refusal:
         raise ModelDomainError(d.m2_refusal)
-    a, b = d.short / 2, d.long / 2
-    try:
-        c = d.gamma * gas.mu * (2 * a) ** 3 * (2 * b) / d.h3
-    except ArithmeticError as exc:
-        raise out_of_range("M2", exc) from exc
-    return _new(ModelResult, ("m2", _checked("M2", c), None, d.m2_terms, True))
+    return _new(ModelResult, ("m2", _checked("M2", gas.mu * d.m2_per_mu), None, d.m2_terms, True))
 
 
 def cell_resistance_circular(geom: PlateGeometry, gas: GasProperties) -> CellResistanceBreakdown:
@@ -531,12 +594,13 @@ def damping_border_coupled(geom: PlateGeometry, gas: GasProperties, R_p: float,
         raise ModelDomainError("cell resistance must be positive and finite")
     try:
         d = geom.derived
-        h, mu = geom.h, gas.mu
-        K_ch = gas.lam / h
-        edge = 1.3 * (1 + 3.3 * K_ch) * h
-        a, b = d.short + edge, d.long + edge
-        g = _PI6 * d.h3 * (1 + CHANNEL_SLIP_SLOPE * K_ch) / (768 * mu * a * b)
-        inv_r = _PI4 / (64 * geom.M * geom.N * R_p)
+        lam = gas.lam
+        # a = short + edge, b = long + edge with edge = 1.3*(1 + 3.3*lam/h)*h, and
+        # g = pi^6*h^3*(1 + 6*lam/h)/(768*mu*a*b), from their plate-only products
+        edge = 4.29 * lam
+        a, b = d.short_1_3h + edge, d.long_1_3h + edge
+        g = (d.pi6_h3_768 + d.pi6_6h2_768 * lam) / (gas.mu * a * b)
+        inv_r = d.pi4_64MN / R_p
         a2 = a**2
         d2 = a2 * inv_r / g
 
@@ -584,40 +648,41 @@ def damping_border_coupled(geom: PlateGeometry, gas: GasProperties, R_p: float,
     return _new(ModelResult, (model, c, breakdown, BORDER_TERMS, True))
 
 
-def _cell_model(model: str, cell: Callable[..., CellResistanceBreakdown], geom: PlateGeometry,
-                gas: GasProperties, border: bool) -> ModelResult:
+def _cell_model(model: str, label: str, cell: Callable[..., CellResistanceBreakdown],
+                geom: PlateGeometry, gas: GasProperties, border: bool) -> ModelResult:
     """M3-M6: the resistance R_p of one cell, fed to the border series
-    (border=True, M3/M4) or scaled to the plate, c = M*N*R_p (M5/M6)."""
+    (border=True, M3/M4) or scaled to the plate, c = M*N*R_p (M5/M6); the
+    result is named `model` and a refusal starts with `label`."""
     try:
         br = cell(geom, gas)
         if border:
             return damping_border_coupled(geom, gas, br.R_p, model, br)
         c = geom.M * geom.N * br.R_p
     except ArithmeticError as exc:
-        raise out_of_range(model.upper(), exc) from exc
+        raise out_of_range(label, exc) from exc
     except ModelDomainError as exc:
-        raise ModelDomainError(f"{model.upper()} {exc}") from exc
-    return _new(ModelResult, (model, _checked(model.upper(), c), br, 0, True))
+        raise ModelDomainError(f"{label} {exc}") from exc
+    return _new(ModelResult, (model, _checked(label, c), br, 0, True))
 
 
 def damping_m3(geom: PlateGeometry, gas: GasProperties) -> ModelResult:
     """Model M3: border-coupled series with the circular-cell resistance."""
-    return _cell_model("m3", cell_resistance_circular, geom, gas, True)
+    return _cell_model("m3", "M3", cell_resistance_circular, geom, gas, True)
 
 
 def damping_m4(geom: PlateGeometry, gas: GasProperties) -> ModelResult:
     """Model M4: border-coupled series with the square-cell resistance."""
-    return _cell_model("m4", cell_resistance_square, geom, gas, True)
+    return _cell_model("m4", "M4", cell_resistance_square, geom, gas, True)
 
 
 def damping_m5(geom: PlateGeometry, gas: GasProperties) -> ModelResult:
     """Model M5: closed-borders pattern, circular cells: c = M*N*R_p."""
-    return _cell_model("m5", cell_resistance_circular, geom, gas, False)
+    return _cell_model("m5", "M5", cell_resistance_circular, geom, gas, False)
 
 
 def damping_m6(geom: PlateGeometry, gas: GasProperties) -> ModelResult:
     """Model M6: closed-borders pattern, square cells: c = M*N*R_p."""
-    return _cell_model("m6", cell_resistance_square, geom, gas, False)
+    return _cell_model("m6", "M6", cell_resistance_square, geom, gas, False)
 
 
 MODELS = {

@@ -82,17 +82,20 @@ def regime_report(geom: PlateGeometry, gas: GasProperties, f: float) -> RegimeRe
     """
     require_positive(("frequency", f))
     omega = 2.0 * math.pi * f
-    lam, mu, h, s0 = gas.lam, gas.mu, geom.h, geom.s0
+    lam, mu, h, d = gas.lam, gas.mu, geom.h, geom.derived
     K_ch = lam / h
-    K_hole = lam / s0
+    K_hole = lam / geom.s0
     mu12 = 12.0 * mu
+    # short^2, s1^2 and (s0/2)^2 come from the plate, which keeps an
+    # overflowed short^2 as inf
     try:
         P_Ah2 = gas.P_A * h**2
-        sigma_plate = mu12 * geom.derived.short ** 2 * omega / P_Ah2
-        sigma_cell = mu12 * geom.s1**2 * omega / P_Ah2
-        Re = gas.rho * (s0 / 2.0) ** 2 * omega / mu
+        sigma_plate = mu12 * d.short_sq * omega / P_Ah2
+        sigma_cell = mu12 * d.s1_sq * omega / P_Ah2
+        Re = gas.rho * d.half_s0_sq * omega / mu
     except ArithmeticError as exc:
-        raise out_of_range("regime report", exc) from exc
+        # a zero P_A*h^2 divides here, but short^2 overflowing came first
+        raise out_of_range("regime report", None if d.short_sq == _INF else exc) from exc
     gap_pct = 100.0 * CHANNEL_SLIP_SLOPE * K_ch
     hole_pct = 100.0 * SQUARE_SLIP_SLOPE * K_hole
     # no number is negative, so one that is not below inf is inf or NaN: an

@@ -13,8 +13,9 @@ candidates replace.
 border_truth sums the border series to 40 digits with mpmath, to write
 tests/golden/border_truth.csv again: ``PYTHONPATH=src python tests/oracles.py``.
 The tests read the file. cell_resistance_truth evaluates both cells'
-resistance formulas to 40 digits; the tests that call it, like those that
-recompute truth rows, are skipped where mpmath is not installed.
+resistance formulas to 40 digits, and m1_truth and m2_truth the formulas of
+M1 and M2; the tests that call them, like those that recompute truth rows, are
+skipped where mpmath is not installed.
 """
 
 import csv
@@ -211,6 +212,66 @@ def cell_resistance_truth(geom, gas, shape, dps=40):
             raise ValueError(f"unknown cell shape {shape!r}")
         parts = (R_S, R_IS, R_IB, scale * R_IC, scale * R_C, scale * R_E)
         return (*parts, mp.fsum(parts))
+
+
+def _continuum_truth(geom, mp):
+    """(a, b, l, H_eff, eta, beta, r_0, h) of M1 and M2 in mpmath numbers, from
+    the plate's fields: a and b half the short and long side, the attenuation
+    length l, effective hole length H_eff and loading factor eta of the
+    DerivedGeometry docstring."""
+    mpf = mp.mpf
+    s0, s1, h, h_c = (mpf(v) for v in (geom.s0, geom.s1, geom.h, geom.h_c))
+    short, long = sorted((mpf(geom.L), mpf(geom.W)))
+    r_X = (s0 + s1) / mp.sqrt(mp.pi)
+    r_0 = mpf("1.096") / 2 * s0
+    beta = r_0 / r_X
+    K = 4 * beta**2 - beta**4 - 4 * mp.log(beta) - 3
+    H_eff = h_c + 3 * mp.pi * r_0 / 8
+    eta = 1 + 3 * r_0**4 * K / (16 * H_eff * h**3)
+    l = mp.sqrt(2 * h**3 * H_eff * eta / (3 * beta**2 * r_0**2))
+    return short / 2, long / 2, l, H_eff, eta, beta, r_0, h
+
+
+def m1_truth(geom, gas, dps=40):
+    """M1's c to `dps` significant digits with mpmath: the damping_m1 docstring,
+    c = 2a*long * 8*mu*H_eff/(beta^2*r_0^2) * eta * (1 - (l/a)*tanh(a/l))."""
+    import mpmath as mp
+
+    with mp.workdps(dps + 10):
+        a, b, l, H_eff, eta, beta, r_0, _ = _continuum_truth(geom, mp)
+        return (2 * a * 2 * b * 8 * mp.mpf(gas.mu) * H_eff / (beta**2 * r_0**2) * eta
+                * (1 - l / a * mp.tanh(a / l)))
+
+
+def m2_truth(geom, gas, dps=40):
+    """M2's c to `dps` significant digits with mpmath: the damping_m2 docstring,
+    c = gamma*mu*(2a)^3*(2b)/h^3, with its series sum_{n odd} tanh(x_n)/(n^2 t_n^2)
+    summed directly. The series is split as sum 1/(n^2 t_n^2), which
+    mpmath's nsum extrapolates by Richardson's method (its terms are rational
+    in n), less (1 - tanh(x_n))/(n^2 t_n^2) for each n up to x_n > 60, past
+    which those terms fall below 1e-52 relatively. On A-F and the design points
+    of test_models_golden it agrees with nsum over the whole term at 60 digits
+    to 1.2e-50. gamma cancels from 3*al^2 down to O(1), so the result keeps 40
+    digits only while al stays below about 1e4 (A-F and the design points have
+    al < 2); m1_truth's bracket cancels alike."""
+    import mpmath as mp
+
+    with mp.workdps(dps + 10):
+        a, b, l, *_, h = _continuum_truth(geom, mp)
+        al, kappa = l / a, a / b
+        k = mp.pi * al / 2
+        s = mp.nsum(lambda j: 1 / ((2 * j + 1) ** 2 * (1 + ((2 * j + 1) * k) ** 2) ** 2),
+                    [0, mp.inf], method="richardson")
+        n = 1
+        while True:
+            t = 1 + (n * k) ** 2
+            x = mp.sqrt(t) / (al * kappa)
+            if x > 60:
+                break
+            s -= (1 - mp.tanh(x)) / (n**2 * t**2)
+            n += 2
+        gamma = 3 * al**2 - 3 * al**3 * mp.tanh(1 / al) - 24 * al**3 * kappa / mp.pi**2 * s
+        return gamma * mp.mpf(gas.mu) * (2 * a) ** 3 * (2 * b) / h**3
 
 
 def m2_damping(geom, gas):

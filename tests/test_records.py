@@ -17,7 +17,9 @@ FIELDS = {
                    "rarefaction_gap_pct", "rarefaction_hole_pct", "compressible", "inertial"),
     DerivedGeometry: ("s_X", "r_X", "r_0", "r_0E", "xi", "beta", "q",
                       "H_eff", "eta", "l", "short", "long", "h3", "leak", "gamma", "m2_terms",
-                      "m1_refusal", "m2_refusal", "circular", "square"),
+                      "m1_per_mu", "m2_per_mu", "m1_refusal", "m2_refusal",
+                      "short_1_3h", "long_1_3h", "pi6_h3_768", "pi6_6h2_768", "pi4_64MN",
+                      "short_sq", "s1_sq", "half_s0_sq", "circular", "square"),
     cm.CircularCellFactors: ("A_S", "A_IS", "A_IB", "A_IC", "A_C", "A_E", "x35_178", "scale"),
     cm.SquareCellFactors: ("A_S", "A_IS", "A_IC", "A_C", "A_E", "scale"),
     ExtractionResult: ("f0", "A_peak", "f1", "f2", "Q", "c"),

@@ -28,6 +28,7 @@ from perfdamp.config import (
     load_gas,
     parse_frequency,
     parse_length,
+    read_device,
 )
 from perfdamp.flow_regime import GasProperties, regime_report
 
@@ -77,10 +78,9 @@ def _cmd_regime(args) -> int:
 
 
 def _cmd_damp(args) -> int:
-    geom, _ = load_device(args.device)
+    device, geom, _ = read_device(args.device)
     gas = _gas_from(args)
     results = cm.evaluate(geom, gas, tuple(cm.MODELS) if args.model == "all" else (args.model,))
-    device = Path(args.device).stem
     rows = [[device, model, res.c, res.series_terms, res.converged]
             for model, res in results.items()]
     text = _csv(rows, ["device", "model", "c_Ns_per_m", "series_terms", "converged"])

@@ -19,40 +19,20 @@ a record, and build an equal one. The M2 shape series and the M3/M4 border
 double series are evaluated in closed form plus a number of explicit terms
 fixed before summing, which each result reports as `series_terms`.
 
-Each model runs in two stages. The per-plate stage, `derive_geometry`, is
-one function that computes everything that depends on the plate alone and
-returns it as a DerivedGeometry: the equivalent cell (s_X, r_X, the
-impedance-matched hole radius r_0, the square cell's effective radius r_0E),
-q, the plate's orientation, H_eff, eta and l of M1 and M2, h^3, M1's
-edge-leak bracket, M2's gamma with its series, M1's and M2's c/mu, the
-plate-only products of the border series and of the regime screen, and the
-plate-only coefficients of both cell resistances. A PlateGeometry runs the
-stage once, when it is built, and keeps the result in `geom.derived`. The
-model functions are the gas stage: they read those factors and do only the
-arithmetic that involves the gas (and, in the border series, the series
-itself); the border series labels its record with M3's or M4's name and
-cell breakdown.
-M1 and M2 are continuum models, exactly linear in mu, the only gas quantity
-they read. Their brackets, M2's shape series and gamma are per-plate work (one
-tanh or one Taylor pass, _leak_brackets, and at most a few exp), and so is the
-rest of each product: the plate keeps c/mu (`m1_per_mu`, `m2_per_mu`), its
-factors multiplied in the formula's order, and the gas stage is c = mu*(c/mu).
-Where M1's or M2's per-plate arithmetic raises a float-range error, the plate
-keeps that refusal's message (`m1_refusal`, `m2_refusal`) and the model
-raises it as a ModelDomainError when it is called; the plate itself still
-builds, and the other models evaluate on it. A c/mu that overflows to inf is
-refused by the model's own check, in the words a non-finite c has.
-A cell resistance is folded the same way: every plate-only product of a
-component is one coefficient A_X, which the gas stage multiplies by mu and
-the component's slip factor, and R_p is the float sum of the six
-components. The border series takes its effective sides as (short + 1.3h) +
-4.29*lam, and its g and 1/r from pi^6*h^3/768, pi^6*6h^2/768 and
-pi^4/(64*M*N), so only the arithmetic in lam, mu and R_p is left per call.
-Moving mu out of a product, and regrouping, rounds differently from the
-formula as written, by a few ulps. Each docstring states the model's full
-formula. M1-M6 raise ModelDomainError on a floating-point overflow or
-division by zero, and on a c that is not finite, positive and normal (a
-subnormal c has lost precision to underflow).
+Each model runs in two stages. The per-plate stage, `derive_geometry`,
+computes once per plate every product that holds no gas quantity and
+returns them as a DerivedGeometry, which a PlateGeometry keeps as `derived`.
+The gas stage, the model functions, does only the arithmetic in mu and lam
+(and, in the border series, the series itself). M1 and M2 are exactly
+linear in mu, the only gas quantity they read, so the plate keeps their
+c/mu; where their per-plate arithmetic leaves the float range, the plate
+keeps the refusal's message instead and still builds, and the model raises
+it as a ModelDomainError when it is called. Each model's docstring states
+its full formula. Moving mu out of a product, and regrouping, rounds
+differently from the formula as written, by a few ulps. M1-M6 raise
+ModelDomainError on a floating-point overflow or division by zero, and on a
+c that is not finite, positive and normal (a subnormal c has lost precision
+to underflow; a c/mu that overflowed gives an inf c).
 """
 
 from __future__ import annotations
@@ -228,65 +208,28 @@ class SquareCellFactors(NamedTuple):
 
 
 class DerivedGeometry(NamedTuple):
-    """The per-plate stage of a PlateGeometry, built by `derive_geometry`.
+    """The per-plate stage of a PlateGeometry, built by `derive_geometry`:
+    each field is a product that holds no gas quantity, commented with the
+    function that reads it. The formulas are those of the reader's
+    docstring; short and long are the plate's sides, W and L unless W > L."""
 
-    s_X = s0 + s1: cell pitch; r_X = s_X/sqrt(pi): area-matched cell radius;
-    r_0 = HOLE_RADIUS_FACTOR*s0: impedance-matched hole radius; r_0E =
-    0.58076*s0/(1 + 0.02108*xi^2 + 0.008*xi^4): the square-cell model's
-    effective hole radius; xi = s0/s_X; beta = r_0/r_X; q = M*N*s0^2/(L*W):
-    perforation ratio; short, long: the plate's sides, W and L unless W > L
-    (the only orientation the models and the regime screen read).
-    M1 and M2 share H_eff = h_c + 3*pi*r_0/8, the effective hole length,
-    eta = 1 + 3*r_0^4*K/(16*H_eff*h^3) with K = 4*beta^2 - beta^4 -
-    4*ln(beta) - 3, the perforation-loading factor, and the attenuation length
-    l = sqrt(2*h^3*H_eff*eta/(3*beta^2*r_0^2)). h3 = h^3, a factor of M2's
-    and the border series' plate-only products. With a = short/2 and al =
-    l/a: leak = 1 - al*tanh(1/al), M1's edge-leak bracket; gamma and
-    m2_terms, M2's gamma and its series_terms (see damping_m2); m1_per_mu =
-    2a*long*8*H_eff/(beta^2*r_0^2)*eta*leak and m2_per_mu =
-    gamma*short^3*long/h^3, M1's and M2's c/mu.
-    m1_refusal, m2_refusal: None, or the message of the ModelDomainError that
-    M1 or M2 raises when called, because its per-plate arithmetic left the
-    float range (its c/mu is then NaN). The border series' plate-only
-    products: short_1_3h = short + 1.3h, long_1_3h = long + 1.3h (the
-    slip-corrected edge is 1.3h + 4.29*lam), pi6_h3_768 = pi^6*h^3/768, its
-    slip-term partner pi6_6h2_768 = pi^6*6h^2/768 and pi4_64MN =
-    pi^4/(64*M*N). The regime screen's short_sq = short^2 (inf where it
-    overflows), s1_sq = s1^2 and half_s0_sq = (s0/2)^2. circular, square: the
-    plate-only coefficients of the two cell resistances (the circular rr is
-    beta).
-    """
-
-    s_X: float
-    r_X: float
-    r_0: float
-    r_0E: float
-    xi: float
-    beta: float
-    q: float
-    H_eff: float
-    eta: float
-    l: float
-    short: float
-    long: float
-    h3: float
-    leak: float
-    gamma: float
-    m2_terms: int
-    m1_per_mu: float
-    m2_per_mu: float
-    m1_refusal: str | None
-    m2_refusal: str | None
-    short_1_3h: float
-    long_1_3h: float
-    pi6_h3_768: float
-    pi6_6h2_768: float
-    pi4_64MN: float
-    short_sq: float
-    s1_sq: float
-    half_s0_sq: float
-    circular: CircularCellFactors
-    square: SquareCellFactors
+    r_0: float                      # cell_resistance_circular: HOLE_RADIUS_FACTOR*s0
+    beta: float                     # the benchmark's M2 reference: r_0/r_X
+    m2_terms: int                   # damping_m2: its series_terms
+    m1_per_mu: float                # damping_m1: c/mu, NaN where m1_refusal is set
+    m2_per_mu: float                # damping_m2: c/mu, NaN where m2_refusal is set
+    m1_refusal: str | None          # damping_m1: None, or the message it raises
+    m2_refusal: str | None          # damping_m2: None, or the message it raises
+    short_1_3h: float               # damping_border_coupled: short + 1.3h
+    long_1_3h: float                # damping_border_coupled: long + 1.3h
+    pi6_h3_768: float               # damping_border_coupled: pi^6*h^3/768
+    pi6_6h2_768: float              # damping_border_coupled: pi^6*6h^2/768
+    pi4_64MN: float                 # damping_border_coupled: pi^4/(64*M*N)
+    short_sq: float                 # regime_report: short^2, inf where it overflows
+    s1_sq: float                    # regime_report: s1^2
+    half_s0_sq: float               # regime_report: (s0/2)^2
+    circular: CircularCellFactors   # cell_resistance_circular
+    square: SquareCellFactors       # cell_resistance_square
 
 
 def _checked(label: str, c: float) -> float:
@@ -421,10 +364,7 @@ def derive_geometry(geom: PlateGeometry) -> DerivedGeometry:
         28.454 * 0.242 * (1 - xi4) * dE_h * s_0 * scale,
         scale,
     ))
-    # open-area fraction from the dimensions; the published per-device
-    # percentages disagree with it by 2-3 points and are not used
     MN = geom.M * geom.N
-    q = MN * s_0**2 / (geom.L * geom.W)
     short, long = (geom.W, geom.L) if geom.W <= geom.L else (geom.L, geom.W)
     # the regime screen's squares, as regime_report writes them; s_X^2 and
     # s_0^2 are finite here, so only short^2 can overflow
@@ -437,7 +377,7 @@ def derive_geometry(geom: PlateGeometry) -> DerivedGeometry:
     # not the plate: the refusal is kept and raised when the model is called
     a, b = short / 2, long / 2
     al = l / a
-    gamma, m2_terms, m1_refusal, m2_refusal = math.nan, 0, None, None
+    m2_terms, m1_refusal, m2_refusal = 0, None, None
     try:
         leak, shape = _leak_brackets(al)
     except ZeroDivisionError as exc:  # al = 0
@@ -461,25 +401,29 @@ def derive_geometry(geom: PlateGeometry) -> DerivedGeometry:
         except ArithmeticError as exc:  # (2a)^3 overflowed
             m2_refusal = str(out_of_range("M2", exc))
     h_13 = 1.3 * h
-    return _new(DerivedGeometry, (s_X, r_X, r_0, r_0E, xi, beta, q, H_eff, eta, l, short, long,
-                                  h3, leak, gamma, m2_terms, m1_per_mu, m2_per_mu,
-                                  m1_refusal, m2_refusal, short + h_13, long + h_13,
-                                  _PI6 * h3 / 768, _PI6_6_768 * h2, _PI4_64 / MN,
-                                  short_sq, geom.s1**2, (s_0 / 2.0) ** 2, circular, square))
+    return _new(DerivedGeometry, (r_0, beta, m2_terms, m1_per_mu, m2_per_mu, m1_refusal,
+                                  m2_refusal, short + h_13, long + h_13, _PI6 * h3 / 768,
+                                  _PI6_6_768 * h2, _PI4_64 / MN, short_sq, geom.s1**2,
+                                  (s_0 / 2.0) ** 2, circular, square))
 
 
 def damping_m1(geom: PlateGeometry, gas: GasProperties) -> ModelResult:
     """Model M1: continuum compact model for a plate much longer than wide.
 
-    c = 2*a*long * 8*mu*H_eff/(beta^2*r_0^2) * eta * (1 - (l/a)*tanh(a/l)) with
-    a = short/2 and the plate's sides short, long, attenuation length l, effective
-    hole length H_eff = h_c + 3*pi*r_0/8 and loading factor eta of `DerivedGeometry`.
+    c = 2*a*long * 8*mu*H_eff/(beta^2*r_0^2) * eta * (1 - (l/a)*tanh(a/l)), with
+    short, long the plate's sides (W and L unless W > L), a = short/2 and
+      r_X = (s0 + s1)/sqrt(pi), the area-matched cell radius,
+      r_0 = HOLE_RADIUS_FACTOR*s0, the impedance-matched hole radius,
+      beta = r_0/r_X, K = 4*beta^2 - beta^4 - 4*ln(beta) - 3,
+      H_eff = h_c + 3*pi*r_0/8, the effective hole length,
+      eta = 1 + 3*r_0^4*K/(16*H_eff*h^3), the perforation-loading factor,
+      l = sqrt(2*h^3*H_eff*eta/(3*beta^2*r_0^2)), the attenuation length.
 
     Note: the damping prefactor uses H_eff, not the bare plate height; with
     the bare height the model misses the published comparison by 10-18 points.
     c is exactly linear in mu, the only gas quantity it reads, so
     `derive_geometry` computes the rest of the product, c/mu, as
-    `geom.derived.m1_per_mu` (the bracket 1 - (l/a)*tanh(a/l) is `.leak`).
+    `geom.derived.m1_per_mu`.
     """
     d = geom.derived
     if d.m1_refusal:
@@ -491,7 +435,7 @@ def damping_m2(geom: PlateGeometry, gas: GasProperties) -> ModelResult:
     """Model M2: continuum compact model for an arbitrary rectangular plate.
 
     c = gamma * mu * (2a)^3 * (2b) / h^3 with a = short/2, b = long/2,
-    kappa = a/b, al = l/a (short, long, l of `DerivedGeometry`) and
+    kappa = a/b, al = l/a (short, long and l as in damping_m1) and
     gamma = 3*al^2 - 3*al^3*tanh(1/al)
             - (24*al^3*kappa/pi^2) * sum_{n odd} tanh(x_n)/(n^2 t_n^2),
     t_n = 1 + (n*pi*al/2)^2, x_n = sqrt(t_n)/(al*kappa).
@@ -499,8 +443,8 @@ def damping_m2(geom: PlateGeometry, gas: GasProperties) -> ModelResult:
     As kappa <= 1, the series is the closed form of the series with tanh = 1,
     less at most about 6 terms 1 - tanh(x_n) that are not negligible;
     `series_terms` counts those. gamma, that count and c/mu hold no gas, so
-    `derive_geometry` computes them (`geom.derived.gamma`, `.m2_terms`,
-    `.m2_per_mu`).
+    `derive_geometry` computes them, and the plate keeps the count and c/mu
+    (`geom.derived.m2_terms`, `.m2_per_mu`).
     """
     d = geom.derived
     if d.m2_refusal:
@@ -512,8 +456,8 @@ def cell_resistance_circular(geom: PlateGeometry, gas: GasProperties) -> CellRes
     """Flow resistance of one circular-equivalent perforation cell (model M5's
     cell; also feeds M3), slip-flow corrected.
 
-    With rr = r_0/r_X, x = r_0/h, y = h_c/h, K_ch = lam/h, K_tb = lam/r_0,
-    Q_ch = 1 + 6*K_ch and Q_tb = 1 + 4*K_tb:
+    With r_X and r_0 as in damping_m1, rr = r_0/r_X, x = r_0/h, y = h_c/h,
+    K_ch = lam/h, K_tb = lam/r_0, Q_ch = 1 + 6*K_ch and Q_tb = 1 + 4*K_tb:
       R_S  = 12*pi*mu*r_X^4/(Q_ch*h^3) * (ln(r_X/r_0)/2 - 3/8 + rr^2/2 - rr^4/8)
       R_IS = 6*pi*mu*(r_X^2 - r_0^2)^2/(r_0*h^2) * delta_S,
              delta_S = (0.56 - 0.32*rr + 0.86*rr^2)/(1 + 2.5*K_ch)
@@ -549,8 +493,10 @@ def cell_resistance_square(geom: PlateGeometry, gas: GasProperties) -> CellResis
     """Flow resistance of one square perforation cell (model M6's cell; also
     feeds M4), slip-flow corrected.
 
-    With the effective square-hole radius r_0E, rr = r_0E/r_X, K_ch = lam/h,
-    K_sq = lam/s0, Q_ch = 1 + 6*K_ch and Q_sq = 1 + 7.567*K_sq:
+    With r_X as in damping_m1, the cell pitch s_X = s0 + s1, xi = s0/s_X, the
+    effective square-hole radius r_0E = 0.58076*s0/(1 + 0.02108*xi^2 +
+    0.008*xi^4), rr = r_0E/r_X, K_ch = lam/h, K_sq = lam/s0, Q_ch = 1 + 6*K_ch
+    and Q_sq = 1 + 7.567*K_sq:
       R_S  = 12*pi*mu*r_X^4/(Q_ch*h^3) * (ln(r_X/r_0E)/2 - 3/8 + rr^2/2 - rr^4/8)
       R_IS = 3*mu*(s_X^2 - s0^2)^2/(s0*h^2) * 0.122*(1 + 6.5*xi - 3.8*xi^2)
       R_IB = 0

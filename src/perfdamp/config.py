@@ -137,6 +137,13 @@ def _build(cls, data, fields: dict, block: str, optional=(), allowed=(), **extra
 def load_device(path: str | Path) -> tuple[PlateGeometry, MeasuredRecord | None]:
     """Load and validate a device file; returns SI geometry and, when the file
     carries a `measured` block, the corresponding MeasuredRecord."""
+    _, geom, measured = read_device(path)
+    return geom, measured
+
+
+def read_device(path: str | Path) -> tuple[str, PlateGeometry, MeasuredRecord | None]:
+    """load_device's (geom, measured), after the device's id: the file's `id`,
+    or the file name's stem where it gives none."""
     data = _read_json(path)
     ident = data.get("id", Path(path).stem)
     if not isinstance(ident, str) or not ident:
@@ -149,9 +156,9 @@ def load_device(path: str | Path) -> tuple[PlateGeometry, MeasuredRecord | None]
     geom = _build(PlateGeometry, data, _PLATE_FIELDS, "device file", beams=beams,
                   allowed=("id", "beams", "measured"))
     if "measured" not in data:
-        return geom, None
-    return geom, _build(MeasuredRecord, data["measured"], _MEASURED_FIELDS, "block 'measured'",
-                        id=ident, geom=geom)
+        return ident, geom, None
+    return ident, geom, _build(MeasuredRecord, data["measured"], _MEASURED_FIELDS,
+                               "block 'measured'", id=ident, geom=geom)
 
 
 def _to_file(value: float, scale: float) -> float:

@@ -5,9 +5,10 @@ dataclasses: `dataclasses.replace` makes a changed copy that is checked
 again, and instances can be shared freely across threads.
 
 A PlateGeometry runs `derive_geometry` once, when it is built, and keeps the
-result as `derived`. Both that function and its result, DerivedGeometry (the
-equivalent-cell quantities, the plate's orientation and the plate-only
-factors of M1-M6), belong to `compact_models`, which gives their formulas.
+result as `derived`: every product of M1-M6 and of the regime screen that
+holds no gas quantity, each kept only because a function reads it. Both
+that function and DerivedGeometry belong to `compact_models`, whose model
+docstrings give the formulas.
 """
 
 from __future__ import annotations

@@ -218,7 +218,7 @@ def _continuum_truth(geom, mp):
     """(a, b, l, H_eff, eta, beta, r_0, h) of M1 and M2 in mpmath numbers, from
     the plate's fields: a and b half the short and long side, the attenuation
     length l, effective hole length H_eff and loading factor eta of the
-    DerivedGeometry docstring."""
+    damping_m1 docstring."""
     mpf = mp.mpf
     s0, s1, h, h_c = (mpf(v) for v in (geom.s0, geom.s1, geom.h, geom.h_c))
     short, long = sorted((mpf(geom.L), mpf(geom.W)))

@@ -407,6 +407,18 @@ class TestCli:
         assert c == pytest.approx(10.59e-6, rel=0.03)
         assert "R_E" in out
 
+    def test_damp_prints_the_device_id(self, tmp_path, capsys):
+        # the id is the file's `id`, and the file name's stem only where it has none
+        golden = Path(__file__).parent / "golden" / "cli" / "damp_A.csv"
+        data = json.loads((DEVICES / "A.json").read_text())
+        (tmp_path / "foo.json").write_text(json.dumps(data))
+        del data["id"]
+        (tmp_path / "bar.json").write_text(json.dumps(data))
+        assert cli.run(["damp", "--device", str(tmp_path / "foo.json"), "--model", "all"]) == 0
+        assert capsys.readouterr().out == golden.read_text()
+        assert cli.run(["damp", "--device", str(tmp_path / "bar.json"), "--model", "m1"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("bar,m1,")
+
     def test_compare_table3_passes(self, capsys):
         assert cli.run(["compare", "--table", "3"]) == 0
 

@@ -76,42 +76,52 @@ def _hole(s0, xi):
     return _plate(L=s0 + s1, W=s0 + s1, M=1, N=1, s0=s0, s1=s1).derived
 
 
+def _cell_radius(d):
+    """The area-matched cell radius r_X of a DerivedGeometry, as r_0/beta."""
+    return d.r_0 / d.beta
+
+
+def _square_hole_radius(d, h):
+    """The square cell's effective hole radius r_0E, recovered from the one
+    plate-only coefficient that holds it, A_S = 12*pi*r_X^4/h^2 * B(r_0E/r_X)
+    with B(rr) = ln(1/rr)/2 - 3/8 + rr^2/2 - rr^4/8, which falls from +inf
+    to 0 as rr rises from 0 to 1: bisection on rr."""
+    r_X = _cell_radius(d)
+    target = d.square.A_S * h**2 / (12 * math.pi * r_X**4)
+    lo, hi = 0.0, 1.0
+    for _ in range(100):
+        rr = (lo + hi) / 2
+        if -math.log(rr) / 2 - 3 / 8 + rr**2 / 2 - rr**4 / 8 > target:
+            lo = rr
+        else:
+            hi = rr
+    return rr * r_X
+
+
 class TestCellPitch:
+    # the pitch s_X = s0 + s1 reaches the record as the square cell's
+    # scale = (s_X/s0)^4
     def test_type_a(self):
-        assert _plate().derived.s_X == pytest.approx(10.2e-6, rel=1e-12)
+        assert _plate().derived.square.scale == pytest.approx((10.2 / 5.0) ** 4, rel=1e-12)
 
     def test_type_e(self):
         geom = _plate(L=363.8e-6, W=123.8e-6, N=12, s0=6.2e-6, s1=3.8e-6)
-        assert geom.derived.s_X == pytest.approx(10.0e-6, rel=1e-12)
-
-
-class TestPerforationRatio:
-    # computed directly from M*N*s0^2/(L*W); the published per-device
-    # percentages (24% for A, 59% for D) disagree with the formula
-    def test_type_a(self):
-        assert _plate().derived.q == pytest.approx(0.21836, rel=1e-4)
-
-    def test_type_d(self):
-        geom = _plate(L=369.5e-6, W=64.5e-6, s0=7.9e-6, s1=2.3e-6)
-        assert geom.derived.q == pytest.approx(0.56566, rel=1e-4)
-
-    def test_vanishing_hole_limit(self):
-        assert _plate(s0=1e-12).derived.q < 1e-10
+        assert geom.derived.square.scale == pytest.approx((10.0 / 6.2) ** 4, rel=1e-12)
 
 
 class TestEquivalentRadii:
     def test_cell_radius_type_a(self):
-        assert _cell(10.2e-6).r_X == pytest.approx(5.7548e-6, rel=1e-4)
+        assert _cell_radius(_cell(10.2e-6)) == pytest.approx(5.7548e-6, rel=1e-4)
 
     def test_cell_radius_type_e(self):
-        assert _cell(10.0e-6).r_X == pytest.approx(5.6419e-6, rel=1e-4)
+        assert _cell_radius(_cell(10.0e-6)) == pytest.approx(5.6419e-6, rel=1e-4)
 
     def test_cell_radius_unit_case(self):
-        assert _cell(math.sqrt(math.pi)).r_X == pytest.approx(1.0, rel=1e-14)
+        assert _cell_radius(_cell(math.sqrt(math.pi))) == pytest.approx(1.0, rel=1e-14)
 
     def test_cell_radius_preserves_area(self):
         for s_X in (10.0e-6, 10.2e-6, 3.3e-6, 1.0):
-            r_X = _cell(s_X).r_X
+            r_X = _cell_radius(_cell(s_X))
             assert math.pi * r_X**2 == pytest.approx(s_X**2, rel=1e-14)
 
     def test_hole_radius_type_a(self):
@@ -127,13 +137,16 @@ class TestEquivalentRadii:
 class TestEffectiveSquareRadius:
     def test_type_a(self):
         # 0.58076*5.0um / (1 + 0.02108*xi^2 + 0.008*xi^4) at xi = 5.0/10.2
-        assert _hole(5.0e-6, 5.0 / 10.2).r_0E == pytest.approx(2.8879e-6, rel=1e-4)
+        r_0E = _square_hole_radius(_hole(5.0e-6, 5.0 / 10.2), h=1.6e-6)
+        assert r_0E == pytest.approx(2.8879e-6, rel=1e-4)
 
     def test_type_d(self):
-        assert _hole(7.9e-6, 7.9 / 10.2).r_0E == pytest.approx(4.5179e-6, rel=1e-4)
+        r_0E = _square_hole_radius(_hole(7.9e-6, 7.9 / 10.2), h=1.6e-6)
+        assert r_0E == pytest.approx(4.5179e-6, rel=1e-4)
 
     def test_vanishing_hole_limit(self):
-        assert _hole(5.0e-6, 1e-9).r_0E == pytest.approx(0.58076 * 5.0e-6, rel=1e-6)
+        r_0E = _square_hole_radius(_hole(5.0e-6, 1e-9), h=1.6e-6)
+        assert r_0E == pytest.approx(0.58076 * 5.0e-6, rel=1e-6)
 
     def test_xi_out_of_range(self):
         # the formula needs 0 < xi < 1: a plate where s0/(s0 + s1) rounds to
@@ -148,11 +161,8 @@ class TestDerivedGeometry:
     def test_all_devices_in_range(self, dataset):
         for rec in dataset.values():
             d = derive_geometry(rec.geom)
-            assert 0.2 < d.q < 0.6
-            assert d.r_0 < d.r_X
-            assert d.r_0E < d.r_X
-            assert 0 < d.xi < 1
-            assert 0 < d.beta < 1
+            assert 0 < d.beta < 1  # r_0 < r_X
+            assert d.square.A_S > 0  # r_0E < r_X: R_S's annulus bracket is positive
 
     def test_pure_function(self, dataset):
         geom = dataset["A"].geom
@@ -166,13 +176,16 @@ class TestDerivedGeometry:
         geom = dataset["A"].geom
         wider = dataclasses.replace(geom, s0=1.2 * geom.s0)
         assert wider.derived == derive_geometry(wider)
-        assert wider.derived.xi > geom.derived.xi
+        assert wider.derived.beta > geom.derived.beta
 
     @pytest.mark.parametrize("L, W", [(372.4e-6, 66.4e-6), (66.4e-6, 372.4e-6),
                                       (66.4e-6, 66.4e-6)], ids=["long", "wide", "square"])
     def test_short_and_long_sides(self, L, W):
+        # the record keeps the sides only in the products that read them
         d = _plate(L=L, W=W, M=6, N=6).derived
-        assert (d.short, d.long) == (min(L, W), max(L, W))
+        h_13 = 1.3 * 1.6e-6
+        assert (d.short_1_3h, d.long_1_3h, d.short_sq) \
+            == (min(L, W) + h_13, max(L, W) + h_13, min(L, W) ** 2)
 
     def test_derived_outside_equality_hash_and_repr(self):
         a, b = _plate(), _plate()

@@ -2,12 +2,12 @@
 test_models_golden, tests/golden/stages_design.csv.
 
 Each row holds the device id, every flat DerivedGeometry field (selected by
-name, so a new per-plate field adds a column) and the nested circular- and
-square-cell factors, both cell resistances' six components and
-percentages(), a drive frequency drawn from its own seeded stream and the
-regime_report at that frequency, all as repr. The
-models' goldens show these values only through the six damping coefficients
-and two R_p; here a change in any last digit of a stage fails. To record the
+name, so a new per-plate field adds a column and a dropped one drops its
+column) and the nested circular- and square-cell factors, both cell
+resistances' six components and percentages(), a drive frequency drawn from
+its own seeded stream and the regime_report at that frequency, all as repr.
+The models' goldens show these values only through the six damping
+coefficients and two R_p; here a change in any last digit of a stage fails. To record the
 file again after an intended output change, run
 ``PYTHONPATH=src python tests/test_stages_golden.py``.
 """

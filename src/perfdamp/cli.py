@@ -182,8 +182,8 @@ def _cmd_frf_extract(args) -> int:
 
 
 def _cmd_dump_config(args) -> int:
-    geom, measured = load_device(args.device)
-    _emit(json.dumps(dump_device(geom, measured), indent=2) + "\n", args.out)
+    ident, geom, measured = read_device(args.device)
+    _emit(json.dumps(dump_device(geom, measured, ident), indent=2) + "\n", args.out)
     return EXIT_OK
 
 

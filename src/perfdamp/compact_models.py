@@ -72,8 +72,8 @@ BORDER_TERMS = 8
 TANH_SATURATION = 19.0
 
 # math.tanh returns exactly 1.0 from x = 19.0616 on (1 - tanh x = 2/(e^(2x) + 1)
-# falls below half an ulp of 1), so the border loop skips tanh once its smallest
-# argument reaches this.
+# falls below half an ulp of 1), so a border term whose tanh argument reaches
+# this takes 1.0 without calling tanh.
 _TANH_ONE = 19.1
 # m^2 for the odd m of the explicit border terms, as floats: the loop adds
 # them to d^2 and multiplies them by floats, which converts an int each time.
@@ -366,44 +366,34 @@ def derive_geometry(geom: PlateGeometry) -> DerivedGeometry:
     ))
     MN = geom.M * geom.N
     short, long = (geom.W, geom.L) if geom.W <= geom.L else (geom.L, geom.W)
-    # the regime screen's squares, as regime_report writes them; s_X^2 and
-    # s_0^2 are finite here, so only short^2 can overflow
-    try:
-        short_sq = short**2
-    except OverflowError:
-        short_sq = math.inf
     # M1 and M2 read the plate's size through al = l/a, a = short/2. Their
     # arithmetic may leave the float range here, and then refuses the model,
     # not the plate: the refusal is kept and raised when the model is called
     a, b = short / 2, long / 2
     al = l / a
     m2_terms, m1_refusal, m2_refusal = 0, None, None
+    m1_per_mu = m2_per_mu = math.nan
     try:
         leak, shape = _leak_brackets(al)
-    except ZeroDivisionError as exc:  # al = 0
-        leak, m1_refusal = math.nan, str(out_of_range("M1", exc))
+        m1_per_mu = 2 * a * long * (8 * H_eff / (beta2 * r_02)) * eta * leak
+    except ZeroDivisionError as exc:  # al = 0, or beta^2*r_0^2 underflowed
+        m1_refusal = str(out_of_range("M1", exc))
     if not 0 < al < math.inf:
         m2_refusal = "M2 attenuation length is not a positive finite number"
     else:
         try:
             gamma, m2_terms = _m2_gamma(al, a / b, leak, shape)
-        # ValueError: int() of a NaN series length, inf/inf once pi*al/2 overflows
+            m2_per_mu = gamma * (2 * a) ** 3 * (2 * b) / h3
+        # ValueError: int() of a NaN series length, inf/inf once pi*al/2 overflows;
+        # OverflowError: (2a)^3
         except (ArithmeticError, ValueError) as exc:
             m2_refusal = str(out_of_range("M2", exc))
-    m1_per_mu = m2_per_mu = math.nan
-    try:
-        m1_per_mu = 2 * a * long * (8 * H_eff / (beta2 * r_02)) * eta * leak
-    except ZeroDivisionError as exc:  # beta^2*r_0^2 underflowed
-        m1_refusal = str(out_of_range("M1", exc))
-    if m2_refusal is None:
-        try:
-            m2_per_mu = gamma * (2 * a) ** 3 * (2 * b) / h3
-        except ArithmeticError as exc:  # (2a)^3 overflowed
-            m2_refusal = str(out_of_range("M2", exc))
     h_13 = 1.3 * h
+    # the regime screen's squares, as regime_report writes them: a product, so
+    # short^2 is inf where it overflows (s1^2 and (s0/2)^2 are finite here)
     return _new(DerivedGeometry, (r_0, beta, m2_terms, m1_per_mu, m2_per_mu, m1_refusal,
                                   m2_refusal, short + h_13, long + h_13, _PI6 * h3 / 768,
-                                  _PI6_6_768 * h2, _PI4_64 / MN, short_sq, geom.s1**2,
+                                  _PI6_6_768 * h2, _PI4_64 / MN, short * short, geom.s1**2,
                                   (s_0 / 2.0) ** 2, circular, square))
 
 
@@ -563,21 +553,15 @@ def damping_border_coupled(geom: PlateGeometry, gas: GasProperties, R_p: float,
 
         # sum_m pi*tanh(pi c_m/2)/(4 c_m m^2 alpha_m) = C sum_m tanh(pi c_m/2) f(m)
         # with c_m = (b/a) sqrt(m^2 + d^2), d^2 = a^2/(g r) and C = pi a^3/(4 b g);
-        # k*sqrt(m^2 + d^2) grows with m, so from m = 1 on every tanh may be 1.0
+        # per term, tanh(k*sqrt(m^2 + d^2)) is 1.0 once its argument reaches _TANH_ONE
         k = math.pi * b / (2 * a)
         explicit = 0.0
-        sqrt = math.sqrt
-        if k * sqrt(1 + d2) >= _TANH_ONE:
-            for m2 in _ODD_SQUARES:
-                q = m2 + d2
-                rq = sqrt(q)
-                explicit += 1 / (m2 * q * rq)
-        else:
-            tanh = math.tanh
-            for m2 in _ODD_SQUARES:
-                q = m2 + d2
-                rq = sqrt(q)
-                explicit += tanh(k * rq) / (m2 * q * rq)
+        sqrt, tanh = math.sqrt, math.tanh
+        for m2 in _ODD_SQUARES:
+            q = m2 + d2
+            rq = sqrt(q)
+            x = k * rq
+            explicit += (tanh(x) if x < _TANH_ONE else 1.0) / (m2 * q * rq)
         s2 = _X0SQ + d2
         s = sqrt(s2)
         sig = _X0SQ / s2

@@ -183,14 +183,19 @@ def _dump(obj, fields: dict) -> dict:
             for field, (name, scale) in fields.items()}
 
 
-def dump_device(geom: PlateGeometry, measured: MeasuredRecord | None = None) -> dict:
-    """Inverse of load_device; the returned dict reloads to an equal geometry
-    and measured record wherever the file units can hold each value."""
+def dump_device(geom: PlateGeometry, measured: MeasuredRecord | None = None,
+                ident: str | None = None) -> dict:
+    """Inverse of read_device; the returned dict reloads to an equal geometry
+    and measured record wherever the file units can hold each value. Its `id`
+    is `ident`, else the measured record's; with neither it has none."""
     data = _dump(geom, _PLATE_FIELDS)
     if geom.beams is not None:
         data["beams"] = _dump(geom.beams, _BEAM_FIELDS)
+    if ident is None and measured is not None:
+        ident = measured.id
+    if ident is not None:
+        data["id"] = ident
     if measured is not None:
-        data["id"] = measured.id
         data["measured"] = _dump(measured, _MEASURED_FIELDS)
     return data
 

@@ -86,8 +86,8 @@ def regime_report(geom: PlateGeometry, gas: GasProperties, f: float) -> RegimeRe
     K_ch = lam / h
     K_hole = lam / geom.s0
     mu12 = 12.0 * mu
-    # short^2, s1^2 and (s0/2)^2 come from the plate, which keeps an
-    # overflowed short^2 as inf
+    # short^2, s1^2 and (s0/2)^2 come from the plate, where short^2 is the
+    # product short*short: inf where it overflows
     try:
         P_Ah2 = gas.P_A * h**2
         sigma_plate = mu12 * d.short_sq * omega / P_Ah2

@@ -70,8 +70,7 @@ class PlateGeometry:
         require_positive(("L", self.L), ("W", self.W), ("s0", s0), ("s1", self.s1),
                          ("h", self.h), ("h_c", self.h_c))
         M, N = self.M, self.N
-        if type(M) is not int or type(N) is not int:  # the common case costs two type tests
-            _require_int(("M", M), ("N", N))
+        _require_int(("M", M), ("N", N))
         if M < 1 or N < 1:
             raise ValueError("hole counts M, N must be >= 1")
         pitch = s0 + self.s1

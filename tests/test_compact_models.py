@@ -355,9 +355,9 @@ class TestBorderCoupled:
             assert finite == list(range(lo, hi + 1)), dev
 
     def test_tanh_skip_agrees_with_tanh_loop(self, monkeypatch, dataset, gas):
-        # math.tanh is exactly 1.0 from 19.0616 on, so skipping it once the smallest
-        # argument k*sqrt(1 + d^2) reaches _TANH_ONE changes no bit. On a square
-        # plate (k = pi/2) the R_p below put that argument at 19.1*(1 + j/1000).
+        # math.tanh is exactly 1.0 from 19.0616 on, so skipping it in each term whose
+        # argument k*sqrt(m^2 + d^2) reaches _TANH_ONE changes no bit. On a square
+        # plate (k = pi/2) the R_p below put the first argument at 19.1*(1 + j/1000).
         assert cm._TANH_ONE == 19.1 and math.tanh(19.1) == 1.0 and math.tanh(19.0) < 1.0
         geom = dataclasses.replace(dataset["A"].geom, W=dataset["A"].geom.L,
                                    N=dataset["A"].geom.M)

@@ -24,6 +24,7 @@ from perfdamp.config import (
     load_gas,
     parse_frequency,
     parse_length,
+    read_device,
 )
 from perfdamp.flow_regime import GasProperties, regime_report
 from perfdamp.geometry import BeamGeometry, PlateGeometry
@@ -280,6 +281,19 @@ class TestDumpDevice:
         path = DEVICES / f"{dev}.json"
         assert cli.run(["dump-config", "--device", str(path)]) == 0
         assert capsys.readouterr().out == path.read_text()
+
+    def test_dump_config_keeps_the_id_without_measured_block(self, tmp_path, capsys):
+        # the dump carries the device's id, so it reloads as that device
+        # under any file name
+        data = json.loads((DEVICES / "A.json").read_text())
+        del data["measured"]
+        data["id"] = "plateX"
+        path = _write(tmp_path, data)
+        assert cli.run(["dump-config", "--device", path]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["id"] == "plateX"
+        (tmp_path / "other.json").write_text(out)
+        assert read_device(tmp_path / "other.json")[0] == "plateX"
 
     def test_scaled_fields_round_trip(self, tmp_path):
         # every scaled field reloads bit-identical wherever a file value can

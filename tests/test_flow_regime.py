@@ -149,6 +149,19 @@ class TestRegimeReport:
         with pytest.raises(ValueError, match="^frequency must be positive and finite$"):
             regime_report(dataset["A"].geom, gas, f)
 
+    @pytest.mark.parametrize("side, kind", [(None, "division by zero"), (1e160, "overflow")],
+                             ids=["zero-divisor", "short-squared-inf"])
+    def test_refuses_out_of_range_arithmetic(self, dataset, side, kind):
+        # P_A*h^2 underflows to 0 and divides; where short^2 is inf as well,
+        # the overflow came first and names the refusal
+        geom = dataset["A"].geom
+        if side is not None:
+            geom = dataclasses.replace(geom, L=side, W=side)
+            assert geom.derived.short_sq == math.inf
+        with pytest.raises(ModelDomainError,
+                           match=rf"^regime report is out of floating-point range \({kind}\)$"):
+            regime_report(geom, GasProperties(P_A=5e-324), 200e3)
+
     def test_refuses_nan_squeeze_number(self):
         # with a 1e100 m gap, P_A*h^2 and omega are both inf, so sigma_plate
         # would come out as inf/inf = NaN (test_config_cli pins short^2 overflowing)

@@ -14,9 +14,11 @@ failure; a value that is not exact is one.
 """
 
 import dataclasses
+import itertools
 import math
 
 import pytest
+from test_models_golden import design_points
 
 from perfdamp import compact_models as cm
 from perfdamp.checks import ModelDomainError
@@ -51,6 +53,21 @@ def _scaled_gas(gas, k):
     return dataclasses.replace(gas, lam=math.ldexp(gas.lam, k))
 
 
+def _check_models(label, geom, gas, geom_k, gas_k, k):
+    """Each of M1-M6 on geom_k and gas_k, geom and gas scaled by 2^k, refuses
+    or gives 2^k times its c and its breakdown on geom and gas."""
+    for name, model in cm.MODELS.items():
+        base = model(geom, gas)
+        try:
+            res = model(geom_k, gas_k)
+        except ModelDomainError:
+            continue
+        assert res.c == math.ldexp(base.c, k), (label, name)
+        if base.breakdown is not None:
+            assert res.breakdown == tuple(math.ldexp(v, k) for v in base.breakdown), \
+                (label, name)
+
+
 @pytest.mark.parametrize("k", [pytest.param(k, marks=_SUBNORMAL) if k in K_SUBNORMAL else k
                                for k in K_BUILDS], ids=lambda k: f"k={k}")
 def test_lengths_and_lam_times_2_to_k(k, dataset, gas):
@@ -62,16 +79,7 @@ def test_lengths_and_lam_times_2_to_k(k, dataset, gas):
         except ValueError:
             continue
         built += 1
-        for name, model in cm.MODELS.items():
-            base = model(rec.geom, gas)
-            try:
-                res = model(geom, gas_k)
-            except ModelDomainError:
-                continue
-            assert res.c == math.ldexp(base.c, k), (rec.id, name)
-            if base.breakdown is not None:
-                assert res.breakdown == tuple(math.ldexp(v, k) for v in base.breakdown), \
-                    (rec.id, name)
+        _check_models(rec.id, rec.geom, gas, geom, gas_k, k)
         base = regime_report(rec.geom, gas, F)
         try:
             rep = regime_report(geom, gas_k, F)
@@ -83,6 +91,15 @@ def test_lengths_and_lam_times_2_to_k(k, dataset, gas):
         assert rep.compressible == (rep.sigma_cell >= SIGMA_THRESHOLD), rec.id
         assert rep.inertial == (rep.Re >= RE_THRESHOLD), rec.id
     assert built
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="ROADMAP item 19: 16*H_eff*h^3 overflows without a refusal")
+def test_top_of_envelope():
+    # design point 282 times 2^273: 16*H_eff*h^3 overflows to inf, so M1's
+    # eta collapses to exactly 1 and M1 comes out 4.06 % low
+    _, geom, gas = next(itertools.islice(design_points(), 282, None))
+    _check_models(282, geom, gas, _scaled(geom, 273), _scaled_gas(gas, 273), 273)
 
 
 def test_inertia_follows_the_scaled_reynolds_number(dataset, gas):

@@ -211,7 +211,8 @@ class DerivedGeometry(NamedTuple):
     """The per-plate stage of a PlateGeometry, built by `derive_geometry`:
     each field is a product that holds no gas quantity, commented with the
     function that reads it. The formulas are those of the reader's
-    docstring; short and long are the plate's sides, W and L unless W > L."""
+    docstring; short and long are the plate's sides, W and L unless W > L.
+    regime_report forms its own squares of short, s1 and s0/2."""
 
     r_0: float                      # cell_resistance_circular: HOLE_RADIUS_FACTOR*s0
     beta: float                     # the benchmark's M2 reference: r_0/r_X
@@ -225,9 +226,7 @@ class DerivedGeometry(NamedTuple):
     pi6_h3_768: float               # damping_border_coupled: pi^6*h^3/768
     pi6_6h2_768: float              # damping_border_coupled: pi^6*6h^2/768
     pi4_64MN: float                 # damping_border_coupled: pi^4/(64*M*N)
-    short_sq: float                 # regime_report: short^2, inf where it overflows
-    s1_sq: float                    # regime_report: s1^2
-    half_s0_sq: float               # regime_report: (s0/2)^2
+    short: float                    # regime_report: the plate's short side
     circular: CircularCellFactors   # cell_resistance_circular
     square: SquareCellFactors       # cell_resistance_square
 
@@ -353,7 +352,11 @@ def derive_geometry(geom: PlateGeometry) -> DerivedGeometry:
         scale,
     ))
     rr = r_0E / r_X
-    g_IS = (s_X**2 - s_0**2) ** 2
+    # unlike the circular g_IS this can overflow where r_X^4 does not: refuse as a power would
+    g_IS = s_X * s_X - s_0 * s_0
+    g_IS *= g_IS
+    if g_IS == math.inf:
+        raise OverflowError("(s_X^2 - s0^2)^2")
     dE_h = 1 + 0.019 * (s_0 / h) ** 2.83
     scale = (s_X / s_0) ** 4
     square = _new(SquareCellFactors, (
@@ -389,12 +392,9 @@ def derive_geometry(geom: PlateGeometry) -> DerivedGeometry:
         except (ArithmeticError, ValueError) as exc:
             m2_refusal = str(out_of_range("M2", exc))
     h_13 = 1.3 * h
-    # the regime screen's squares, as regime_report writes them: a product, so
-    # short^2 is inf where it overflows (s1^2 and (s0/2)^2 are finite here)
     return _new(DerivedGeometry, (r_0, beta, m2_terms, m1_per_mu, m2_per_mu, m1_refusal,
                                   m2_refusal, short + h_13, long + h_13, _PI6 * h3 / 768,
-                                  _PI6_6_768 * h2, _PI4_64 / MN, short * short, geom.s1**2,
-                                  (s_0 / 2.0) ** 2, circular, square))
+                                  _PI6_6_768 * h2, _PI4_64 / MN, short, circular, square))
 
 
 def damping_m1(geom: PlateGeometry, gas: GasProperties) -> ModelResult:

@@ -143,12 +143,14 @@ def load_device(path: str | Path) -> tuple[PlateGeometry, MeasuredRecord | None]
 
 def read_device(path: str | Path) -> tuple[str, PlateGeometry, MeasuredRecord | None]:
     """load_device's (geom, measured), after the device's id: the file's `id`,
-    or the file name's stem where it gives none."""
+    or the file name's stem where it gives none. `damp` prints the id as a CSV
+    cell, so one that would need quoting there is refused."""
     data = _read_json(path)
     ident = data.get("id", Path(path).stem)
-    if not isinstance(ident, str) or not ident:
+    if not isinstance(ident, str) or not ident or re.search(r'[,"\r\n]', ident):
         got = repr(ident) if isinstance(ident, str) else type(ident).__name__
-        raise ConfigError(f"field 'id' must be a non-empty string, got {got}")
+        raise ConfigError("field 'id' must be a non-empty string with no comma, quote or "
+                          f"line break, got {got}")
     beams = None
     if "beams" in data:
         beams = _build(BeamGeometry, data["beams"], _BEAM_FIELDS, "block 'beams'",
@@ -183,18 +185,13 @@ def _dump(obj, fields: dict) -> dict:
             for field, (name, scale) in fields.items()}
 
 
-def dump_device(geom: PlateGeometry, measured: MeasuredRecord | None = None,
-                ident: str | None = None) -> dict:
-    """Inverse of read_device; the returned dict reloads to an equal geometry
-    and measured record wherever the file units can hold each value. Its `id`
-    is `ident`, else the measured record's; with neither it has none."""
+def dump_device(ident: str, geom: PlateGeometry, measured: MeasuredRecord | None = None) -> dict:
+    """Inverse of read_device: the dict reloads to the same id and an equal
+    geometry and measured record wherever the file units can hold each value."""
     data = _dump(geom, _PLATE_FIELDS)
     if geom.beams is not None:
         data["beams"] = _dump(geom.beams, _BEAM_FIELDS)
-    if ident is None and measured is not None:
-        ident = measured.id
-    if ident is not None:
-        data["id"] = ident
+    data["id"] = ident
     if measured is not None:
         data["measured"] = _dump(measured, _MEASURED_FIELDS)
     return data

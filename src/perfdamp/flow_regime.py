@@ -82,20 +82,22 @@ def regime_report(geom: PlateGeometry, gas: GasProperties, f: float) -> RegimeRe
     """
     require_positive(("frequency", f))
     omega = 2.0 * math.pi * f
-    lam, mu, h, d = gas.lam, gas.mu, geom.h, geom.derived
+    lam, mu, h, s1 = gas.lam, gas.mu, geom.h, geom.s1
+    short, half_s0 = geom.derived.short, geom.s0 / 2.0
     K_ch = lam / h
     K_hole = lam / geom.s0
     mu12 = 12.0 * mu
-    # short^2, s1^2 and (s0/2)^2 come from the plate, where short^2 is the
-    # product short*short: inf where it overflows
+    # each square is a product: short^2 is inf where it overflows; s1^2 and
+    # (s0/2)^2 cannot, as r_X^4 refuses the plate first
+    short_sq = short * short
     try:
         P_Ah2 = gas.P_A * h**2
-        sigma_plate = mu12 * d.short_sq * omega / P_Ah2
-        sigma_cell = mu12 * d.s1_sq * omega / P_Ah2
-        Re = gas.rho * d.half_s0_sq * omega / mu
+        sigma_plate = mu12 * short_sq * omega / P_Ah2
+        sigma_cell = mu12 * (s1 * s1) * omega / P_Ah2
+        Re = gas.rho * (half_s0 * half_s0) * omega / mu
     except ArithmeticError as exc:
         # a zero P_A*h^2 divides here, but short^2 overflowing came first
-        raise out_of_range("regime report", None if d.short_sq == _INF else exc) from exc
+        raise out_of_range("regime report", None if short_sq == _INF else exc) from exc
     gap_pct = 100.0 * CHANNEL_SLIP_SLOPE * K_ch
     hole_pct = 100.0 * SQUARE_SLIP_SLOPE * K_hole
     # no number is negative, so one that is not below inf is inf or NaN: an

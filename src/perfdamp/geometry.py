@@ -5,10 +5,10 @@ dataclasses: `dataclasses.replace` makes a changed copy that is checked
 again, and instances can be shared freely across threads.
 
 A PlateGeometry runs `derive_geometry` once, when it is built, and keeps the
-result as `derived`: every product of M1-M6 and of the regime screen that
-holds no gas quantity, each kept only because a function reads it. Both
-that function and DerivedGeometry belong to `compact_models`, whose model
-docstrings give the formulas.
+result as `derived`: every product of M1-M6 that holds no gas quantity,
+and the short side that the regime screen squares, each kept because a
+function reads it. Both that function and DerivedGeometry belong to
+`compact_models`, whose model docstrings give the formulas.
 """
 
 from __future__ import annotations

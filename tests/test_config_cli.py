@@ -29,6 +29,8 @@ from perfdamp.config import (
 from perfdamp.flow_regime import GasProperties, regime_report
 from perfdamp.geometry import BeamGeometry, PlateGeometry
 
+from test_frf import singular_gram_curve
+
 DEVICES = Path(__file__).parent.parent / "devices"
 # the options of a valid frf synth run
 FRF_SYNTH = ["--meff", "1e-9", "--damping", "2e-5", "--stiffness", "1.58e3",
@@ -153,7 +155,7 @@ class TestLoadDevice:
 
     def test_round_trip(self, tmp_path, dataset):
         rec = dataset["B"]
-        path = _write(tmp_path, dump_device(rec.geom, rec))
+        path = _write(tmp_path, dump_device(rec.id, rec.geom, rec))
         geom, measured = load_device(path)
         assert geom == rec.geom
         assert measured.c_m == rec.c_m
@@ -205,16 +207,31 @@ class TestUnknownAndInvalidBlocks:
         with pytest.raises(ConfigError, match=message):
             load_device(_write(tmp_path, data))
 
+    # damp prints the id as a CSV cell, so an id that would need quoting there
+    # (a comma, a double quote, a line break) is refused like a malformed one
     @pytest.mark.parametrize("ident,got", [
         (5, "int"), (None, "NoneType"), (True, "bool"), ({"a": 1}, "dict"), ("", "''"),
-    ], ids=["number", "null", "true", "object", "empty"])
+        ("plate,1", "'plate,1'"), ('plate "1"', "'plate \"1\"'"), ("two\nlines", "'two\\nlines'"),
+        ("cr\r", "'cr\\r'"),
+    ], ids=["number", "null", "true", "object", "empty", "comma", "quote", "newline", "cr"])
     def test_device_id_must_be_a_non_empty_string(self, tmp_path, capsys, ident, got):
-        message = f"field 'id' must be a non-empty string, got {got}"
+        message = ("field 'id' must be a non-empty string with no comma, quote or line break, "
+                   f"got {got}")
         path = _write(tmp_path, {**VALID, "id": ident, "measured": self.MEASURED})
         with pytest.raises(ConfigError) as info:
             load_device(path)
         assert str(info.value) == message
         assert cli.run(["damp", "--device", path, "--model", "m5"]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_device_id_from_a_file_name_with_a_comma_is_refused(self, tmp_path, capsys):
+        path = _write(tmp_path, VALID, name="plate,1.json")
+        message = ("field 'id' must be a non-empty string with no comma, quote or line break, "
+                   "got 'plate,1'")
+        with pytest.raises(ConfigError) as info:
+            read_device(path)
+        assert str(info.value) == message
+        assert cli.run(["damp", "--device", path, "--model", "m1"]) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize("device,gas,named", [
@@ -312,7 +329,7 @@ class TestDumpDevice:
                                                     W_b=rng.uniform(1e-6, 2e-5)))
             rec = cmp.MeasuredRecord("R", geom, c_m=rng.uniform(1e-6, 1e-4),
                                      f0=rng.uniform(100e3, 300e3), alpha=rng.uniform(0.5, 1.0))
-            path.write_text(json.dumps(dump_device(geom, rec)))
+            path.write_text(json.dumps(dump_device(rec.id, geom, rec)))
             got, got_rec = load_device(path)
             pairs = [(getattr(geom, n), getattr(got, n), 1e-6)
                      for n in ("L", "W", "s0", "s1", "h", "h_c")]
@@ -364,7 +381,7 @@ class TestDumpDevice:
         f0 = 256457.5630968484
         assert not _reloads_to(f0, 1e3)
         path = tmp_path / "dev.json"
-        path.write_text(json.dumps(dump_device(rec.geom, dataclasses.replace(rec, f0=f0))))
+        path.write_text(json.dumps(dump_device(rec.id, rec.geom, dataclasses.replace(rec, f0=f0))))
         assert abs(load_device(path)[1].f0 - f0) == math.ulp(f0)
 
 
@@ -842,12 +859,16 @@ class TestCli:
         assert "--slip-correct" in capsys.readouterr().err
 
     def test_frf_extract_fit_error_exit3(self, tmp_path, capsys):
-        # the peak sits on the first sample, so the fit window has 5 samples
-        path = tmp_path / "edge.csv"
-        path.write_text("freq_hz,amp_m\n" +
-                        "".join(f"{100 + 10 * i},{8 - i}\n" for i in range(8)))
-        assert cli.run(["frf", "extract", "--input", str(path)]) == 3
-        assert "fit window" in capsys.readouterr().err
+        # the peak sits on the first sample, so the fit window has 5 samples;
+        # on the ulp-spaced curve the fit's Gram matrix is singular
+        edge = [(100 + 10 * i, 8 - i) for i in range(8)]
+        singular = zip(*(column.tolist() for column in singular_gram_curve()))
+        for rows, message in ((edge, "fit window too small for a 6th-degree polynomial"),
+                              (singular, "polynomial fit is ill-conditioned")):
+            path = tmp_path / "curve.csv"
+            path.write_text("freq_hz,amp_m\n" + "".join(f"{f!r},{a!r}\n" for f, a in rows))
+            assert cli.run(["frf", "extract", "--input", str(path)]) == 3
+            assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_frf_extract_bandwidth_error_exit3(self, tmp_path, capsys):
         # a peak whose amplitude stays above 0.7 of its maximum on both sides

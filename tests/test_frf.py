@@ -576,6 +576,19 @@ class TestIndexSearches:
         assert res[:3] == extract(curve)[:3]
 
 
+def singular_gram_curve():
+    """(freqs, amps) of nine samples rising to a peak and falling, from 1.75*2^60 Hz
+    and 1, 3, 1, 1, 3, 1, 3, 1 ulps apart: mapped to [-1, 1], the window repeats t
+    values, so the Gram matrix of its degree-6 fit is exactly singular."""
+    freqs = [1.75 * 2.0**60]
+    for ulps in (1, 3, 1, 1, 3, 1, 3, 1):
+        f = freqs[-1]
+        for _ in range(ulps):
+            f = math.nextafter(f, math.inf)
+        freqs.append(f)
+    return np.array(freqs), np.array([1.0, 2, 3, 4, 5, 4, 3, 2, 1])
+
+
 # p' = sign * (t - r_1) ... (t - r_k) * (t^2 + 1) in the mapped variable t in
 # [-1, 1], p of degree 6: the ranges the roots r_i are drawn from, and the sign
 PEAK_SHAPES = {
@@ -631,10 +644,19 @@ class TestPolyPeak:
 
     def test_clustered_frequencies_raise(self):
         # eight of nine samples lie within 7 mHz of the first, so t in [-1, 1]
-        # takes about two values and seven coefficients cannot be resolved
-        freqs = np.concatenate([1e5 + 1e-3 * np.arange(8), [1.1e5]])
-        with pytest.raises(FitError, match="^polynomial fit is ill-conditioned$"):
-            _poly_peak(freqs, np.linspace(1.0, 2.0, 9), 0, 8)
+        # takes about two values and seven coefficients cannot be resolved: the
+        # condition bound refuses the fit. On the ulp-spaced curve the Gram
+        # matrix is singular, and its inversion's LinAlgError is the cause
+        clustered = np.concatenate([1e5 + 1e-3 * np.arange(8), [1.1e5]])
+        for (freqs, amps), cause in (((clustered, np.linspace(1.0, 2.0, 9)), type(None)),
+                                     (singular_gram_curve(), np.linalg.LinAlgError)):
+            with pytest.raises(FitError, match="^polynomial fit is ill-conditioned$") as info:
+                _poly_peak(freqs, amps, 0, 8)
+            assert isinstance(info.value.__cause__, cause)
+        # extract fits the singular curve's whole peak, and refuses it the same way
+        with pytest.raises(FitError, match="^polynomial fit is ill-conditioned$") as info:
+            extract(FrfCurve(*singular_gram_curve()))
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 class TestDampingFromQ:

@@ -164,6 +164,17 @@ class TestDerivedGeometry:
             assert 0 < d.beta < 1  # r_0 < r_X
             assert d.square.A_S > 0  # r_0E < r_X: R_S's annulus bracket is positive
 
+    def test_square_cell_overflow_refuses_the_plate(self, dataset):
+        # A times 2^273: r_X^4 is finite, but the square cell's (s_X^2 - s0^2)^2,
+        # up to pi^2 times larger, overflows, which refuses the plate rather
+        # than building it with an infinite A_IS
+        geom = dataset["A"].geom
+        assert (math.ldexp(geom.s0 + geom.s1, 273) / math.sqrt(math.pi)) ** 4 < math.inf
+        with pytest.raises(ValueError, match=r"^plate dimensions are out of floating-point "
+                                             r"range \(overflow\)$"):
+            PlateGeometry(**{name: math.ldexp(getattr(geom, name), 273)
+                             for name in ("L", "W", "s0", "s1", "h", "h_c")}, M=geom.M, N=geom.N)
+
     def test_pure_function(self, dataset):
         geom = dataset["A"].geom
         assert derive_geometry(geom) == derive_geometry(geom)
@@ -181,11 +192,11 @@ class TestDerivedGeometry:
     @pytest.mark.parametrize("L, W", [(372.4e-6, 66.4e-6), (66.4e-6, 372.4e-6),
                                       (66.4e-6, 66.4e-6)], ids=["long", "wide", "square"])
     def test_short_and_long_sides(self, L, W):
-        # the record keeps the sides only in the products that read them
+        # the record keeps the short side, and both sides in the products that read them
         d = _plate(L=L, W=W, M=6, N=6).derived
         h_13 = 1.3 * 1.6e-6
-        assert (d.short_1_3h, d.long_1_3h, d.short_sq) \
-            == (min(L, W) + h_13, max(L, W) + h_13, min(L, W) ** 2)
+        assert (d.short_1_3h, d.long_1_3h, d.short) \
+            == (min(L, W) + h_13, max(L, W) + h_13, min(L, W))
 
     def test_derived_outside_equality_hash_and_repr(self):
         a, b = _plate(), _plate()

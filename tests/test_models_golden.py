@@ -13,6 +13,8 @@ import math
 import random
 from pathlib import Path
 
+import pytest
+
 from perfdamp import compact_models as cm
 from perfdamp.comparison import builtin_dataset
 from perfdamp.flow_regime import GasProperties
@@ -58,8 +60,39 @@ def render() -> str:
     return "\n".join(lines) + "\n"
 
 
+def assert_replays(text: str, golden: Path) -> None:
+    """Fail unless `text` is the golden file byte for byte, naming the columns
+    the replay dropped and added and its first eight changed cells (data row,
+    column, golden, replay) in the columns both share, in place of a diff of
+    the whole file."""
+    want = golden.read_bytes()
+    if text.encode() == want:
+        return
+
+    def table(raw):
+        header, *rows = (line.split(",") for line in raw.splitlines())
+        return header, [dict(zip(header, row)) for row in rows]
+
+    (old_cols, old), (new_cols, new) = table(want.decode()), table(text)
+    shared = [col for col in old_cols if col in new_cols]
+    changed = [(i, col, a.get(col), b.get(col)) for i, (a, b) in enumerate(zip(old, new), 1)
+               for col in shared if a.get(col) != b.get(col)]
+    report = [f"{golden.name} does not replay: {len(changed)} changed cells"
+              f" in {len(shared)} shared columns"]
+    for what, cols in (("dropped", [c for c in old_cols if c not in new_cols]),
+                       ("added", [c for c in new_cols if c not in old_cols])):
+        if cols:
+            report.append(f"{what} columns: {', '.join(cols)}")
+    if len(old) != len(new):
+        report.append(f"{len(old)} golden rows, {len(new)} replayed")
+    report += [f"row {i}, {col}: golden {g}, replay {r}" for i, col, g, r in changed[:8]]
+    if len(report) == 1:
+        report.append("every cell reads the same: the bytes differ outside them")
+    pytest.fail("\n".join(report), pytrace=False)
+
+
 def test_replays_byte_for_byte():
-    assert render().encode() == GOLDEN.read_bytes()
+    assert_replays(render(), GOLDEN)
 
 
 if __name__ == "__main__":

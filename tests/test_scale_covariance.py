@@ -68,29 +68,48 @@ def _check_models(label, geom, gas, geom_k, gas_k, k):
                 (label, name)
 
 
+def _check_plate(label, geom, gas, k):
+    """geom and gas scaled by 2^k, where the plate builds: the models as in
+    _check_models, and a regime report that refuses or has Re times 2^(2k) and
+    every number without a length unchanged. Returns whether the plate built."""
+    try:
+        geom_k = _scaled(geom, k)
+    except ValueError:
+        return False
+    gas_k = _scaled_gas(gas, k)
+    _check_models(label, geom, gas, geom_k, gas_k, k)
+    base = regime_report(geom, gas, F)
+    try:
+        rep = regime_report(geom_k, gas_k, F)
+    except ModelDomainError:
+        return True
+    assert rep.Re == math.ldexp(base.Re, 2 * k), label
+    assert [getattr(rep, name) for name in _UNCHANGED] \
+        == [getattr(base, name) for name in _UNCHANGED], label
+    assert rep.compressible == (rep.sigma_cell >= SIGMA_THRESHOLD), label
+    assert rep.inertial == (rep.Re >= RE_THRESHOLD), label
+    return True
+
+
 @pytest.mark.parametrize("k", [pytest.param(k, marks=_SUBNORMAL) if k in K_SUBNORMAL else k
                                for k in K_BUILDS], ids=lambda k: f"k={k}")
 def test_lengths_and_lam_times_2_to_k(k, dataset, gas):
-    gas_k = _scaled_gas(gas, k)
-    built = 0
-    for rec in dataset.values():
-        try:
-            geom = _scaled(rec.geom, k)
-        except ValueError:
-            continue
-        built += 1
-        _check_models(rec.id, rec.geom, gas, geom, gas_k, k)
-        base = regime_report(rec.geom, gas, F)
-        try:
-            rep = regime_report(geom, gas_k, F)
-        except ModelDomainError:
-            continue
-        assert rep.Re == math.ldexp(base.Re, 2 * k), rec.id
-        assert [getattr(rep, name) for name in _UNCHANGED] \
-            == [getattr(base, name) for name in _UNCHANGED], rec.id
-        assert rep.compressible == (rep.sigma_cell >= SIGMA_THRESHOLD), rec.id
-        assert rep.inertial == (rep.Re >= RE_THRESHOLD), rec.id
-    assert built
+    assert sum(_check_plate(rec.id, rec.geom, gas, k) for rec in dataset.values())
+
+
+@pytest.fixture(scope="module")
+def design():
+    return list(design_points())
+
+
+# Every 7th k inside the envelope, on the 300 design points of test_models_golden.
+# A square formed as pow(x, 2) is not exactly covariant under every libm (glibc
+# 2.36's pow is not always correctly rounded), and on these plates it showed in
+# the square cell's R_IS and in sigma_cell; x*x is correctly rounded everywhere.
+@pytest.mark.parametrize("k", range(-200, 200, 7), ids=lambda k: f"k={k}")
+def test_design_points_times_2_to_k(k, design):
+    assert sum(_check_plate(i, geom, gas, k) for i, (_, geom, gas) in enumerate(design)) \
+        == len(design)
 
 
 @pytest.mark.xfail(raises=AssertionError, strict=True,

@@ -19,7 +19,7 @@ from perfdamp import compact_models as cm
 from perfdamp.flow_regime import RegimeReport, regime_report
 from perfdamp.geometry import DerivedGeometry
 
-from test_models_golden import design_points
+from test_models_golden import assert_replays, design_points
 
 GOLDEN = Path(__file__).parent / "golden" / "stages_design.csv"
 FREQ_SEED = 20081
@@ -55,7 +55,7 @@ def render() -> str:
 
 
 def test_replays_byte_for_byte():
-    assert render().encode() == GOLDEN.read_bytes()
+    assert_replays(render(), GOLDEN)
 
 
 if __name__ == "__main__":

@@ -330,7 +330,8 @@ def derive_geometry(geom: PlateGeometry) -> DerivedGeometry:
     # eta's denominator uses the effective hole length, not the bare plate
     # height; with the bare height the published comparison is missed by up
     # to 3.5 points, with H_eff five of six devices match within 0.01 points.
-    eta = 1 + 3 * r_0**4 * K / (16 * H_eff * h3)
+    eta_den = 16 * H_eff * h3
+    eta = 1 + 3 * r_0**4 * K / eta_den
     r_02 = r_0**2
     l = math.sqrt(2 * h3 * H_eff * eta / (3 * beta2 * r_02))
     # h^3 and r_X^4 are finite here, so h^2 and r_X^2 are products; the powers
@@ -378,8 +379,11 @@ def derive_geometry(geom: PlateGeometry) -> DerivedGeometry:
     m1_per_mu = m2_per_mu = math.nan
     try:
         leak, shape = _leak_brackets(al)
+        if eta_den == math.inf:  # then eta reads exactly 1, whatever the plate
+            raise OverflowError("16*H_eff*h^3")
         m1_per_mu = 2 * a * long * (8 * H_eff / (beta2 * r_02)) * eta * leak
-    except ZeroDivisionError as exc:  # al = 0, or beta^2*r_0^2 underflowed
+    # ZeroDivisionError: al = 0, or beta^2*r_0^2 underflowed
+    except (ZeroDivisionError, OverflowError) as exc:
         m1_refusal = str(out_of_range("M1", exc))
     if not 0 < al < math.inf:
         m2_refusal = "M2 attenuation length is not a positive finite number"

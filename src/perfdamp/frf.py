@@ -1,10 +1,11 @@
 """Quality-factor and damping extraction from frequency-response curves.
 
-The measured procedure is mirrored: a 6th-degree polynomial fitted to the top of the
-resonance peak (normal equations) gives f0 and the peak amplitude at its maximum (Newton
-on p'), and Q is read from the half-power bandwidth Q = f0/(f2 - f1), each crossing
-interpolated linearly between the samples that bracket it. A synthetic second-order
-resonator response is provided so the extraction can be tested closed-loop.
+The measured procedure is mirrored: f0 and the peak amplitude are the maximum, over the
+top of the resonance peak, of a driven resonator's response fitted there (1/A^2 is a
+quadratic in f^2, one 3x3 linear solve), and Q is read from the half-power bandwidth
+Q = f0/(f2 - f1), each crossing interpolated linearly between the samples that bracket
+it. A synthetic second-order resonator response is provided so the extraction can be
+tested closed-loop.
 """
 
 from __future__ import annotations
@@ -19,15 +20,14 @@ import numpy as np
 from perfdamp.checks import ModelDomainError, require_non_negative, require_positive
 from perfdamp.config import CURVE_HEADER
 
-POLY_DEGREE = 6
 MIN_WINDOW = 9
 MIN_SAMPLES = 8  # the fewest samples an FrfCurve takes
 HALF_POWER = 1.0 / math.sqrt(2.0)
 FIT_WINDOW_LEVEL = 0.9
-# Largest sum of G_ii * (G^-1)_ii of a fit's normal matrix G: the trace of the inverse of G
-# scaled to unit diagonal, within 7x of its condition number (even windows: 1150 to 2640).
+# Largest sum of G_ii * (G^-1)_ii of the fit's 3x3 normal matrix G: the trace of the
+# inverse of G scaled to unit diagonal, within 3x of its condition number (even windows of
+# 5 to 65 samples: about 5 to 6).
 MAX_FIT_COND = 1e8
-_DEGREES = np.arange(1.0, POLY_DEGREE + 1)  # p' = (coef[1:] * _DEGREES) @ (1, t, ..., t^5)
 
 # The reductions themselves: ndarray.min/max/all reach them through Python-level wrappers.
 _min, _max, _all = np.minimum.reduce, np.maximum.reduce, np.logical_and.reduce
@@ -40,7 +40,8 @@ class BandwidthError(ModelDomainError):
 
 
 class FitError(ModelDomainError, RuntimeError):
-    """The polynomial fit around the peak has too few samples or is ill-conditioned."""
+    """The resonator fit around the peak, a quadratic in f^2, is ill-conditioned or has
+    no finite peak."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,64 +210,53 @@ def _fit_window(amps: np.ndarray, i_peak: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _peak_between(coef, a: float, b: float) -> tuple[float, float]:
-    """(p(t), t) at the root t in [a, b] of p', given p'(a) > 0 >= p'(b) and
-    coef, p lowest degree first: Newton, or bisection where a step leaves [a, b] or p'' >= 0."""
-    _, c1, c2, c3, c4, c5, c6 = coef
-    d2, d3, d4, d5, d6 = 2 * c2, 3 * c3, 4 * c4, 5 * c5, 6 * c6
-    u = 0.5 * (a + b)
-    for _ in range(100):  # bisection halves the bracket: 52 steps reach 1e-15
-        t = u
-        slope = ((((d6 * t + d5) * t + d4) * t + d3) * t + d2) * t + c1
-        curv = (((5 * d6 * t + 4 * d5) * t + 3 * d4) * t + 2 * d3) * t + d2
-        a, b = (t, b) if slope > 0 else (a, t)
-        u = t - slope / curv if curv < 0 else a
-        u = u if a < u <= b else 0.5 * (a + b)
-        if abs(u - t) <= 1e-15:  # floats near |t| = 1 lie 1.1e-16 to 2.2e-16 apart
-            break
-    return _horner(coef, u), u
+def _resonator_peak(freqs, amps, lo, hi):
+    """Fit the window with a driven resonator's 1/A^2, a quadratic in f^2; return
+    the maximum of the fitted response on the window (f0, A_peak).
 
-
-def _horner(coef, u: float) -> float:
-    """p(u), coef lowest degree first."""
-    c0, c1, c2, c3, c4, c5, c6 = coef
-    return (((((c6 * u + c5) * u + c4) * u + c3) * u + c2) * u + c1) * u + c0
-
-
-def _poly_peak(freqs, amps, lo, hi):
-    """Fit the window with a degree-6 polynomial; return its maximum (f0, A_peak).
-
-    On the window mapped to t in [-1, 1] the coefficients solve the normal equations
-    V V^T c = V y. The maximum is over both window ends and each root of p' falling from
-    > 0 to <= 0 between two samples; a local max/min pair between adjacent samples is not seen."""
+    With s mapping (f/f_hi)^2 onto [-1, 1], p0 + p1*s + p2*s^2 is fitted to 1/A^2
+    with each row scaled by A^2, so each residual is relative: the 3x3 Hankel
+    normal equations of the sums of A^4*s^0..4 and A^2*s^0..2, solved by cofactors.
+    The maximum is at the smallest fitted 1/A^2 of the two window ends and the
+    vertex -p1/(2*p2), which counts where p2 > 0 and it lies inside the window."""
     x, y = freqs[lo : hi + 1], amps[lo : hi + 1]
-    if len(x) <= POLY_DEGREE + 1:
-        raise FitError("fit window too small for a 6th-degree polynomial")
-    x_lo, x_hi = x.item(0), x.item(-1)
-    span = x_hi - x_lo
-    # rows 1, t, ..., t^6 of V; t maps [x_lo, x_hi] to [-1, 1]
-    van_t = np.empty((POLY_DEGREE + 1, len(x)))
-    van_t[0] = 1.0
-    t = np.multiply(x, 2.0 / span, out=van_t[1])
-    t += (-x_hi - x_lo) / span
-    van_t[2:] = t
-    np.multiply.accumulate(van_t[1:], out=van_t[1:])
-    gram = van_t @ van_t.T
-    try:
-        inv = np.linalg.inv(gram)
-    except np.linalg.LinAlgError as exc:
-        raise FitError("polynomial fit is ill-conditioned") from exc
-    if not gram.diagonal() @ inv.diagonal() <= MAX_FIT_COND:
+    f_hi = x.item(-1)
+    # rows 1, s, ..., s^4, s mapping u = (f/f_hi)^2 from [u_0, 1] onto [-1, 1]: no finite
+    # f overflows u, and u_0 < 1, as the window's first frequency lies below f_hi
+    powers = np.empty((5, len(x)))
+    s = np.divide(x, f_hi, out=powers[1])
+    s *= s
+    half = 0.5 * (1.0 - s.item(0))
+    mid = 1.0 - half
+    s -= mid
+    s *= 1.0 / half
+    powers[0] = 1.0
+    np.multiply(s, s, out=powers[2])
+    np.multiply(powers[2], s, out=powers[3])
+    np.multiply(powers[2], powers[2], out=powers[4])
+    scale = 2.0 ** (math.frexp(_max(y))[1] - 1)  # exact, and keeps the sums finite
+    a2 = y * (1.0 / scale)
+    a2 *= a2
+    m0, m1, m2, m3, m4 = (powers @ (a2 * a2)).tolist()
+    r0, r1, r2 = (powers[:3] @ a2).tolist()
+    # the cofactors of the Gram matrix [[m0, m1, m2], [m1, m2, m3], [m2, m3, m4]]
+    c00, c01, c02 = m2 * m4 - m3 * m3, m2 * m3 - m1 * m4, m1 * m3 - m2 * m2
+    c11, c12, c22 = m0 * m4 - m2 * m2, m1 * m2 - m0 * m3, m0 * m2 - m1 * m1
+    det = m0 * c00 + m1 * c01 + m2 * c02
+    if not (det > 0 and m0 * c00 + m2 * c11 + m4 * c22 <= MAX_FIT_COND * det):
         raise FitError("polynomial fit is ill-conditioned")
-    scale = 2.0 ** (math.frexp(_max(y))[1] - 1)  # exact, and keeps V y finite
-    coef = inv @ (van_t @ (y / scale))
-    rising = coef[1:] * _DEGREES @ van_t[:-1] > 0  # p' > 0 at the samples
-    ts, cl = t.tolist(), coef.tolist()
-    ends = [(_horner(cl, u), u) for u in (ts[0], ts[-1])]
-    peaks = [_peak_between(cl, ts[k], ts[k + 1])
-             for k in (rising[:-1] > rising[1:]).nonzero()[0].tolist()]
-    A_peak, t0 = max(ends + peaks)
-    return (x_hi + x_lo) / 2 + span / 2 * t0, A_peak * scale
+    p0 = (c00 * r0 + c01 * r1 + c02 * r2) / det
+    p1 = (c01 * r0 + c11 * r1 + c12 * r2) / det
+    p2 = (c02 * r0 + c12 * r1 + c22 * r2) / det
+    s_lo, s_hi = s.item(0), s.item(-1)
+    peaks = [(p0 + (p1 + p2 * s_lo) * s_lo, x.item(0)), (p0 + (p1 + p2 * s_hi) * s_hi, f_hi)]
+    vertex = -p1 / (2 * p2) if p2 > 0 else math.nan
+    if s_lo < vertex < s_hi:
+        peaks.append((p0 + (p1 + p2 * vertex) * vertex, f_hi * math.sqrt(mid + half * vertex)))
+    inv_a2, f0 = min(peaks)
+    if not inv_a2 > 0:
+        raise FitError("polynomial fit has no finite peak")
+    return f0, scale / math.sqrt(inv_a2)
 
 
 def _crossing(freqs, amps, thr, i_peak, step):
@@ -300,7 +290,7 @@ def extract(curve: FrfCurve, m_eff: float | None = None) -> ExtractionResult:
     if amps.item(0) == peak == amps.item(-1) == _min(amps):
         raise BandwidthError("curve has no peak")
     lo, hi = _fit_window(amps, i_peak)
-    f0, A_peak = _poly_peak(freqs, amps, lo, hi)
+    f0, A_peak = _resonator_peak(freqs, amps, lo, hi)
     thr = A_peak * HALF_POWER
     f1 = _crossing(freqs, amps, thr, i_peak, -1)
     f2 = _crossing(freqs, amps, thr, i_peak, +1)

@@ -3,12 +3,12 @@ the plain numpy form of the FRF extraction.
 
 The series references sum term by term, as the model formulas state them, and
 share no code with the package's closed forms. extract_reference runs the Q
-extraction through numpy's Polynomial class (an SVD least-squares fit, the
-peak from the eigenvalues of the derivative's companion matrix) and a
-sample-by-sample walk; frf.extract reaches the same numbers by other
-arithmetic, so tests compare the two within 1e-12. to_file_search finds a
-device file's value by the ulp-by-ulp search that config._to_file's three
-candidates replace.
+extraction through numpy's least-squares solver (the resonator's 1/A^2 fitted
+as a quadratic in f^2 by np.linalg.lstsq, its peak at the vertex or a window
+end) and a sample-by-sample walk; frf.extract reaches the same numbers by a
+3x3 cofactor solve of the normal equations, so tests compare the two within
+1e-12. to_file_search finds a device file's value by the ulp-by-ulp search
+that config._to_file's three candidates replace.
 
 border_truth sums the border series to 40 digits with mpmath, to write
 tests/golden/border_truth.csv again: ``PYTHONPATH=src python tests/oracles.py``.
@@ -293,10 +293,11 @@ def m2_damping(geom, gas):
 
 
 def extract_reference(curve, m_eff=None):
-    """frf.extract through numpy's Polynomial class: fit a degree-6 polynomial
-    to the samples at or above 0.9 of the raw peak, take its maximum, and walk
-    outward one sample at a time to the first pair that falls through the
-    half-power level, interpolating that pair linearly."""
+    """frf.extract through numpy's least-squares solver: fit 1/A^2 = p0 + p1*s + p2*s^2,
+    s mapping f^2 linearly onto [-1, 1], to the samples at or above 0.9 of the raw peak
+    (rows A^2*[1, s, s^2] against 1, by np.linalg.lstsq), take the fitted response's
+    maximum over the window, and walk outward one sample at a time to the first pair
+    that falls through the half-power level, interpolating that pair linearly."""
     freqs, amps = curve.freqs, curve.amps
     i_peak = int(np.argmax(amps))
     if amps[i_peak] <= 0 or np.all(amps == amps[0]):
@@ -313,19 +314,26 @@ def extract_reference(curve, m_eff=None):
     hi = min(len(amps) - 1, i_peak + half)
 
     x, y = freqs[lo : hi + 1], amps[lo : hi + 1]
-    if len(x) <= 7:
-        raise FitError("fit window too small for a 6th-degree polynomial")
+    u = (x / x[-1]) ** 2
+    s = (2 * u - u[0] - u[-1]) / (u[-1] - u[0])
+    scaled = y / np.max(y)
+    rows = scaled[:, None] ** 2 * np.stack([np.ones_like(s), s, s * s], axis=1)
+    gram = rows.T @ rows
     try:
-        poly = np.polynomial.Polynomial.fit(x, y, 6)
-    except np.linalg.LinAlgError as exc:
-        raise FitError("polynomial fit failed") from exc
-    crit = poly.deriv().roots()
-    crit = crit[np.isreal(crit)].real
-    crit = crit[(crit >= x[0]) & (crit <= x[-1])]
-    cand = np.concatenate([crit, x[:1], x[-1:]])
-    vals = poly(cand)
-    j = int(np.argmax(vals))
-    f0, A_peak = float(cand[j]), float(vals[j])
+        ill = not np.diag(gram) @ np.diag(np.linalg.inv(gram)) <= 1e8
+    except np.linalg.LinAlgError:
+        ill = True
+    if ill:
+        raise FitError("polynomial fit is ill-conditioned")
+    p0, p1, p2 = np.linalg.lstsq(rows, np.ones_like(s), rcond=None)[0].tolist()
+    cands = [(p0 - p1 + p2, float(x[0])), (p0 + p1 + p2, float(x[-1]))]
+    if p2 > 0 and -1 < -p1 / (2 * p2) < 1:
+        u_v = u[0] + (1 - p1 / (2 * p2)) / 2 * (u[-1] - u[0])
+        cands.append((p0 - p1 * p1 / (4 * p2), float(x[-1] * np.sqrt(u_v))))
+    inv_a2, f0 = min(cands)
+    if inv_a2 <= 0:
+        raise FitError("polynomial fit has no finite peak")
+    A_peak = float(np.max(y)) / math.sqrt(inv_a2)
     thr = A_peak * (1.0 / math.sqrt(2.0))
 
     def crossing(step):

@@ -665,10 +665,10 @@ class TestCli:
         assert cli.run(["frf", "extract", "--input", str(path)]) == 3
 
     def test_frf_extract_peak_outside_halfpower_band_exit3(self, tmp_path, capsys):
-        # jagged samples whose fitted peak lies past both half-power crossings
+        # jagged samples whose fitted peak lies past the right half-power crossing
         path = tmp_path / "jagged.csv"
         path.write_text("freq_hz,amp_m\n" + "".join(
-            f"{f},{a}\n" for f, a in zip(range(100, 180, 10), (3, 5, 2, 6, 9, 7, 9, 4))))
+            f"{f},{a}\n" for f, a in zip(range(100, 180, 10), (3, 1, 2, 6, 9, 7, 9, 4))))
         assert cli.run(["frf", "extract", "--input", str(path)]) == 3
         assert capsys.readouterr() == (
             "", "error: half-power frequencies do not bracket the peak\n")
@@ -859,12 +859,15 @@ class TestCli:
         assert "--slip-correct" in capsys.readouterr().err
 
     def test_frf_extract_fit_error_exit3(self, tmp_path, capsys):
-        # the peak sits on the first sample, so the fit window has 5 samples;
-        # on the ulp-spaced curve the fit's Gram matrix is singular
+        # the peak sits on the first sample, so no sample before it falls below the
+        # half-power level; on the singular curve the fit's Gram matrix is singular,
+        # and the fit through a lone spike dips below zero
         edge = [(100 + 10 * i, 8 - i) for i in range(8)]
         singular = zip(*(column.tolist() for column in singular_gram_curve()))
-        for rows, message in ((edge, "fit window too small for a 6th-degree polynomial"),
-                              (singular, "polynomial fit is ill-conditioned")):
+        spike = [(100 + 10 * i, 10 if i == 4 else 1) for i in range(9)]
+        for rows, message in ((edge, "amplitude never falls below the half-power level"),
+                              (singular, "polynomial fit is ill-conditioned"),
+                              (spike, "polynomial fit has no finite peak")):
             path = tmp_path / "curve.csv"
             path.write_text("freq_hz,amp_m\n" + "".join(f"{f!r},{a!r}\n" for f, a in rows))
             assert cli.run(["frf", "extract", "--input", str(path)]) == 3

@@ -1,10 +1,10 @@
 import math
+import statistics
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from numpy.polynomial import Polynomial
 
 from perfdamp import cli
 from perfdamp.compact_models import ModelDomainError
@@ -18,7 +18,7 @@ from perfdamp.frf import (
     FrfCurve,
     _crossing,
     _fit_window,
-    _poly_peak,
+    _resonator_peak,
     damping_from_q,
     extract,
     read_curve,
@@ -329,13 +329,24 @@ class TestExtract:
             extract(curve)
 
     def test_halfpower_crossings_not_bracketing_peak_rejected(self):
-        # the fit over all 8 jagged samples peaks at 164.2 Hz, past the crossings
-        # at 133.6 and 149.6 Hz around the raw maximum at 140 Hz
+        # the fit over all 8 jagged samples peaks at 149.7 Hz and 10.9, so its
+        # half-power level of 7.7 puts the crossings around the raw maximum at
+        # 140 Hz at 135.7 and 146.4 Hz, short of the fitted peak
         curve = FrfCurve(freqs=np.arange(100.0, 180.0, 10.0),
-                         amps=np.array([3.0, 5, 2, 6, 9, 7, 9, 4]))
+                         amps=np.array([3.0, 1, 2, 6, 9, 7, 9, 4]))
         with pytest.raises(BandwidthError, match="^half-power frequencies do not bracket "
                            "the peak$"):
             extract(curve)
+        assert _outcome(extract, curve) == _outcome(extract_reference, curve)
+
+    def test_fit_without_finite_peak_rejected(self):
+        # a lone spike: rows weighted by A^2 pull the fit through the spike's small
+        # 1/A^2, and the fitted quadratic dips below zero between the samples
+        curve = FrfCurve(freqs=np.arange(100.0, 190.0, 10.0),
+                         amps=np.array([1.0, 1, 1, 1, 10, 1, 1, 1, 1]))
+        with pytest.raises(FitError, match="^polynomial fit has no finite peak$"):
+            extract(curve)
+        assert _outcome(extract, curve) == _outcome(extract_reference, curve)
 
     def test_no_halfpower_crossing_rejected(self):
         # truncated wing: right side never falls below peak/sqrt(2)
@@ -401,7 +412,8 @@ def _half_power_q(Q):
 
 
 class TestHalfPowerOracle:
-    """On clean curves, Q matches the half-power Q of the continuous response."""
+    """On clean curves, Q matches the half-power Q of the continuous response, and
+    f0 and A_peak its maximum."""
 
     @pytest.mark.parametrize("points, tol", [(801, 1e-4), (201, 3e-4)])
     @pytest.mark.parametrize("Q", [2, 3, 5, 10, 20, 50, 100, 500, 5000])
@@ -411,9 +423,82 @@ class TestHalfPowerOracle:
         curve, _, _ = _resonator_curve(200e3, Q, points=points, span_bw=min(3.0, 0.95 * Q))
         assert abs(extract(curve).Q / _half_power_q(Q) - 1) <= tol
 
+    @pytest.mark.parametrize("points", [201, 801])
+    @pytest.mark.parametrize("Q", [2, 3, 5, 10, 20, 50, 100, 500, 5000])
+    def test_peak_is_the_resonance_maximum(self, Q, points):
+        # 1/A^2 of a driven resonator is a quadratic in f^2, so the fit is exact up to
+        # rounding: the peak of |X| lies at f_n*sqrt(1 - 1/(2Q^2)) and reads
+        # F0/(c*w_n*sqrt(1 - 1/(4Q^2)))
+        f_n, F0 = 200e3, 1e-6
+        curve, c, _ = _resonator_curve(f_n, Q, F0=F0, points=points, span_bw=min(3.0, 0.95 * Q))
+        res = extract(curve)
+        w_n = 2 * math.pi * f_n
+        assert res.f0 == pytest.approx(f_n * math.sqrt(1 - 1 / (2 * Q * Q)), rel=1e-12, abs=0)
+        assert res.A_peak == pytest.approx(F0 / (c * w_n * math.sqrt(1 - 1 / (4 * Q * Q))),
+                                           rel=1e-12, abs=0)
+
+
+# name: (relative noise, flat offset and tilt as fractions of the response at f_n, points)
+ROBUSTNESS_SCENARIOS = {
+    "noise-1e-3": (1e-3, 0.0, 0.0, 801),
+    "noise-1e-2": (1e-2, 0.0, 0.0, 801),
+    "offset-1pc": (1e-3, 0.01, 0.0, 801),
+    "tilt+2pc": (1e-3, 0.0, 0.02, 801),
+    "tilt-2pc": (1e-3, 0.0, -0.02, 801),
+    "points-101": (1e-3, 0.0, 0.0, 101),
+    "points-61": (1e-3, 0.0, 0.0, 61),
+}
+# Worst and median |Q/Q_true - 1| of each scenario's curves when the peak came from a
+# degree-6 polynomial fitted to the window (7x7 normal equations, Newton on p'), the fit
+# the resonator fit replaced: measured with _robustness_q_errors on that code
+POLYNOMIAL_Q_ERRORS = {
+    "noise-1e-3": (0.020636897785011432, 0.0013337283789034426),
+    "noise-1e-2": (0.052747926706675496, 0.009155879229919395),
+    "offset-1pc": (0.029063249634251997, 0.00910816493945854),
+    "tilt+2pc": (0.019659422498151002, 0.0012348457375986333),
+    "tilt-2pc": (0.022538941022390846, 0.0014131596336112162),
+    "points-101": (0.024671016289434577, 0.0019775466375867023),
+    "points-61": (0.0258353142050064, 0.0025163816722885146),
+}
+
+
+def _robustness_q_errors(scenario):
+    """|Q/Q_true - 1| of extract on 1,500 seeded resonator curves of the scenario:
+    Q log-uniform in [5, 500], f_n in 130-230 kHz, +-3 bandwidths around f_n; the
+    amplitudes times (1 + noise * N(0, 1)) and a linear tilt that reaches +-tilt at
+    the ends, plus the flat offset."""
+    noise, offset, tilt, points = ROBUSTNESS_SCENARIOS[scenario]
+    rng = np.random.default_rng(1)
+    errors = []
+    for _ in range(1500):
+        Q = math.exp(rng.uniform(math.log(5.0), math.log(500.0)))
+        f_n = rng.uniform(130e3, 230e3)
+        m_eff, w_n = 1e-9, 2 * math.pi * f_n
+        bw = f_n / Q
+        freqs = np.linspace(f_n - 3 * bw, f_n + 3 * bw, points)
+        amps = synth_frf(m_eff, m_eff * w_n / Q, m_eff * w_n**2, 1e-6, freqs).amps
+        peak = 1e-6 / (m_eff * w_n * w_n / Q)  # F0/(c*w_n), the response at f_n
+        amps = amps * (1 + noise * rng.standard_normal(points)) \
+            * (1 + tilt * (freqs - f_n) / (3 * bw)) + offset * peak
+        errors.append(abs(extract(FrfCurve(freqs=freqs, amps=amps)).Q / Q - 1))
+    return errors
+
+
+class TestRobustness:
+    """Off the clean resonator, the half-power Q is as accurate as it was with the
+    polynomial peak fit: the worst error within 5 % of that fit's, the median no
+    larger."""
+
+    @pytest.mark.parametrize("scenario", ROBUSTNESS_SCENARIOS)
+    def test_q_error_within_the_polynomial_fits(self, scenario):
+        errors = _robustness_q_errors(scenario)
+        worst, median = POLYNOMIAL_Q_ERRORS[scenario]
+        assert max(errors) <= 1.05 * worst
+        assert statistics.median(errors) <= median
+
 
 class TestMatchesReference:
-    """extract is within 1e-12 of the Polynomial-class extraction."""
+    """extract is within 1e-12 of the extraction through np.linalg.lstsq."""
 
     @pytest.mark.parametrize("noise", [False, True])
     @pytest.mark.parametrize("points", [201, 401, 801])
@@ -520,11 +605,12 @@ class TestIndexSearches:
 
     @pytest.mark.parametrize("first", [True, False])
     def test_peak_on_end_sample(self, first):
-        # the fit window holds 5 samples, too few for the polynomial
+        # the fit window holds 5 samples, and no sample lies beyond the peak to fall
+        # below its half-power level
         amps = np.linspace(1.0, 0.1, 64)
         curve = FrfCurve(freqs=np.linspace(1e5, 2e5, 64), amps=amps if first else amps[::-1])
         out = _outcome(extract, curve)
-        assert out[0] is FitError
+        assert out == (BandwidthError, "amplitude never falls below the half-power level")
         assert out == _outcome(extract_reference, curve)
 
     def test_window_clipped_then_no_crossing(self):
@@ -577,86 +663,68 @@ class TestIndexSearches:
 
 
 def singular_gram_curve():
-    """(freqs, amps) of nine samples rising to a peak and falling, from 1.75*2^60 Hz
-    and 1, 3, 1, 1, 3, 1, 3, 1 ulps apart: mapped to [-1, 1], the window repeats t
-    values, so the Gram matrix of its degree-6 fit is exactly singular."""
-    freqs = [1.75 * 2.0**60]
-    for ulps in (1, 3, 1, 1, 3, 1, 3, 1):
-        f = freqs[-1]
-        for _ in range(ulps):
-            f = math.nextafter(f, math.inf)
-        freqs.append(f)
-    return np.array(freqs), np.array([1.0, 2, 3, 4, 5, 4, 3, 2, 1])
+    """(freqs, amps) of nine samples rising to a peak and falling, the first eight at
+    1-8 kHz and the last at 1e200 Hz: (f/f_hi)^2 underflows to 0 on the first eight,
+    so s takes two values, and the Gram matrix of the three-coefficient fit is exactly
+    singular (its first and last columns are equal)."""
+    return np.array([*np.arange(1e3, 9e3, 1e3), 1e200]), np.array([1.0, 2, 3, 4, 5, 4, 3, 2, 1])
 
 
-# p' = sign * (t - r_1) ... (t - r_k) * (t^2 + 1) in the mapped variable t in
-# [-1, 1], p of degree 6: the ranges the roots r_i are drawn from, and the sign
-PEAK_SHAPES = {
-    "max-at-left-end": ([(1.2, 1.5), (-1.6, -1.2)], 1),
-    "max-at-right-end": ([(-1.5, -1.2), (1.2, 1.6)], -1),
-    "one-interior-peak": ([(-0.3, 0.3), (1.3, 1.6), (-1.6, -1.3)], 1),
-    # the minimum lies at least 0.45 from either maximum, wider than any
-    # sample gap below, so each maximum has its own sign change of p'
-    "two-interior-maxima": ([(-0.75, -0.55), (-0.1, 0.1), (0.55, 0.75)], -1),
+# 1/A^2 = 1 + k*(w - w_v)^2 with w mapping f^2 onto [-1, 1] over the window, k and the
+# vertex w_v drawn from these ranges; each case names the sample or point where A peaks
+VERTEX_CASES = {
+    "vertex-inside": ((0.1, 0.5), (-0.6, 0.6)),
+    "vertex-left-of-window": ((0.1, 0.5), (-1.6, -1.2)),
+    "vertex-right-of-window": ((0.1, 0.5), (1.2, 1.6)),
+    # k < 0: a maximum of 1/A^2, so A peaks at the end farther from it
+    "concave": ((-0.3, -0.1), (-0.6, 0.6)),
 }
 
 
-def _sampled_poly(shape, n, even, seed):
-    """A degree-6 polynomial p of the given shape, positive on a window of n
-    samples from 199 to 201 kHz, evenly spaced or each inner one moved by up
-    to 0.3 of the spacing; returns p, the frequencies and the samples."""
-    rng = np.random.default_rng(seed)
-    ranges, sign = PEAK_SHAPES[shape]
-    slope = sign * Polynomial.fromroots([rng.uniform(lo, hi) for lo, hi in ranges])
-    in_t = (slope * Polynomial([1.0, 0.0, 1.0])).integ()
-    in_t = in_t + 2.0 * np.abs(in_t.coef).sum()  # |p| <= sum |coef| on [-1, 1] before
-    freqs = np.linspace(199e3, 201e3, n)
-    if not even:
-        freqs[1:-1] += rng.uniform(-0.3, 0.3, n - 2) * (freqs[1] - freqs[0])
-    poly = Polynomial(in_t.coef, domain=[199e3, 201e3])
-    return poly, freqs, poly(freqs)
-
-
-class TestPolyPeak:
-    """_poly_peak finds the maximum of the fitted polynomial over its window."""
+class TestResonatorPeak:
+    """_resonator_peak finds the maximum of the fitted response over its window: on
+    samples of an exact 1/A^2 quadratic in f^2, the vertex or a window end."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("even", [True, False], ids=["even", "jittered"])
-    @pytest.mark.parametrize("n", [9, 17, 65])
-    @pytest.mark.parametrize("shape", PEAK_SHAPES)
-    def test_matches_derivative_roots(self, shape, n, even, seed):
-        poly, freqs, amps = _sampled_poly(shape, n, even, seed)
-        crit = poly.deriv().roots()
-        crit = crit[np.isreal(crit)].real
-        crit = crit[(crit >= freqs[0]) & (crit <= freqs[-1])]
-        maxima = crit[poly.deriv(2)(crit) < 0]
-        cand = np.concatenate([crit, freqs[[0, -1]]])
-        best = cand[np.argmax(poly(cand))]
-        # the shape is the one named
-        if shape.startswith("max-at"):
-            assert len(maxima) == 0 and best == freqs[0 if "left" in shape else -1]
+    @pytest.mark.parametrize("n", [5, 9, 17, 65])
+    @pytest.mark.parametrize("case", VERTEX_CASES)
+    def test_vertex_or_window_end(self, case, n, even, seed):
+        rng = np.random.default_rng(seed)
+        (k_lo, k_hi), (v_lo, v_hi) = VERTEX_CASES[case]
+        k, w_v = rng.uniform(k_lo, k_hi), rng.uniform(v_lo, v_hi)
+        freqs = np.linspace(199e3, 201e3, n)
+        if not even:
+            freqs[1:-1] += rng.uniform(-0.3, 0.3, n - 2) * (freqs[1] - freqs[0])
+        mid, half = (201e3**2 + 199e3**2) / 2, (201e3**2 - 199e3**2) / 2
+
+        def inv_a2(f):
+            return 1 + k * ((f * f - mid) / half - w_v) ** 2
+
+        amps = 1e-8 / np.sqrt(inv_a2(freqs))
+        if k > 0 and -1 < w_v < 1:
+            best = math.sqrt(mid + half * w_v)
         else:
-            assert len(maxima) == (1 if shape == "one-interior-peak" else 2)
-            assert best in maxima
-        f0, A_peak = _poly_peak(freqs, amps, 0, n - 1)
-        assert A_peak == pytest.approx(poly(best), rel=1e-12, abs=0)
-        assert abs(f0 - best) <= 1e-9 * (freqs[-1] - freqs[0])
+            best = freqs[int(np.argmin(inv_a2(freqs[[0, -1]]))) * (n - 1)]
+        assert (case == "vertex-inside") == (best not in freqs[[0, -1]])
+        f0, A_peak = _resonator_peak(freqs, amps, 0, n - 1)
+        assert A_peak == pytest.approx(1e-8 / math.sqrt(inv_a2(best)), rel=1e-12, abs=0)
+        if case == "vertex-inside":
+            assert abs(f0 - best) <= 1e-9 * (freqs[-1] - freqs[0])
+        else:
+            assert f0 == best  # the window end itself
 
     def test_clustered_frequencies_raise(self):
-        # eight of nine samples lie within 7 mHz of the first, so t in [-1, 1]
-        # takes about two values and seven coefficients cannot be resolved: the
-        # condition bound refuses the fit. On the ulp-spaced curve the Gram
-        # matrix is singular, and its inversion's LinAlgError is the cause
+        # eight of nine samples lie within 7 mHz of the first, so s in [-1, 1] takes
+        # about two values and three coefficients cannot be resolved: the condition
+        # bound refuses the fit. On the singular curve the Gram determinant is 0
         clustered = np.concatenate([1e5 + 1e-3 * np.arange(8), [1.1e5]])
-        for (freqs, amps), cause in (((clustered, np.linspace(1.0, 2.0, 9)), type(None)),
-                                     (singular_gram_curve(), np.linalg.LinAlgError)):
-            with pytest.raises(FitError, match="^polynomial fit is ill-conditioned$") as info:
-                _poly_peak(freqs, amps, 0, 8)
-            assert isinstance(info.value.__cause__, cause)
+        for freqs, amps in ((clustered, np.linspace(1.0, 2.0, 9)), singular_gram_curve()):
+            with pytest.raises(FitError, match="^polynomial fit is ill-conditioned$"):
+                _resonator_peak(freqs, amps, 0, 8)
         # extract fits the singular curve's whole peak, and refuses it the same way
-        with pytest.raises(FitError, match="^polynomial fit is ill-conditioned$") as info:
+        with pytest.raises(FitError, match="^polynomial fit is ill-conditioned$"):
             extract(FrfCurve(*singular_gram_curve()))
-        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 class TestDampingFromQ:

@@ -112,13 +112,14 @@ def test_design_points_times_2_to_k(k, design):
         == len(design)
 
 
-@pytest.mark.xfail(raises=AssertionError, strict=True,
-                   reason="ROADMAP item 19: 16*H_eff*h^3 overflows without a refusal")
-def test_top_of_envelope():
-    # design point 282 times 2^273: 16*H_eff*h^3 overflows to inf, so M1's
-    # eta collapses to exactly 1 and M1 comes out 4.06 % low
-    _, geom, gas = next(itertools.islice(design_points(), 282, None))
-    _check_models(282, geom, gas, _scaled(geom, 273), _scaled_gas(gas, 273), 273)
+@pytest.mark.parametrize("point, k", [(282, 273), (143, 272)])
+def test_top_of_envelope(point, k):
+    # 16*H_eff*h^3 overflows to inf on these design points times 2^k, where M1's eta
+    # would read exactly 1 and M1 come out 4.06 % (282) and 0.32 % (143) low: M1 refuses
+    _, geom, gas = next(itertools.islice(design_points(), point, None))
+    geom_k = _scaled(geom, k)
+    assert geom_k.derived.m1_refusal == "M1 is out of floating-point range (overflow)"
+    _check_models(point, geom, gas, geom_k, _scaled_gas(gas, k), k)
 
 
 def test_inertia_follows_the_scaled_reynolds_number(dataset, gas):

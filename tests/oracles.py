@@ -292,6 +292,25 @@ def m2_damping(geom, gas):
     return gamma * gas.mu * (2 * a) ** 3 * (2 * b) / geom.h**3
 
 
+def resonator_fit_reference(x, y):
+    """The coefficients (p0, p1, p2) of 1/A^2 = p0 + p1*s + p2*s^2 fitted to the window
+    (x, y), amplitudes scaled by max(y), by np.linalg.lstsq on the rows A^2*[1, s, s^2];
+    s = (2*u - u[0] - u[-1])/(u[-1] - u[0]) with u = (x/x[-1])^2, which is returned too.
+    Refuses a Gram matrix whose condition sum exceeds 1e8 or that cannot be inverted."""
+    u = (x / x[-1]) ** 2
+    s = (2 * u - u[0] - u[-1]) / (u[-1] - u[0])
+    scaled = y / np.max(y)
+    rows = scaled[:, None] ** 2 * np.stack([np.ones_like(s), s, s * s], axis=1)
+    gram = rows.T @ rows
+    try:
+        ill = not np.diag(gram) @ np.diag(np.linalg.inv(gram)) <= 1e8
+    except np.linalg.LinAlgError:
+        ill = True
+    if ill:
+        raise FitError("polynomial fit is ill-conditioned")
+    return u, np.linalg.lstsq(rows, np.ones_like(s), rcond=None)[0].tolist()
+
+
 def extract_reference(curve, m_eff=None):
     """frf.extract through numpy's least-squares solver: fit 1/A^2 = p0 + p1*s + p2*s^2,
     s mapping f^2 linearly onto [-1, 1], to the samples at or above 0.9 of the raw peak
@@ -314,18 +333,7 @@ def extract_reference(curve, m_eff=None):
     hi = min(len(amps) - 1, i_peak + half)
 
     x, y = freqs[lo : hi + 1], amps[lo : hi + 1]
-    u = (x / x[-1]) ** 2
-    s = (2 * u - u[0] - u[-1]) / (u[-1] - u[0])
-    scaled = y / np.max(y)
-    rows = scaled[:, None] ** 2 * np.stack([np.ones_like(s), s, s * s], axis=1)
-    gram = rows.T @ rows
-    try:
-        ill = not np.diag(gram) @ np.diag(np.linalg.inv(gram)) <= 1e8
-    except np.linalg.LinAlgError:
-        ill = True
-    if ill:
-        raise FitError("polynomial fit is ill-conditioned")
-    p0, p1, p2 = np.linalg.lstsq(rows, np.ones_like(s), rcond=None)[0].tolist()
+    u, (p0, p1, p2) = resonator_fit_reference(x, y)
     cands = [(p0 - p1 + p2, float(x[0])), (p0 + p1 + p2, float(x[-1]))]
     if p2 > 0 and -1 < -p1 / (2 * p2) < 1:
         u_v = u[0] + (1 - p1 / (2 * p2)) / 2 * (u[-1] - u[0])

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 from hypothesis import given, settings, strategies as st
 
 from perfdamp import cli
@@ -25,7 +26,7 @@ from perfdamp.frf import (
     synth_frf,
 )
 
-from oracles import extract_reference
+from oracles import extract_reference, resonator_fit_reference
 
 
 def _resonator_curve(f0, Q, m_eff=1e-9, F0=1e-6, points=801, span_bw=5.0):
@@ -681,9 +682,67 @@ VERTEX_CASES = {
 }
 
 
-class TestResonatorPeak:
-    """_resonator_peak finds the maximum of the fitted response over its window: on
-    samples of an exact 1/A^2 quadratic in f^2, the vertex or a window end."""
+# p' = sign * (t - r_1) ... (t - r_k) * (t^2 + 1) in the mapped variable t in
+# [-1, 1], p of degree 6: the ranges the roots r_i are drawn from, and the sign
+PEAK_SHAPES = {
+    "max-at-left-end": ([(1.2, 1.5), (-1.6, -1.2)], 1),
+    "max-at-right-end": ([(-1.5, -1.2), (1.2, 1.6)], -1),
+    "one-interior-peak": ([(-0.3, 0.3), (1.3, 1.6), (-1.6, -1.3)], 1),
+    # the minimum lies at least 0.45 from either maximum, wider than any
+    # sample gap below, so each maximum has its own sign change of p'
+    "two-interior-maxima": ([(-0.75, -0.55), (-0.1, 0.1), (0.55, 0.75)], -1),
+}
+
+
+def _sampled_poly(shape, n, even, seed):
+    """A degree-6 polynomial p of the given shape, positive on a window of n
+    samples from 199 to 201 kHz, evenly spaced or each inner one moved by up
+    to 0.3 of the spacing; returns p, the frequencies and the samples."""
+    rng = np.random.default_rng(seed)
+    ranges, sign = PEAK_SHAPES[shape]
+    slope = sign * Polynomial.fromroots([rng.uniform(lo, hi) for lo, hi in ranges])
+    in_t = (slope * Polynomial([1.0, 0.0, 1.0])).integ()
+    in_t = in_t + 2.0 * np.abs(in_t.coef).sum()  # |p| <= sum |coef| on [-1, 1] before
+    freqs = np.linspace(199e3, 201e3, n)
+    if not even:
+        freqs[1:-1] += rng.uniform(-0.3, 0.3, n - 2) * (freqs[1] - freqs[0])
+    poly = Polynomial(in_t.coef, domain=[199e3, 201e3])
+    return poly, freqs, poly(freqs)
+
+
+class TestPolyPeak:
+    """_resonator_peak finds the maximum over its window of the fitted response, whose
+    1/A^2 is a quadratic polynomial in f^2: the vertex or a window end."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("even", [True, False], ids=["even", "jittered"])
+    @pytest.mark.parametrize("n", [9, 17, 65])
+    @pytest.mark.parametrize("shape", PEAK_SHAPES)
+    def test_matches_derivative_roots(self, shape, n, even, seed):
+        # samples of degree-6 shapes outside the resonator model: the peak is that of
+        # the quadratic numpy's least squares fits to 1/A^2, where its derivative vanishes
+        poly, freqs, amps = _sampled_poly(shape, n, even, seed)
+        crit = poly.deriv().roots()
+        crit = crit[np.isreal(crit)].real
+        crit = crit[(crit >= freqs[0]) & (crit <= freqs[-1])]
+        maxima = crit[poly.deriv(2)(crit) < 0]
+        cand = np.concatenate([crit, freqs[[0, -1]]])
+        best = cand[np.argmax(poly(cand))]
+        # the shape is the one named
+        if shape.startswith("max-at"):
+            assert len(maxima) == 0 and best == freqs[0 if "left" in shape else -1]
+        else:
+            assert len(maxima) == (1 if shape == "one-interior-peak" else 2)
+            assert best in maxima
+        u, coef = resonator_fit_reference(freqs, amps)
+        fit = Polynomial(coef)  # 1/A^2 in s, A scaled by max(amps); s = -1 at freqs[0]
+        vertex = [r for r in fit.deriv().roots() if -1 < r < 1 and fit.deriv(2)(r) > 0]
+        s_cand = [-1.0, 1.0, *vertex]
+        s_best = s_cand[int(np.argmin(fit(np.array(s_cand))))]
+        f_best = freqs[-1] * math.sqrt(u[0] + (s_best + 1) / 2 * (u[-1] - u[0]))
+        f0, A_peak = _resonator_peak(freqs, amps, 0, n - 1)
+        assert A_peak == pytest.approx(amps.max() / math.sqrt(fit(s_best)), rel=1e-12, abs=0)
+        assert abs(f0 - f_best) <= 1e-9 * (freqs[-1] - freqs[0])
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("even", [True, False], ids=["even", "jittered"])
